@@ -107,9 +107,9 @@ def cmd_gen(args) -> int:
 
 # instance data that fails eager family validation is bad input, not a
 # solver failure
-_INPUT_ERRORS = (errors.NonSubmodular, errors.EmptyNotZero,
-                 errors.NegativeValue, errors.GroundSetTooLarge,
-                 ValueError, KeyError)
+_INPUT_ERRORS = (errors.InvalidInstance, errors.NonSubmodular,
+                 errors.EmptyNotZero, errors.NegativeValue,
+                 errors.GroundSetTooLarge, ValueError, KeyError)
 
 
 def cmd_solve(args) -> int:

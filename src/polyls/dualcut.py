@@ -23,8 +23,7 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
 from .lovasz import DenseLovasz, evaluate, subgradient
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, upper_bound)
-from .oracles import (TABLE_N_CAP, Direction, RealOracle, SubmodularOracle,
-                      perturb)
+from .oracles import TABLE_N_CAP, Direction, SubmodularOracle, perturb
 from .sfm import membership
 from .subsets import SubsetMask
 
@@ -159,16 +158,29 @@ def _ln_fraction(x) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init, target_gap,
+def _most_violated(A: np.ndarray, b: np.ndarray, center: np.ndarray,
+                   feas_tol: float) -> int | None:
+    """Row of A z <= b that the center violates most, or None.
+
+    A row counts as violated when A[k].center - b[k] > feas_tol; ties go to
+    the lowest row index.  One matrix-vector product per call.
+    """
+    viol = A @ center - b
+    k = int(viol.argmax())
+    return k if viol[k] > feas_tol else None
+
+
+def _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init, target_gap,
                         cap, feas_tol, lb_init=-math.inf,
                         record_history=False) -> CutEngineState:
-    """Deep-cut ellipsoid method over {z : a.z <= b for (a, b) in constraints}.
+    """Deep-cut ellipsoid method over {z : A z <= b}.
 
     phi_fn must be convex on the feasible set and the feasible set must
     contain a minimizer inside the initial ball.  The certified lower bound
     is the running max over objective cuts of the cut's affine minorant
     minimized over the localizer at cut time (valid because the localizer
-    always contains a constrained minimizer and only shrinks).
+    always contains a constrained minimizer and only shrinks).  Feasibility
+    cuts take the most violated row and have priority over objective cuts.
     """
     m = len(c0)
     v0, _ = phi_fn(np.asarray(z_init, dtype=np.float64))
@@ -187,8 +199,6 @@ def _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init, target_gap,
     else:
         c = np.asarray(c0, dtype=np.float64).copy()
         P = np.eye(m) * float(radius) ** 2
-
-    cons = [(np.asarray(a, dtype=np.float64), float(b)) for a, b in constraints]
 
     it = 0
     fcuts = ocuts = 0
@@ -211,17 +221,8 @@ def _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init, target_gap,
     while True:
         center = np.array([(lo + hi) / 2.0]) if interval else c
 
-        # feasibility cuts take priority over objective cuts
-        g = None
-        beta = 0.0
-        worst = feas_tol
-        for a, b in cons:
-            viol = float(a @ center - b)
-            if viol > worst:
-                worst = viol
-                g = a
-                beta = b - float(a @ center)
-        if g is None:
+        cut = _most_violated(A, b, center, feas_tol)
+        if cut is None:
             val, graw = phi_fn(center)
             evals += 1
             val = float(val)
@@ -242,9 +243,13 @@ def _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init, target_gap,
             beta = best - val  # minimizer satisfies g.(z - c) <= best - val
             ocuts += 1
         else:
+            g = A[cut]
+            # feasible points satisfy g.(z - c) <= b - g.c; the row's own dot
+            # product keeps beta bit-identical to a per-row evaluation
+            beta = float(b[cut]) - float(g @ center)
             fcuts += 1
 
-        ng = float(np.linalg.norm(g))
+        ng = math.sqrt(float(g @ g))
         if not math.isfinite(ng) or ng <= 0.0:
             stalled = True
             break
@@ -280,7 +285,7 @@ def _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init, target_gap,
             delta = (m * m / (m * m - 1.0)) * (1.0 - gamma * gamma)
             sigma = 2.0 * (1.0 + m * gamma) / ((m + 1.0) * (1.0 + gamma))
             c = c - tau * Pg / sq
-            P = delta * (P - sigma * np.outer(Pg, Pg) / gpg)
+            P = delta * (P - sigma * (Pg[:, None] * Pg) / gpg)
             P = (P + P.T) / 2.0
             if not np.isfinite(P).all():
                 stalled = True
@@ -338,13 +343,14 @@ def cutting_plane_minimize(phi_fn, prob: ReducedProblem, target_gap,
     if m and (not np.isfinite(u).all() or u.min() <= 0):
         raise InvariantViolation("degenerate search box")
 
-    constraints = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = -1.0
-        constraints.append((e, 0.0))            # z_i >= 0
-        constraints.append((-e, float(u[i])))   # z_i <= box
-    constraints.append((np.array(prob.d_rest, dtype=np.float64), 1.0))
+    # rows 2i, 2i+1: -z_i <= 0 and z_i <= u_i; last row: d_rest.z <= 1
+    A = np.zeros((2 * m + 1, m))
+    A[0:2 * m:2] = -np.eye(m)
+    A[1:2 * m:2] = np.eye(m)
+    A[2 * m] = prob.d_rest
+    b = np.zeros(2 * m + 1)
+    b[1:2 * m:2] = u
+    b[2 * m] = 1.0
 
     z_init = np.full(m, min(1.0 / (2.0 * norm1), float(u.min()) / 2.0 if m else 1.0))
     c0 = u / 2.0
@@ -356,7 +362,7 @@ def cutting_plane_minimize(phi_fn, prob: ReducedProblem, target_gap,
 
     feas_tol = 1e-9 * max(1.0, float(norm1))
     lb_init = to_float(prob.eps / norm1)  # phi_eps >= eps * ||x||_inf >= eps/||d||_1
-    return _ellipsoid_minimize(phi_fn, constraints, c0, radius, z_init,
+    return _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init,
                                float(target_gap), cap, feas_tol,
                                lb_init=lb_init, record_history=record_history)
 
@@ -458,17 +464,16 @@ def solve_dual_base(f: SubmodularOracle, d: Direction, *, verify: bool = True,
         prob = ReducedProblem.for_instance(f, d)
         m = prob.omega_dim
         bound = 1.0 + abs(1.0 / d_full)
-        constraints = []
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            constraints.append((e, bound))
-            constraints.append((-e, bound))
+        # rows 2i, 2i+1: z_i <= bound and -z_i <= bound
+        A = np.zeros((2 * m, m))
+        A[0::2] = np.eye(m)
+        A[1::2] = -np.eye(m)
         z_init = np.full(m, 1.0 / d_full)
         phi_fn = _phi_oracle(f, prob)
         eps = float(Fraction(1, d.norm1 ** 2))
         state = _ellipsoid_minimize(
-            phi_fn, constraints, np.zeros(m), bound * math.sqrt(m) * 1.01 + 1e-9,
+            phi_fn, A, np.full(2 * m, bound), np.zeros(m),
+            bound * math.sqrt(m) * 1.01 + 1e-9,
             z_init, eps / 4,
             cap=int(8 * m * m * 60) + 1000,
             feas_tol=1e-9 * max(1.0, float(d.norm1)))

@@ -5,6 +5,10 @@ class PolylsError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInstance(PolylsError):
+    """An instance's declared sizes disagree (n, function, direction, x0)."""
+
+
 class NonSubmodular(PolylsError):
     """A function table or spec fails the quadruple submodularity test."""
 

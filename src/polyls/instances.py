@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidInstance
 from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                       Direction, ExplicitTable, FamilySpec, IntervalGeometric,
                       SubmodularOracle, WeightedCoverage, make_family,
@@ -38,7 +39,15 @@ class Instance:
     seed: int | None = None
 
     def build(self) -> tuple[SubmodularOracle, Direction]:
+        """Validated oracle and direction; every size must equal n."""
         oracle = make_family(self.spec)
+        sizes = [("function", oracle.n), ("direction", len(self.direction))]
+        if self.x0 is not None:
+            sizes.append(("x0", len(self.x0)))
+        for what, size in sizes:
+            if size != self.n:
+                raise InvalidInstance(
+                    f"n = {self.n} but the {what} has {size} elements")
         if self.x0 is not None:
             oracle = translate(oracle, self.x0)
         return oracle, Direction(self.direction)

@@ -485,26 +485,22 @@ def lift(f: SubmodularOracle, c: int) -> SubmodularOracle:
 
 
 def perturb(f: SubmodularOracle, eps: Fraction) -> RealOracle:
-    """Add eps to every nonempty value, keeping f(empty) = 0 normalized."""
+    """Add eps to every nonempty value, keeping f(empty) = 0 normalized.
+
+    Lazy and O(1): values are read through f on demand.  The dual route
+    never reads them; it builds its float extension from `base` and `eps`.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("perturbation must be positive")
-    n = f.n
-    m_bound = Fraction(f.m_bound) + eps
 
-    if f.has_table or n <= TABLE_N_CAP:
-        ft = f.dense_table()
-        table = [Fraction(0)] + [Fraction(v) + eps for v in ft[1:]]
-        out = RealOracle(n, m_bound=m_bound,
-                         family_tag=f"perturb({f.family_tag})", table=table)
-    else:
-        def fn(mask: int) -> Fraction:
-            if mask == 0:
-                return Fraction(0)
-            return Fraction(f.eval(mask)) + eps
+    def fn(mask: int) -> Fraction:
+        if mask == 0:
+            return Fraction(0)
+        return Fraction(f.eval(mask)) + eps
 
-        out = RealOracle(n, fn, m_bound=m_bound,
-                         family_tag=f"perturb({f.family_tag})")
+    out = RealOracle(f.n, fn, m_bound=Fraction(f.m_bound) + eps,
+                     family_tag=f"perturb({f.family_tag})")
     out.base = f
     out.eps = eps
     return out

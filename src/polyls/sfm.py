@@ -234,7 +234,15 @@ def minimize_mnp(f: SubmodularOracle, tol: float | None = None, *,
 
 def minimize(f: SubmodularOracle, method: str = "auto",
              tol: float | None = None) -> SfmResult:
-    """Dispatch: dense enumeration where it is cheap, minimum-norm point past it."""
+    """Dispatch on the oracle's storage, not on its cost.
+
+    "auto" enumerates every table-backed oracle and every oracle at n <= 13.
+    The solvers minimize only rescaled oracles (`scale_minus_modular`),
+    which carry a table at n <= 20, so under "auto" they always enumerate.
+    The minimum-norm-point method runs on request ("mnp"), or under "auto"
+    on an oracle without a table at n >= 14: with the brute-force fallback
+    up to n = 20, without it past that.
+    """
     if method == "bruteforce":
         return minimize_bruteforce(f)
     if method == "mnp":

@@ -67,6 +67,29 @@ def test_nonsubmodular_table_fails_at_parse(tmp_path, capsys):
         assert "NonSubmodular" in err
 
 
+@pytest.mark.parametrize("method", ["newton", "dualcut"])
+def test_direction_longer_than_n_is_input_error(tmp_path, capsys, method):
+    path = write_two_elem(tmp_path, [3, 4, 1])
+    code, _, err = run(capsys, "solve", "--instance", path, "--method", method)
+    assert code == 1
+    assert "input error: InvalidInstance" in err
+    assert "Traceback" not in err
+
+
+def test_declared_n_must_match_table(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+        "direction": [3, 4, 1],
+    }))
+    for cmd in ("solve", "verify"):
+        code, out, err = run(capsys, cmd, "--instance", str(path))
+        assert code == 1
+        assert "input error: InvalidInstance" in err
+        assert "lambda_star" not in out
+
+
 def test_solve_output_is_deterministic(tmp_path, capsys):
     path = write_two_elem(tmp_path, [3, 4])
     outs = set()

@@ -136,14 +136,65 @@ def test_engine_cap_carries_state(two_elem, d34):
     from polyls.errors import IterationCapExceeded
     prob = ReducedProblem.for_instance(two_elem, d34)
     fn = _phi_oracle(perturb(two_elem, prob.eps), prob)
-    cons = [(np.array([-1.0]), 0.0), (np.array([3.0]), 1.0)]
+    A, b = np.array([[-1.0], [3.0]]), np.array([0.0, 1.0])
     with pytest.raises(IterationCapExceeded) as exc:
-        _ellipsoid_minimize(fn, cons, np.array([0.2]), 0.5, np.array([0.1]),
+        _ellipsoid_minimize(fn, A, b, np.array([0.2]), 0.5, np.array([0.1]),
                             target_gap=0.0, cap=3, feas_tol=1e-9)
     state = exc.value.state
     assert state.iterations == 3
     assert math.isfinite(state.best_value)
     assert state.best_point.shape == (1,)
+
+
+def test_cut_selection_matches_per_row_loop():
+    from polyls.dualcut import _most_violated
+
+    def reference(A, b, center, feas_tol):
+        # per-row reference: strictly most violated row, first index on ties
+        pick, worst = None, feas_tol
+        for k, (a, bk) in enumerate(zip(A, b)):
+            viol = float(a @ center - bk)
+            if viol > worst:
+                pick, worst = k, viol
+        return pick
+
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        m = 1 + trial % 6
+        A = np.zeros((2 * m + 1, m))
+        A[0:2 * m:2] = -np.eye(m)
+        A[1:2 * m:2] = np.eye(m)
+        A[2 * m] = rng.integers(-9, 10, size=m)
+        b = np.zeros(2 * m + 1)
+        b[1:2 * m:2] = rng.integers(1, 4, size=m)
+        b[2 * m] = 1.0
+        center = rng.normal(scale=3.0, size=m)
+        if trial % 3 == 0:
+            # integral centers make equal violations common: -z_i <= 0 rows
+            # and z_i <= b_i rows tie exactly across coordinates
+            center = rng.integers(-3, 5, size=m).astype(float)
+        assert _most_violated(A, b, center, 1e-9) == reference(A, b, center, 1e-9)
+
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    assert _most_violated(A, b, np.array([-2.0, -2.0]), 1e-9) == 0  # exact tie
+    assert _most_violated(A, b, np.array([0.25, 0.25]), 1e-9) is None
+    assert reference(A, b, np.array([0.25, 0.25]), 1e-9) is None
+
+
+def test_perturb_is_lazy():
+    eps = Fraction(1, 49)
+    for inst in iter_instances(2, seed=57, n_max=7, n_min=2):
+        f, _ = inst.build()
+        before = f.calls
+        g = perturb(f, eps)
+        assert f.calls == before  # no oracle reads at construction
+        assert not g.has_table and g.base is f and g.eps == eps
+        table = f.dense_table()
+        assert g.eval(0) == 0
+        for mask in range(1, 1 << f.n):
+            assert g.eval(mask) == table[mask] + eps
+        assert g.dense_table() == [0] + [v + eps for v in table[1:]]
 
 
 def test_solve_dual_worked_examples(two_elem, d34, d_mixed):
