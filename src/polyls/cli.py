@@ -23,7 +23,7 @@ from .instances import (FAMILIES, Instance, dump_instance, format_fraction,
                         load_instance, random_instance)
 from .newton import (binary_search, bruteforce_linesearch, discrete_newton,
                      ladder_spacing, upper_bound)
-from .oracles import Direction
+from .oracles import TABLE_N_CAP
 
 CSV_SCHEMA = "bench-v1"
 CSV_HEADER = ["instance_id", "family", "n", "method", "lambda_star",
@@ -48,24 +48,23 @@ def _threads() -> int:
         return 1
 
 
-def _solve_one(inst: Instance, method: str, tol: float | None = None):
+def _solve_one(inst: Instance, method: str):
     """(result, wall_ns); module-level so a process pool can ship it."""
     f, d = inst.build()
     t0 = time.perf_counter_ns()
     if method == "newton":
-        res = discrete_newton(f, d, sfm_tol=tol)
+        res = discrete_newton(f, d)
     elif method == "dualcut":
-        res = solve_dual(f, d, sfm_tol=tol)
+        res = solve_dual(f, d)
     elif method == "base":
-        res = solve_dual_base(f, d, sfm_tol=tol)
+        res = solve_dual_base(f, d)
     elif method == "bruteforce":
         res = bruteforce_linesearch(f, d)
     elif method == "binary":
         # bisection to the ladder spacing, then one Newton step rounds exactly
         eps = ladder_spacing(d)
-        bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps,
-                           sfm_tol=tol)
-        res = discrete_newton(f, d, bs.value + eps, sfm_tol=tol)
+        bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps)
+        res = discrete_newton(f, d, bs.value + eps)
         res.method = "binary"
         res.sfm_calls += bs.membership_calls
     else:
@@ -92,10 +91,23 @@ def _pool_map(fn, jobs, workers):
         return list(pool.map(fn, jobs))
 
 
+def _size_error(n: int, count: int = 0) -> str | None:
+    """Why `gen` / `verify --random` cannot make these instances, or None."""
+    if not 1 <= n <= TABLE_N_CAP:
+        return f"n = {n} is outside 1..{TABLE_N_CAP}"
+    if count < 0:
+        return f"COUNT = {count} is negative"
+    return None
+
+
 def cmd_gen(args) -> int:
     if args.family not in FAMILIES:
         print(f"unknown family {args.family!r}; choose from {FAMILIES}",
               file=sys.stderr)
+        return 1
+    err = _size_error(args.n)
+    if err:
+        print(f"input error: {err}", file=sys.stderr)
         return 1
     inst = generate(args.family, args.n, args.seed)
     if args.out:
@@ -120,7 +132,7 @@ def cmd_solve(args) -> int:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
-        res, _ = _solve_one(inst, args.method, args.tol)
+        res, _ = _solve_one(inst, args.method)
     except errors.PolylsError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -159,6 +171,10 @@ def cmd_verify(args) -> int:
             return 1
         if family not in FAMILIES:
             print(f"unknown family {family!r}", file=sys.stderr)
+            return 1
+        err = _size_error(n, count)
+        if err:
+            print(f"input error: {err}", file=sys.stderr)
             return 1
         texts = [(f"{family}-n{n}-s{seed + i}",
                   instance_to_json(random_instance(family, n, seed + i)))
@@ -320,9 +336,6 @@ def main(argv=None) -> int:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", default="dualcut",
                    choices=["newton", "binary", "dualcut", "base", "bruteforce"])
-    p.add_argument("--tol", type=float, default=None,
-                   help="float tolerance for the minimum-norm-point inner "
-                        "loop; exact results never depend on it")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-method equality check")

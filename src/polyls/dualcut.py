@@ -23,7 +23,7 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
 from .lovasz import DenseLovasz, evaluate, subgradient
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, upper_bound)
-from .oracles import TABLE_N_CAP, Direction, SubmodularOracle, perturb
+from .oracles import Direction, SubmodularOracle, perturb
 from .sfm import membership
 from .subsets import SubsetMask
 
@@ -108,26 +108,19 @@ def _phi_oracle(f_like: SubmodularOracle, prob: ReducedProblem):
     d_rest = np.array(prob.d_rest, dtype=np.float64)
     dp = float(prob.d_pivot)
 
+    # a perturbed oracle is read through its base, with eps added in floats
     base = getattr(f_like, "base", None)
-    if base is not None and (base.has_table or base.n <= TABLE_N_CAP):
-        lov = DenseLovasz(base, eps=float(getattr(f_like, "eps", 0)))
-    elif f_like.has_table or n <= TABLE_N_CAP:
+    if base is None:
         lov = DenseLovasz(f_like)
     else:
-        lov = None
-
-    if lov is not None:
-        def fn(z: np.ndarray) -> tuple[float, np.ndarray]:
-            x = np.empty(n)
-            x[rest_idx] = z
-            x[pivot] = (1.0 - d_rest @ z) / dp
-            val, v = lov.value_subgrad(x)
-            return val, v[rest_idx] - (d_rest / dp) * v[pivot]
-        return fn
+        lov = DenseLovasz(base, eps=float(f_like.eps))
 
     def fn(z: np.ndarray) -> tuple[float, np.ndarray]:
-        val, g = phi(f_like, prob, [float(v) for v in z])
-        return float(val), np.array([float(c) for c in g])
+        x = np.empty(n)
+        x[rest_idx] = z
+        x[pivot] = (1.0 - d_rest @ z) / dp
+        val, v = lov.value_subgrad(x)
+        return val, v[rest_idx] - (d_rest / dp) * v[pivot]
 
     return fn
 
@@ -392,8 +385,7 @@ def _snap(f: SubmodularOracle, prob: ReducedProblem, z_float) -> Fraction:
     return evaluate(f, x_hat)
 
 
-def solve_dual(f: SubmodularOracle, d: Direction, *, sfm_method: str = "auto",
-               sfm_tol: float | None = None, target_gap=None,
+def solve_dual(f: SubmodularOracle, d: Direction, *, target_gap=None,
                record_history: bool = False) -> LineSearchResult:
     """Full pipeline: perturb, cut to ~ladder accuracy, snap, Newton-round.
 
@@ -405,7 +397,7 @@ def solve_dual(f: SubmodularOracle, d: Direction, *, sfm_method: str = "auto",
     prob = ReducedProblem.for_instance(f, d)
 
     if f.n == 1:
-        res = discrete_newton(f, d, u, sfm_method, sfm_tol)
+        res = discrete_newton(f, d, u)
         return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
                                 "dualcut", newton_iterations=res.newton_iterations,
                                 engine_iterations=0,
@@ -423,19 +415,18 @@ def solve_dual(f: SubmodularOracle, d: Direction, *, sfm_method: str = "auto",
         state = exc.state  # rounding below restores exactness regardless
 
     lam0 = min(_snap(f, prob, state.best_point), u)
-    res = discrete_newton(f, d, lam0, sfm_method, sfm_tol)
+    res = discrete_newton(f, d, lam0)
     return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
                             "dualcut",
                             newton_iterations=res.newton_iterations,
                             engine_iterations=state.iterations,
-                            oracle_calls=(f.calls - before) + f_eps.calls,
+                            oracle_calls=f.calls - before,
                             sfm_calls=res.sfm_calls,
                             trace={"engine": state, "newton": res.trace})
 
 
-def solve_dual_base(f: SubmodularOracle, d: Direction, *, verify: bool = True,
-                    sfm_method: str = "auto",
-                    sfm_tol: float | None = None) -> LineSearchResult:
+def solve_dual_base(f: SubmodularOracle, d: Direction, *,
+                    verify: bool = True) -> LineSearchResult:
     """Line search restricted to the base polytope: lambda d must also meet
     the full-set equality, which pins lambda = f(E)/d(E).
 
@@ -454,7 +445,7 @@ def solve_dual_base(f: SubmodularOracle, d: Direction, *, verify: bool = True,
             "d(E) = 0 and f(E) = 0: every feasible multiple works; "
             "use the polymatroid solver for the maximum")
     lam = Fraction(f_full, d_full)
-    mem = membership(f, [lam * di for di in d.d], sfm_method, sfm_tol)
+    mem = membership(f, [lam * di for di in d.d])
     if not mem.inside:
         raise InfeasibleBaseLineSearch(
             f"lambda d violates x(S) <= f(S) at S={mem.violating_set}")

@@ -22,11 +22,7 @@ class NegativeValue(PolylsError):
 
 
 class GroundSetTooLarge(PolylsError):
-    """An exhaustive operation was requested past its ground-set cap."""
-
-
-class NotConverged(PolylsError):
-    """Iterative minimization hit its cycle cap before certification."""
+    """A ground set is larger than a declared size limit."""
 
 
 class BadStart(PolylsError):

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BadStart, GroundSetTooLarge, InvariantViolation
-from .oracles import TABLE_N_CAP, Direction, SubmodularOracle, newton_scale
+from .errors import BadStart, InvariantViolation
+from .oracles import Direction, SubmodularOracle, newton_scale
 from .sfm import membership, minimize
 from .subsets import SubsetMask
 
@@ -82,20 +82,17 @@ def ladder_spacing(d: Direction) -> Fraction:
     return Fraction(1, d.norm1 ** 2)
 
 
-def envelope(f: SubmodularOracle, d: Direction, lam: Fraction,
-             sfm_method: str = "auto",
-             sfm_tol: float | None = None) -> tuple[Fraction, SubsetMask]:
+def envelope(f: SubmodularOracle, d: Direction,
+             lam: Fraction) -> tuple[Fraction, SubsetMask]:
     """g(lambda) = min_S f(S) - lambda d(S), with a minimizing set."""
     lam = Fraction(lam)
     scaled = newton_scale(f, d, lam)
-    res = minimize(scaled, sfm_method, sfm_tol)
+    res = minimize(scaled)
     return Fraction(res.min_value, lam.denominator), res.minimal_minimizer
 
 
 def bruteforce_linesearch(f: SubmodularOracle, d: Direction) -> LineSearchResult:
-    """Reference solver: enumerate all ratios f(S)/d(S) with d(S) > 0 (n <= 20)."""
-    if f.n > TABLE_N_CAP:
-        raise GroundSetTooLarge(f"brute-force line search capped at n={TABLE_N_CAP}")
+    """Reference solver: enumerate all ratios f(S)/d(S) with d(S) > 0."""
     before = f.calls
     table = f.dense_table()
     dsums = d.sums_table()
@@ -114,9 +111,7 @@ def bruteforce_linesearch(f: SubmodularOracle, d: Direction) -> LineSearchResult
 
 
 def discrete_newton(f: SubmodularOracle, d: Direction,
-                    lambda0: Fraction | None = None,
-                    sfm_method: str = "auto",
-                    sfm_tol: float | None = None) -> LineSearchResult:
+                    lambda0: Fraction | None = None) -> LineSearchResult:
     """Exact intersection by Newton steps lambda <- f(S)/d(S) on the envelope.
 
     Requires lambda0 >= lambda* (defaults to the singleton upper bound).  A
@@ -129,14 +124,14 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     trace = NewtonTrace()
     spacing = ladder_spacing(d)
 
-    g, s = envelope(f, d, lam, sfm_method, sfm_tol)
+    g, s = envelope(f, d, lam)
     trace.sfm_calls += 1
     if g > 0:
         raise BadStart(f"envelope positive at start: lambda0={lam} < lambda*")
     if g == 0:
         # already feasible; confirm lambda0 is the intersection by stepping
         # just past it, where any envelope minimizer must be a tight set
-        g_up, s_up = envelope(f, d, lam + spacing, sfm_method, sfm_tol)
+        g_up, s_up = envelope(f, d, lam + spacing)
         trace.sfm_calls += 1
         if g_up == 0:
             raise BadStart(f"still feasible above lambda0={lam}: started below lambda*")
@@ -151,7 +146,7 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
                        newton_iterations=0, oracle_calls=f.calls - before,
                        sfm_calls=trace.sfm_calls, trace=trace)
 
-    cap = (1 << min(f.n, 21)) + 50
+    cap = (1 << f.n) + 50
     tight = None
     while True:
         trace.iterates.append((lam, s, g))
@@ -164,7 +159,7 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
             raise InvariantViolation("Newton iterate failed to decrease")
         tight = s
         lam = nxt
-        g, s = envelope(f, d, lam, sfm_method, sfm_tol)
+        g, s = envelope(f, d, lam)
         trace.sfm_calls += 1
         if len(trace.iterates) > cap:
             raise InvariantViolation("Newton exceeded the ladder size: oracle broken")
@@ -177,9 +172,7 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
 
 def binary_search(f: SubmodularOracle, d: Direction,
                   lo: Fraction | None = None, hi: Fraction | None = None,
-                  eps: Fraction = Fraction(1, 100),
-                  sfm_method: str = "auto",
-                  sfm_tol: float | None = None) -> BinarySearchResult:
+                  eps: Fraction = Fraction(1, 100)) -> BinarySearchResult:
     """Feasibility bisection: returns lam with lam <= lambda* <= lam + eps.
 
     Runs exactly ceil(log2((hi - lo)/eps)) membership tests.  The right end
@@ -203,7 +196,7 @@ def binary_search(f: SubmodularOracle, d: Direction,
     for _ in range(steps):
         mid = (lo + hi) / 2
         calls += 1
-        if membership(f, [mid * di for di in d.d], sfm_method, sfm_tol).inside:
+        if membership(f, [mid * di for di in d.d]).inside:
             lo = mid
         else:
             hi = mid

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import EmptyNotZero, GroundSetTooLarge, NegativeValue, NonSubmodular
 from .subsets import SubsetMask, subset_sums
 
-# Dense tables hold 2^n values; past this cap everything stays lazy.
+# The one declared size limit: every oracle and direction has n <= this, so
+# every function has a dense table of 2^n values.
 TABLE_N_CAP = 20
 
 # numpy int64 is safe for the vectorized table paths below this magnitude.
@@ -28,6 +29,9 @@ _INT64_SAFE = 1 << 60
 
 class SubmodularOracle:
     """Value oracle for an integral submodular function with f(empty) = 0.
+
+    The ground set has 1 to TABLE_N_CAP elements; larger sizes raise
+    GroundSetTooLarge here, so a dense table is always within reach.
 
     `calls` counts value-oracle reads.  Vectorized code paths that read a
     cached dense table account their reads in blocks via `charge`; building
@@ -40,6 +44,8 @@ class SubmodularOracle:
     def __init__(self, n, fn=None, *, m_bound, family_tag="custom", table=None):
         if n < 1:
             raise ValueError("ground set must be nonempty")
+        if n > TABLE_N_CAP:
+            raise GroundSetTooLarge(f"ground set n={n} > {TABLE_N_CAP}")
         if fn is None and table is None:
             raise ValueError("oracle needs an eval function or a dense table")
         self.n = n
@@ -65,11 +71,8 @@ class SubmodularOracle:
         return self._table is not None
 
     def dense_table(self) -> list:
-        """All 2^n values, cached; only available for n <= TABLE_N_CAP."""
+        """All 2^n values, cached."""
         if self._table is None:
-            if self.n > TABLE_N_CAP:
-                raise GroundSetTooLarge(
-                    f"dense table requested for n={self.n} > {TABLE_N_CAP}")
             fn = self._fn
             self.charge(1 << self.n)
             self._table = [fn(m) for m in range(1 << self.n)]
@@ -98,6 +101,8 @@ class Direction:
             raise ValueError("direction entries must be int")
         if not any(di > 0 for di in self.d):
             raise ValueError("direction needs at least one strictly positive entry")
+        if self.n > TABLE_N_CAP:
+            raise GroundSetTooLarge(f"direction n={self.n} > {TABLE_N_CAP}")
 
     @property
     def n(self) -> int:
@@ -108,27 +113,14 @@ class Direction:
         return sum(abs(di) for di in self.d)
 
     @cached_property
-    def _sums(self):
-        if self.n > TABLE_N_CAP:
-            return None
+    def _sums(self) -> list[int]:
         return subset_sums(self.d)
 
     def of(self, s) -> int:
         """d(S) = sum of entries over the subset."""
-        mask = operator.index(s)
-        t = self._sums
-        if t is not None:
-            return t[mask]
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self.d[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return self._sums[operator.index(s)]
 
     def sums_table(self) -> list[int]:
-        if self._sums is None:
-            raise GroundSetTooLarge(f"subset sums for n={self.n} > {TABLE_N_CAP}")
         return self._sums
 
 
@@ -238,7 +230,7 @@ def submodularity_witness(table, n):
 
 
 def check_oracle(oracle: SubmodularOracle):
-    """Exhaustively validate f(empty) = 0 and submodularity (n <= TABLE_N_CAP)."""
+    """Exhaustively validate f(empty) = 0 and submodularity."""
     table = oracle.dense_table()
     if table[0] != 0:
         raise EmptyNotZero(f"f(empty) = {table[0]}")
@@ -313,19 +305,24 @@ def _interval_value(mask: int, n: int) -> int:
 
 
 def make_family(spec: FamilySpec) -> SubmodularOracle:
-    """Build the oracle for a family spec.
+    """Build the table-backed oracle for a family spec.
 
-    Explicit tables are validated eagerly (normalization, nonnegativity,
-    submodularity); generated families are correct by construction and get
-    spot-checked by the test suite instead.
+    The ground-set size is checked against TABLE_N_CAP before any table is
+    built.  Explicit tables are validated eagerly (normalization,
+    nonnegativity, submodularity); generated families are correct by
+    construction and get spot-checked by the test suite instead.
     """
     if isinstance(spec, ExplicitTable):
         size = len(spec.values)
         if size < 2 or size & (size - 1):
             raise ValueError(f"table length {size} is not a power of two >= 2")
-        n = spec.n
-        if n > TABLE_N_CAP:
-            raise GroundSetTooLarge(f"explicit table for n={n} > {TABLE_N_CAP}")
+    elif not isinstance(spec, FamilySpec):
+        raise ValueError(f"unknown family spec {spec!r}")
+    n = spec.n
+    if n > TABLE_N_CAP:
+        raise GroundSetTooLarge(f"{spec.family} for n={n} > {TABLE_N_CAP}")
+
+    if isinstance(spec, ExplicitTable):
         if any(type(v) is not int for v in spec.values):
             raise ValueError("explicit table values must be int")
         if spec.values[0] != 0:
@@ -348,54 +345,20 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
             for u in members:
                 if not 0 <= u < spec.universe:
                     raise ValueError(f"universe element {u} out of range")
-        m_bound = sum(spec.weights)
-        if spec.n <= TABLE_N_CAP:
-            return SubmodularOracle(spec.n, m_bound=m_bound,
-                                    family_tag="coverage",
-                                    table=_coverage_table(spec))
-        set_masks = [0] * spec.n
-        for i, members in enumerate(spec.sets):
-            for u in members:
-                set_masks[i] |= 1 << u
-
-        def fn(mask: int) -> int:
-            cover = 0
-            while mask:
-                low = mask & -mask
-                cover |= set_masks[low.bit_length() - 1]
-                mask ^= low
-            w = 0
-            while cover:
-                lu = cover & -cover
-                w += spec.weights[lu.bit_length() - 1]
-                cover ^= lu
-            return w
-
-        return SubmodularOracle(spec.n, fn, m_bound=m_bound, family_tag="coverage")
+        return SubmodularOracle(n, m_bound=sum(spec.weights),
+                                family_tag="coverage", table=_coverage_table(spec))
 
     if isinstance(spec, DirectedGraphCut):
         for u, v, c in spec.arcs:
             if c < 0:
                 raise NegativeValue(f"arc capacity {c} < 0")
-            if u == v or not (0 <= u < spec.n and 0 <= v < spec.n):
+            if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad arc ({u}, {v})")
-        m_bound = sum(c for _, _, c in spec.arcs)
-        if spec.n <= TABLE_N_CAP:
-            return SubmodularOracle(spec.n, m_bound=m_bound,
-                                    family_tag="digraph-cut",
-                                    table=_digraph_table(spec))
-
-        def fn(mask: int) -> int:
-            total = 0
-            for u, v, c in spec.arcs:
-                if mask >> u & 1 and not mask >> v & 1:
-                    total += c
-            return total
-
-        return SubmodularOracle(spec.n, fn, m_bound=m_bound, family_tag="digraph-cut")
+        return SubmodularOracle(n, m_bound=sum(c for _, _, c in spec.arcs),
+                                family_tag="digraph-cut",
+                                table=_digraph_table(spec))
 
     if isinstance(spec, ConcaveCardinalityPlusModular):
-        n = spec.n
         g = spec.concave
         if len(g) != n + 1:
             raise ValueError(f"concave sequence needs n+1 = {n + 1} entries")
@@ -414,38 +377,19 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
                 raise NegativeValue(
                     f"f would be negative on some {k}-element set")
         m_bound = max(g) + sum(w for w in spec.modular if w > 0)
-        msums = subset_sums(spec.modular) if n <= TABLE_N_CAP else None
-        if msums is not None:
-            table = [g[m.bit_count()] + msums[m] for m in range(1 << n)]
-            return SubmodularOracle(n, m_bound=m_bound,
-                                    family_tag="concave-modular", table=table)
+        msums = subset_sums(spec.modular)
+        table = [g[m.bit_count()] + msums[m] for m in range(1 << n)]
+        return SubmodularOracle(n, m_bound=m_bound,
+                                family_tag="concave-modular", table=table)
 
-        def fn(mask: int) -> int:
-            w = 0
-            m = mask
-            while m:
-                low = m & -m
-                w += spec.modular[low.bit_length() - 1]
-                m ^= low
-            return g[mask.bit_count()] + w
-
-        return SubmodularOracle(n, fn, m_bound=m_bound, family_tag="concave-modular")
-
-    if isinstance(spec, IntervalGeometric):
-        n = spec.n
-        if n < 1:
-            raise ValueError("interval family needs n >= 1")
-        # any S decomposes into runs with distinct right endpoints j, and each
-        # run value is at most the singleton value at its j
-        m_bound = sum(1 << (2 * (j * (j - 1) // 2 + j)) for j in range(1, n + 1))
-        if n <= TABLE_N_CAP:
-            table = [_interval_value(m, n) for m in range(1 << n)]
-            return SubmodularOracle(n, m_bound=m_bound,
-                                    family_tag="interval-geometric", table=table)
-        return SubmodularOracle(n, lambda m: _interval_value(m, n),
-                                m_bound=m_bound, family_tag="interval-geometric")
-
-    raise ValueError(f"unknown family spec {spec!r}")
+    if n < 1:
+        raise ValueError("interval family needs n >= 1")
+    # any S decomposes into runs with distinct right endpoints j, and each
+    # run value is at most the singleton value at its j
+    m_bound = sum(1 << (2 * (j * (j - 1) // 2 + j)) for j in range(1, n + 1))
+    table = [_interval_value(m, n) for m in range(1 << n)]
+    return SubmodularOracle(n, m_bound=m_bound,
+                            family_tag="interval-geometric", table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +405,11 @@ def lift(f: SubmodularOracle, c: int) -> SubmodularOracle:
     """
     if c <= 0:
         raise ValueError("lift constant must be positive")
-    n = f.n
-    n1 = n + 1
-    top = 1 << n
-    full = (1 << n1) - 1
-    m_bound = f.m_bound + c
-    if f.has_table or n <= TABLE_N_CAP:
-        ft = f.dense_table()
-        table = list(ft) + [v + c for v in ft]
-        table[full] = ft[top - 1]
-        return SubmodularOracle(n1, m_bound=m_bound,
-                                family_tag=f"lift({f.family_tag})", table=table)
-
-    def fn(mask: int) -> int:
-        if not mask >> n & 1:
-            return f.eval(mask)
-        if mask == full:
-            return f.eval(top - 1)
-        return f.eval(mask ^ (1 << n)) + c
-
-    return SubmodularOracle(n1, fn, m_bound=m_bound,
-                            family_tag=f"lift({f.family_tag})")
+    ft = f.dense_table()
+    table = list(ft) + [v + c for v in ft]
+    table[-1] = ft[-1]  # the full lifted set keeps f(E)
+    return SubmodularOracle(f.n + 1, m_bound=f.m_bound + c,
+                            family_tag=f"lift({f.family_tag})", table=table)
 
 
 def perturb(f: SubmodularOracle, eps: Fraction) -> RealOracle:
@@ -515,24 +443,9 @@ def translate(f: SubmodularOracle, x0) -> SubmodularOracle:
     x0 = tuple(x0)
     if len(x0) != f.n or any(type(v) is not int for v in x0):
         raise ValueError("x0 must be an integer vector of length n")
-    m_bound = f.m_bound + sum(abs(v) for v in x0)
-    tag = f"translate({f.family_tag})"
-    if f.has_table or f.n <= TABLE_N_CAP:
-        ft = f.dense_table()
-        xs = subset_sums(x0)
-        table = [v - s for v, s in zip(ft, xs)]
-        return SubmodularOracle(f.n, m_bound=m_bound, family_tag=tag, table=table)
-
-    def fn(mask: int) -> int:
-        total = f.eval(mask)
-        m = mask
-        while m:
-            low = m & -m
-            total -= x0[low.bit_length() - 1]
-            m ^= low
-        return total
-
-    return SubmodularOracle(f.n, fn, m_bound=m_bound, family_tag=tag)
+    table = [v - s for v, s in zip(f.dense_table(), subset_sums(x0))]
+    return SubmodularOracle(f.n, m_bound=f.m_bound + sum(abs(v) for v in x0),
+                            family_tag=f"translate({f.family_tag})", table=table)
 
 
 def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
@@ -544,24 +457,9 @@ def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
     if q < 1:
         raise ValueError("scale must be a positive integer")
     w = tuple(w)
-    m_bound = q * f.m_bound + sum(abs(v) for v in w)
-    tag = f"scaled({f.family_tag})"
-    if f.has_table or f.n <= TABLE_N_CAP:
-        ft = f.dense_table()
-        ws = subset_sums(w)
-        table = [q * v - s for v, s in zip(ft, ws)]
-        return SubmodularOracle(f.n, m_bound=m_bound, family_tag=tag, table=table)
-
-    def fn(mask: int) -> int:
-        total = q * f.eval(mask)
-        m = mask
-        while m:
-            low = m & -m
-            total -= w[low.bit_length() - 1]
-            m ^= low
-        return total
-
-    return SubmodularOracle(f.n, fn, m_bound=m_bound, family_tag=tag)
+    table = [q * v - s for v, s in zip(f.dense_table(), subset_sums(w))]
+    return SubmodularOracle(f.n, m_bound=q * f.m_bound + sum(abs(v) for v in w),
+                            family_tag=f"scaled({f.family_tag})", table=table)
 
 
 def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> SubmodularOracle:
@@ -572,7 +470,5 @@ def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> Submodular
 
 
 def infinity_norm(f: SubmodularOracle) -> int:
-    """Exact max_S |f(S)| for n <= TABLE_N_CAP, otherwise the declared bound."""
-    if f.n <= TABLE_N_CAP:
-        return max(abs(v) for v in f.dense_table())
-    return f.m_bound
+    """Exact max_S |f(S)|."""
+    return max(abs(v) for v in f.dense_table())

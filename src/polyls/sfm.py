@@ -1,10 +1,13 @@
-"""Submodular function minimization: exhaustive reference and Fujishige-Wolfe.
+"""Submodular function minimization: exact enumeration and Fujishige-Wolfe.
 
-The minimum-norm-point solver runs in floats but never decides alone: the
-candidate sets it extracts are re-evaluated through the integer oracle and a
-rational convex combination of exact greedy vertices provides a lower bound,
-so a duality gap below 1 certifies exactness by integrality.  When
-certification fails the solver falls back to brute force (n <= 20).
+Every oracle has n <= TABLE_N_CAP, so `minimize` (the one path every solver
+takes) enumerates the dense table.  The minimum-norm-point solver
+`minimize_mnp` is a library call kept as an independent cross-check.  It
+runs in floats but never decides alone: the candidate sets it extracts are
+re-evaluated through the integer oracle and a rational convex combination of
+exact greedy vertices provides a lower bound, so a duality gap below 1
+certifies exactness by integrality.  When certification fails it falls back
+to enumeration.
 
 References: Wolfe, Math. Prog. 1976; Fujishige-Hayashi-Isotani, RIMS 1571;
 Chakrabarty-Jain-Kothari, arXiv:1411.0095.
@@ -18,9 +21,9 @@ from math import lcm
 
 import numpy as np
 
-from .errors import GroundSetTooLarge, InvariantViolation, NotConverged
+from .errors import InvariantViolation
 from .lovasz import DenseLovasz
-from .oracles import TABLE_N_CAP, SubmodularOracle, scale_minus_modular
+from .oracles import SubmodularOracle, scale_minus_modular
 from .subsets import SubsetMask
 
 _W_TINY = 1e-12          # barycentric weights below this are dropped
@@ -75,9 +78,7 @@ def _table_min(table):
 
 
 def minimize_bruteforce(f: SubmodularOracle) -> SfmResult:
-    """Exact minimization by enumerating all 2^n sets (n <= 20)."""
-    if f.n > TABLE_N_CAP:
-        raise GroundSetTooLarge(f"brute force capped at n={TABLE_N_CAP}")
+    """Exact minimization by enumerating all 2^n sets."""
     before = f.calls
     table = f.dense_table()
     best, and_mask, or_mask = _table_min(table)
@@ -103,34 +104,28 @@ def _affine_minimizer(V: np.ndarray):
     return b, b @ V
 
 
-def minimize_mnp(f: SubmodularOracle, tol: float | None = None, *,
-                 fallback: bool = True) -> SfmResult:
+def minimize_mnp(f: SubmodularOracle, tol: float | None = None) -> SfmResult:
     """Fujishige-Wolfe minimum-norm-point minimization with exact certification.
 
-    Raises NotConverged (cap hit or certification impossible) when
-    fallback=False; with the default it falls back to brute force for
-    n <= 20 instead.
+    A library cross-check of `minimize`; no solver calls it.  When the cycle
+    cap is hit or the float point cannot certify the integrality gap, the
+    answer comes from enumeration instead (method "mnp+bruteforce").
     """
     n = f.n
     before = f.calls
 
     def _fallback(majors, minors, norms):
-        if fallback and n <= TABLE_N_CAP:
-            res = minimize_bruteforce(f)
-            return SfmResult(res.min_value, res.minimal_minimizer,
-                             res.maximal_minimizer, certified=True,
-                             method="mnp+bruteforce",
-                             oracle_calls=f.calls - before,
-                             major_cycles=majors, minor_cycles=minors,
-                             norm_history=norms)
-        raise NotConverged("minimum-norm point not certified")
+        res = minimize_bruteforce(f)
+        return SfmResult(res.min_value, res.minimal_minimizer,
+                         res.maximal_minimizer, certified=True,
+                         method="mnp+bruteforce",
+                         oracle_calls=f.calls - before,
+                         major_cycles=majors, minor_cycles=minors,
+                         norm_history=norms)
 
     if f.m_bound > _MNP_FLOAT_CAP:
         # float marginals cannot certify an integrality gap < 1 here
         return _fallback(0, 0, [])
-    if n > TABLE_N_CAP and not f.has_table:
-        raise GroundSetTooLarge(
-            f"minimum-norm-point path needs a dense table (n <= {TABLE_N_CAP})")
 
     lov = DenseLovasz(f)
     if tol is None:
@@ -217,13 +212,6 @@ def minimize_mnp(f: SubmodularOracle, tol: float | None = None, *,
         return _fallback(majors, minors, norms)
     # best is within 1 of a valid lower bound, hence exact by integrality
     if v_min != best or v_max != best:
-        if n > TABLE_N_CAP:
-            achiever = smin if v_min == best else smax
-            return SfmResult(best, SubsetMask(achiever, n), SubsetMask(achiever, n),
-                             certified=False, method="mnp",
-                             oracle_calls=f.calls - before,
-                             major_cycles=majors, minor_cycles=minors,
-                             norm_history=norms)
         _, smin, smax = _table_min(f.dense_table())
     return SfmResult(best, SubsetMask(smin, n), SubsetMask(smax, n),
                      certified=True, method="mnp",
@@ -232,32 +220,12 @@ def minimize_mnp(f: SubmodularOracle, tol: float | None = None, *,
                      norm_history=norms)
 
 
-def minimize(f: SubmodularOracle, method: str = "auto",
-             tol: float | None = None) -> SfmResult:
-    """Dispatch on the oracle's storage, not on its cost.
-
-    "auto" enumerates every table-backed oracle and every oracle at n <= 13.
-    The solvers minimize only rescaled oracles (`scale_minus_modular`),
-    which carry a table at n <= 20, so under "auto" they always enumerate.
-    The minimum-norm-point method runs on request ("mnp"), or under "auto"
-    on an oracle without a table at n >= 14: with the brute-force fallback
-    up to n = 20, without it past that.
-    """
-    if method == "bruteforce":
-        return minimize_bruteforce(f)
-    if method == "mnp":
-        return minimize_mnp(f, tol)
-    if method != "auto":
-        raise ValueError(f"unknown sfm method {method!r}")
-    if f.has_table or f.n <= 13:
-        return minimize_bruteforce(f)
-    if f.n <= TABLE_N_CAP:
-        return minimize_mnp(f, tol)
-    return minimize_mnp(f, tol, fallback=False)
+def minimize(f: SubmodularOracle) -> SfmResult:
+    """Exact submodular minimization: the solvers' one path, by enumeration."""
+    return minimize_bruteforce(f)
 
 
-def membership(f: SubmodularOracle, y, method: str = "auto",
-               tol: float | None = None) -> MembershipResult:
+def membership(f: SubmodularOracle, y) -> MembershipResult:
     """Is the rational point y inside {x : x(S) <= f(S) for all S}?
 
     Decided exactly by scaling y to integers and minimizing the integral
@@ -269,7 +237,7 @@ def membership(f: SubmodularOracle, y, method: str = "auto",
     q = lcm(*[v.denominator for v in y]) if y else 1
     w = [int(v * q) for v in y]
     scaled = scale_minus_modular(f, q, w)
-    res = minimize(scaled, method, tol)
+    res = minimize(scaled)
     margin = Fraction(res.min_value, q)
     if margin >= 0:
         return MembershipResult(True, None, margin)

@@ -107,7 +107,3 @@ def subset_sums(values) -> list:
     for v in values:
         out += [s + v for s in out]
     return out
-
-
-def iter_masks(n: int):
-    return range(1 << n)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polyls.cli import CSV_HEADER, main
+from polyls.instances import instance_to_json, random_instance
 
 
 def run(capsys, *argv):
@@ -74,6 +75,37 @@ def test_direction_longer_than_n_is_input_error(tmp_path, capsys, method):
     assert code == 1
     assert "input error: InvalidInstance" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["newton", "dualcut"])
+def test_instance_past_size_limit_is_input_error(tmp_path, capsys, method):
+    path = tmp_path / "big.json"
+    path.write_text(instance_to_json(random_instance("coverage", 22, 1)))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", method)
+    assert code == 1
+    assert "input error: GroundSetTooLarge" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "coverage", "--n", "0"],
+    ["gen", "--family", "coverage", "--n", "25"],
+    ["verify", "--random", "coverage", "0", "1", "1"],
+    ["verify", "--random", "coverage", "22", "1", "1"],
+    ["verify", "--random", "coverage", "5", "-1", "1"],
+], ids=["gen-n0", "gen-n25", "verify-n0", "verify-n22", "verify-count-neg"])
+def test_gen_and_verify_check_sizes_first(tmp_path, capsys, argv):
+    out_path = tmp_path / "g.json"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+    assert "agree" not in out
+    assert not out_path.exists()
 
 
 def test_declared_n_must_match_table(tmp_path, capsys):

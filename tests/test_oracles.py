@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from polyls import (Direction, ExplicitTable, IntervalGeometric, check_oracle,
                     infinity_norm, lift, make_family, newton_scale, perturb,
                     subgradient, submodularity_witness, translate)
-from polyls.errors import EmptyNotZero, NegativeValue, NonSubmodular
+from polyls.errors import (EmptyNotZero, GroundSetTooLarge, NegativeValue,
+                           NonSubmodular)
 from polyls.instances import random_instance, random_spec
+from polyls.oracles import TABLE_N_CAP
 from conftest import iter_instances, rng_of
 
 
@@ -58,6 +60,15 @@ def test_families_submodular_normalized_nonnegative(family, n):
         assert min(table) >= 0
         assert max(table) <= f.m_bound
         assert submodularity_witness(table, n) is None
+
+
+@pytest.mark.parametrize("family", ["coverage", "digraph-cut",
+                                    "concave-modular", "interval-geometric"])
+def test_families_past_size_limit_rejected(family):
+    # a 2^40 table could not be built at all: the check comes first
+    spec = random_spec(family, 40, rng_of(40))
+    with pytest.raises(GroundSetTooLarge):
+        make_family(spec)
 
 
 @given(st.integers(0, 10_000))
@@ -158,3 +169,9 @@ def test_direction_validation():
     d = Direction((2, -1, 0))
     assert d.norm1 == 3
     assert d.of(0b101) == 2
+
+
+def test_direction_past_size_limit_rejected():
+    Direction((1,) * TABLE_N_CAP)
+    with pytest.raises(GroundSetTooLarge):
+        Direction((1,) * (TABLE_N_CAP + 1))

@@ -33,9 +33,10 @@ def test_bruteforce_constant_zero():
 
 
 def test_bruteforce_cap():
-    f = SubmodularOracle(21, lambda m: 0, m_bound=0)
+    # the size limit is enforced where oracles are made, so no oracle past it
+    # ever reaches the enumerator
     with pytest.raises(GroundSetTooLarge):
-        minimize_bruteforce(f)
+        minimize_bruteforce(SubmodularOracle(21, lambda m: 0, m_bound=0))
 
 
 def test_minimizer_lattice_closure():
