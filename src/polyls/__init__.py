@@ -8,14 +8,13 @@ together with a tight set and a dual witness.
 
 from . import errors
 from .dualcut import (CutEngineState, ReducedProblem, cutting_plane_minimize,
-                      lift_point, phi, solve_dual, solve_dual_base,
-                      verify_lifting)
+                      lift_point, solve_dual, solve_dual_base, verify_lifting)
 from .lovasz import BaseVertex, DenseLovasz, GreedyOrder, evaluate, greedy_order, subgradient
 from .newton import (BinarySearchResult, LineSearchResult, NewtonTrace,
                      binary_search, bruteforce_linesearch, discrete_newton,
                      dual_point, envelope, ladder_spacing, upper_bound)
 from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
-                      Direction, ExplicitTable, IntervalGeometric, RealOracle,
+                      Direction, ExplicitTable, IntervalGeometric,
                       SubmodularOracle, WeightedCoverage, check_oracle,
                       infinity_norm, lift, make_family, newton_scale, perturb,
                       submodularity_witness, translate)

@@ -91,9 +91,10 @@ def _pool_map(fn, jobs, workers):
         return list(pool.map(fn, jobs))
 
 
-def _size_error(n: int, count: int = 0) -> str | None:
-    """Why `gen` / `verify --random` cannot make these instances, or None."""
-    if not 1 <= n <= TABLE_N_CAP:
+def _size_error(n: int | None, count: int = 0) -> str | None:
+    """Why `gen` / `verify --random` / `bench` cannot make these instances,
+    or None; `bench` has no N."""
+    if n is not None and not 1 <= n <= TABLE_N_CAP:
         return f"n = {n} is outside 1..{TABLE_N_CAP}"
     if count < 0:
         return f"COUNT = {count} is negative"
@@ -303,14 +304,18 @@ def _bench_rows_dual_warmstart(count: int, seed: int):
 
 
 def cmd_bench(args) -> int:
+    err = _size_error(None, args.count)
+    if err:
+        print(f"input error: {err}", file=sys.stderr)
+        return 1
     if args.suite == "cross":
-        rows = _bench_rows_cross(args.count, args.seed) if args.count else []
+        rows = _bench_rows_cross(args.count, args.seed)
     elif args.suite == "ladder-sweep":
-        rows = _bench_rows_ladder(args.count, args.seed) if args.count else []
+        rows = _bench_rows_ladder(args.count, args.seed)
     elif args.suite == "worst-case":
         rows = _bench_rows_worstcase()
     elif args.suite == "dual-warmstart":
-        rows = _bench_rows_dual_warmstart(args.count, args.seed) if args.count else []
+        rows = _bench_rows_dual_warmstart(args.count, args.seed)
     else:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
         return 1

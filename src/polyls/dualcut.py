@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
                      InvariantViolation, IterationCapExceeded)
-from .lovasz import DenseLovasz, evaluate, subgradient
+from .lovasz import DenseLovasz, evaluate
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, upper_bound)
 from .oracles import Direction, SubmodularOracle, perturb
@@ -66,38 +66,14 @@ class ReducedProblem:
         return self.direction.d[self.pivot]
 
 
-def lift_point(z, prob: ReducedProblem) -> list:
-    """Insert the pivot coordinate so that d.x = 1 (exact when z is rational)."""
-    z = list(z)
+def lift_point(z, prob: ReducedProblem) -> list[Fraction]:
+    """Insert the pivot coordinate so that d.x = 1, in exact rationals."""
+    z = [Fraction(v) for v in z]
     if len(z) != prob.omega_dim:
         raise ValueError("reduced point has wrong dimension")
-    exact = not any(isinstance(v, float) for v in z)
-    if exact:
-        z = [Fraction(v) for v in z]
-        s = sum(di * zi for di, zi in zip(prob.d_rest, z))
-        zeta = (1 - s) / Fraction(prob.d_pivot)
-    else:
-        s = sum(di * zi for di, zi in zip(prob.d_rest, z))
-        zeta = (1.0 - s) / prob.d_pivot
-    out = z[:prob.pivot] + [zeta] + z[prob.pivot:]
-    return out
-
-
-def phi(f_like: SubmodularOracle, prob: ReducedProblem, z) -> tuple:
-    """Reduced objective F(lift(z)) with its chain-rule subgradient."""
-    x = lift_point(z, prob)
-    value = evaluate(f_like, x)
-    v = subgradient(f_like, x).v
-    vp = v[prob.pivot]
-    rest = [vi for i, vi in enumerate(v) if i != prob.pivot]
-    exact = not any(isinstance(c, float) for c in x)
-    dp = prob.d_pivot
-    if exact:
-        g = tuple(vi - Fraction(di, dp) * vp
-                  for vi, di in zip(rest, prob.d_rest))
-    else:
-        g = tuple(vi - (di / dp) * vp for vi, di in zip(rest, prob.d_rest))
-    return value, g
+    s = sum(di * zi for di, zi in zip(prob.d_rest, z))
+    zeta = (1 - s) / Fraction(prob.d_pivot)
+    return z[:prob.pivot] + [zeta] + z[prob.pivot:]
 
 
 def _phi_oracle(f_like: SubmodularOracle, prob: ReducedProblem):
@@ -131,8 +107,6 @@ def _phi_oracle(f_like: SubmodularOracle, prob: ReducedProblem):
 
 @dataclass
 class CutEngineState:
-    center: np.ndarray
-    shape: np.ndarray
     best_point: np.ndarray
     best_value: float
     lower_bound: float
@@ -183,8 +157,8 @@ def _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init, target_gap,
     evals = 1
 
     if m == 0:
-        return CutEngineState(np.zeros(0), np.zeros((0, 0)), best_point, best,
-                              best, 0.0, 0, True, oracle_evals=evals)
+        return CutEngineState(best_point, best, best, 0.0, 0, True,
+                              oracle_evals=evals)
 
     interval = m == 1
     if interval:
@@ -201,14 +175,8 @@ def _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init, target_gap,
     history = []
 
     def state() -> CutEngineState:
-        if interval:
-            cc = np.array([(lo + hi) / 2.0])
-            PP = np.array([[((hi - lo) / 2.0) ** 2]])
-        else:
-            cc, PP = c.copy(), P.copy()
-        gap = max(0.0, best - lb)
-        return CutEngineState(cc, PP, best_point.copy(), best, lb, gap, it,
-                              converged, stalled, fcuts, ocuts, evals,
+        return CutEngineState(best_point.copy(), best, lb, max(0.0, best - lb),
+                              it, converged, stalled, fcuts, ocuts, evals,
                               history)
 
     while True:
@@ -376,41 +344,28 @@ def _snap(f: SubmodularOracle, prob: ReducedProblem, z_float) -> Fraction:
         v = float(v)
         z.append(Fraction(v) if math.isfinite(v) and v > 0 else Fraction(0))
     s = sum(di * zi for di, zi in zip(prob.d_rest, z))
-    if s <= 1:
-        zeta = (1 - s) / Fraction(prob.d_pivot)
-    else:
+    if s > 1:
         z = [zi / s for zi in z]
-        zeta = Fraction(0)
-    x_hat = z[:prob.pivot] + [zeta] + z[prob.pivot:]
-    return evaluate(f, x_hat)
+    return evaluate(f, lift_point(z, prob))
 
 
-def solve_dual(f: SubmodularOracle, d: Direction, *, target_gap=None,
-               record_history: bool = False) -> LineSearchResult:
+def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Full pipeline: perturb, cut to ~ladder accuracy, snap, Newton-round.
 
+    Every n takes this one path; at n = 1 the reduced domain is a point, so
+    the engine returns at once and the snap lands on the upper bound.
     Returns the exact intersection; the engine phase only warms up Newton, so
     a stalled or capped engine degrades iteration counts, not correctness.
     """
     before = f.calls
     u = upper_bound(f, d)
     prob = ReducedProblem.for_instance(f, d)
-
-    if f.n == 1:
-        res = discrete_newton(f, d, u)
-        return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
-                                "dualcut", newton_iterations=res.newton_iterations,
-                                engine_iterations=0,
-                                oracle_calls=f.calls - before,
-                                sfm_calls=res.sfm_calls, trace=res.trace)
-
     f_eps = perturb(f, prob.eps)
     phi_fn = _phi_oracle(f_eps, prob)
-    tg = float(prob.eps / 4) if target_gap is None else float(target_gap)
     box_hint = (u + prob.eps) / prob.eps + 1
     try:
-        state = cutting_plane_minimize(phi_fn, prob, tg, box_hint=box_hint,
-                                       record_history=record_history)
+        state = cutting_plane_minimize(phi_fn, prob, float(prob.eps / 4),
+                                       box_hint=box_hint)
     except IterationCapExceeded as exc:
         state = exc.state  # rounding below restores exactness regardless
 
@@ -425,12 +380,11 @@ def solve_dual(f: SubmodularOracle, d: Direction, *, target_gap=None,
                             trace={"engine": state, "newton": res.trace})
 
 
-def solve_dual_base(f: SubmodularOracle, d: Direction, *,
-                    verify: bool = True) -> LineSearchResult:
+def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Line search restricted to the base polytope: lambda d must also meet
     the full-set equality, which pins lambda = f(E)/d(E).
 
-    The value is verified by an exact membership test and, optionally, by
+    The value is verified by an exact membership test and, for n >= 2, by
     running the cutting-plane engine on the hyperplane-only relaxation and
     checking agreement within the ladder spacing.
     """
@@ -451,7 +405,7 @@ def solve_dual_base(f: SubmodularOracle, d: Direction, *,
             f"lambda d violates x(S) <= f(S) at S={mem.violating_set}")
 
     engine_iterations = 0
-    if verify and f.n >= 2:
+    if f.n >= 2:
         prob = ReducedProblem.for_instance(f, d)
         m = prob.omega_dim
         bound = 1.0 + abs(1.0 / d_full)

@@ -85,23 +85,30 @@ def spec_to_json(spec: FamilySpec) -> dict:
     raise ValueError(f"unknown spec {spec!r}")
 
 
+def _int(v) -> int:
+    """A JSON integer as is; floats, strings and booleans are input errors."""
+    if type(v) is not int:
+        raise InvalidInstance(f"expected a JSON integer, got {v!r}")
+    return v
+
+
 def spec_from_json(obj: dict) -> FamilySpec:
     family = obj.get("family")
     if family == "explicit":
-        return ExplicitTable(tuple(int(v) for v in obj["values"]))
+        return ExplicitTable(tuple(_int(v) for v in obj["values"]))
     if family == "coverage":
-        return WeightedCoverage(int(obj["n"]), int(obj["universe"]),
-                                tuple(tuple(int(u) for u in s) for s in obj["sets"]),
-                                tuple(int(w) for w in obj["weights"]))
+        return WeightedCoverage(_int(obj["n"]), _int(obj["universe"]),
+                                tuple(tuple(_int(u) for u in s) for s in obj["sets"]),
+                                tuple(_int(w) for w in obj["weights"]))
     if family == "digraph-cut":
-        return DirectedGraphCut(int(obj["n"]),
-                                tuple(tuple(int(v) for v in a) for a in obj["arcs"]))
+        return DirectedGraphCut(_int(obj["n"]),
+                                tuple(tuple(_int(v) for v in a) for a in obj["arcs"]))
     if family == "concave-modular":
         return ConcaveCardinalityPlusModular(
-            tuple(int(v) for v in obj["concave"]),
-            tuple(int(v) for v in obj["modular"]))
+            tuple(_int(v) for v in obj["concave"]),
+            tuple(_int(v) for v in obj["modular"]))
     if family == "interval-geometric":
-        return IntervalGeometric(int(obj["n"]))
+        return IntervalGeometric(_int(obj["n"]))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -121,9 +128,9 @@ def instance_from_json(text: str) -> Instance:
     seed = fn.pop("seed", None)
     spec = spec_from_json(fn)
     x0 = obj.get("x0")
-    return Instance(n=int(obj["n"]), spec=spec,
-                    direction=tuple(int(v) for v in obj["direction"]),
-                    x0=tuple(int(v) for v in x0) if x0 is not None else None,
+    return Instance(n=_int(obj["n"]), spec=spec,
+                    direction=tuple(_int(v) for v in obj["direction"]),
+                    x0=tuple(_int(v) for v in x0) if x0 is not None else None,
                     seed=seed)
 
 

@@ -39,8 +39,6 @@ class SubmodularOracle:
     increment safe for the concurrent use the library does.
     """
 
-    value_kind = int
-
     def __init__(self, n, fn=None, *, m_bound, family_tag="custom", table=None):
         if n < 1:
             raise ValueError("ground set must be nonempty")
@@ -80,12 +78,6 @@ class SubmodularOracle:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.family_tag} n={self.n} M<={self.m_bound}>"
-
-
-class RealOracle(SubmodularOracle):
-    """Rational-valued submodular oracle (produced by `perturb`)."""
-
-    value_kind = Fraction
 
 
 @dataclass(frozen=True)
@@ -412,7 +404,7 @@ def lift(f: SubmodularOracle, c: int) -> SubmodularOracle:
                             family_tag=f"lift({f.family_tag})", table=table)
 
 
-def perturb(f: SubmodularOracle, eps: Fraction) -> RealOracle:
+def perturb(f: SubmodularOracle, eps: Fraction) -> SubmodularOracle:
     """Add eps to every nonempty value, keeping f(empty) = 0 normalized.
 
     Lazy and O(1): values are read through f on demand.  The dual route
@@ -427,8 +419,8 @@ def perturb(f: SubmodularOracle, eps: Fraction) -> RealOracle:
             return Fraction(0)
         return Fraction(f.eval(mask)) + eps
 
-    out = RealOracle(f.n, fn, m_bound=Fraction(f.m_bound) + eps,
-                     family_tag=f"perturb({f.family_tag})")
+    out = SubmodularOracle(f.n, fn, m_bound=Fraction(f.m_bound) + eps,
+                           family_tag=f"perturb({f.family_tag})")
     out.base = f
     out.eps = eps
     return out

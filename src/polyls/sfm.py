@@ -104,7 +104,7 @@ def _affine_minimizer(V: np.ndarray):
     return b, b @ V
 
 
-def minimize_mnp(f: SubmodularOracle, tol: float | None = None) -> SfmResult:
+def minimize_mnp(f: SubmodularOracle) -> SfmResult:
     """Fujishige-Wolfe minimum-norm-point minimization with exact certification.
 
     A library cross-check of `minimize`; no solver calls it.  When the cycle
@@ -128,8 +128,7 @@ def minimize_mnp(f: SubmodularOracle, tol: float | None = None) -> SfmResult:
         return _fallback(0, 0, [])
 
     lov = DenseLovasz(f)
-    if tol is None:
-        tol = 1e-10 * max(1.0, n * float(f.m_bound))
+    tol = 1e-10 * max(1.0, n * float(f.m_bound))
 
     v0, order0 = lov.min_vertex(np.zeros(n))
     V = v0.reshape(1, n)

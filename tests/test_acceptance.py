@@ -14,13 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyls import (Direction, IntervalGeometric, ReducedProblem, binary_search,
+from polyls import (Direction, IntervalGeometric, binary_search,
                     bruteforce_linesearch, discrete_newton, envelope, evaluate,
-                    infinity_norm, ladder_spacing, lift, lift_point,
-                    make_family, membership, minimize_bruteforce, minimize_mnp,
-                    newton_scale, phi, solve_dual, solve_dual_base,
-                    subgradient, submodularity_witness, upper_bound,
-                    verify_lifting)
+                    infinity_norm, ladder_spacing, lift, make_family,
+                    minimize_bruteforce, minimize_mnp, newton_scale,
+                    solve_dual, solve_dual_base, subgradient,
+                    submodularity_witness, upper_bound, verify_lifting)
 from polyls.instances import FAMILIES, random_instance
 from polyls.subsets import SubsetMask
 

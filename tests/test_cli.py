@@ -95,7 +95,9 @@ def test_instance_past_size_limit_is_input_error(tmp_path, capsys, method):
     ["verify", "--random", "coverage", "0", "1", "1"],
     ["verify", "--random", "coverage", "22", "1", "1"],
     ["verify", "--random", "coverage", "5", "-1", "1"],
-], ids=["gen-n0", "gen-n25", "verify-n0", "verify-n22", "verify-count-neg"])
+    ["bench", "--suite", "cross", "--count", "-3"],
+], ids=["gen-n0", "gen-n25", "verify-n0", "verify-n22", "verify-count-neg",
+        "bench-count-neg"])
 def test_gen_and_verify_check_sizes_first(tmp_path, capsys, argv):
     out_path = tmp_path / "g.json"
     if argv[0] == "gen":
@@ -106,6 +108,26 @@ def test_gen_and_verify_check_sizes_first(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert "agree" not in out
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("values", 2.7), ("values", "2"), ("values", True),
+    ("direction", 3.9), ("direction", "3"), ("direction", True),
+], ids=["values-float", "values-str", "values-bool",
+        "direction-float", "direction-str", "direction-bool"])
+def test_non_integer_json_is_input_error(tmp_path, capsys, field, bad):
+    inst = {"n": 2,
+            "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+            "direction": [3, 4]}
+    (inst["function"] if field == "values" else inst)[field][1] = bad
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", "newton")
+    assert code == 1
+    assert "input error: InvalidInstance" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
 
 
 def test_declared_n_must_match_table(tmp_path, capsys):

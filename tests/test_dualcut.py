@@ -7,7 +7,7 @@ import pytest
 
 from polyls import (Direction, ReducedProblem, bruteforce_linesearch,
                     cutting_plane_minimize, evaluate, lift_point, make_family,
-                    perturb, phi, solve_dual, solve_dual_base, verify_lifting)
+                    perturb, solve_dual, solve_dual_base, verify_lifting)
 from polyls.dualcut import _phi_oracle
 from polyls.errors import InfeasibleBaseLineSearch
 from polyls.instances import random_instance
@@ -49,12 +49,16 @@ def test_lift_point_exact_hyperplane():
 
 def test_phi_values(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
-    val, _ = phi(two_elem, prob, [Fraction(1, 7)])
-    assert val == Fraction(3, 7)
+    assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
+    val, _ = _phi_oracle(two_elem, prob)(np.array([1.0 / 7.0]))
+    assert math.isclose(val, 3.0 / 7.0, rel_tol=1e-12)
     # at z = 0 the lifted point is a scaled indicator of the pivot
     eps = Fraction(1, 49)
-    val0, _ = phi(perturb(two_elem, eps), prob, [Fraction(0)])
-    assert val0 == (two_elem.eval(0b10) + eps) / 4
+    f_eps = perturb(two_elem, eps)
+    want = (two_elem.eval(0b10) + eps) / 4
+    assert evaluate(f_eps, lift_point([Fraction(0)], prob)) == want
+    val0, _ = _phi_oracle(f_eps, prob)(np.zeros(1))
+    assert math.isclose(val0, float(want), rel_tol=1e-12)
 
 
 def test_phi_chain_rule_against_finite_differences():
@@ -67,19 +71,21 @@ def test_phi_chain_rule_against_finite_differences():
             2 + checked % 7, 9000 + checked)
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
+        phi_fn = _phi_oracle(f, prob)
         m = prob.omega_dim
         z = rng.uniform(-1.0, 1.0, size=m)
-        x = lift_point([float(v) for v in z], prob)
+        x = lift_point(z, prob)
         gaps = np.diff(np.sort(np.asarray(x, dtype=float)))
         if gaps.size and gaps.min() < 1e-3:
             checked += 1  # skip tie-prone points but keep the schedule moving
             continue
-        val, g = phi(f, prob, [float(v) for v in z])
+        val, g = phi_fn(z)
+        assert math.isclose(val, float(evaluate(f, x)), rel_tol=1e-9, abs_tol=1e-9)
         for i in range(m):
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd = (phi(f, prob, list(zp))[0] - phi(f, prob, list(zm))[0]) / (2 * h)
+            fd = (phi_fn(zp)[0] - phi_fn(zm)[0]) / (2 * h)
             assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
         checked += 1
 
