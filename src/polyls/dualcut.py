@@ -22,7 +22,7 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
                      InvariantViolation, IterationCapExceeded)
 from .lovasz import DenseLovasz, evaluate
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
-                     discrete_newton, upper_bound)
+                     discrete_newton, ladder_spacing, upper_bound)
 from .oracles import Direction, SubmodularOracle, perturb
 from .sfm import membership
 from .subsets import SubsetMask
@@ -51,7 +51,7 @@ class ReducedProblem:
         pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
         if d.d[pivot] <= 0:
             raise InvariantViolation("direction lost its positive entry")
-        eps = Fraction(1, d.norm1 ** 2)
+        eps = ladder_spacing(d)
         m_eff = max(int(f.m_bound), 1)
         return cls(pivot=pivot,
                    omega_dim=d.n - 1,
@@ -415,7 +415,7 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         A[1::2] = -np.eye(m)
         z_init = np.full(m, 1.0 / d_full)
         phi_fn = _phi_oracle(f, prob)
-        eps = float(Fraction(1, d.norm1 ** 2))
+        eps = float(ladder_spacing(d))
         state = _ellipsoid_minimize(
             phi_fn, A, np.full(2 * m, bound), np.zeros(m),
             bound * math.sqrt(m) * 1.01 + 1e-9,
@@ -446,8 +446,8 @@ def verify_lifting(f: SubmodularOracle, d: Direction, c: int) -> bool:
         raise GroundSetTooLarge("lifting verification is capped at n = 10")
     right = bruteforce_linesearch(f, d).lambda_star
 
-    table = f.dense_table()
-    dsums = d.sums_table()
+    table = f.dense_table().tolist()
+    dsums = d.sums.tolist()
     full = (1 << f.n) - 1
     f_full = table[full]
     d_full = dsums[full]

@@ -92,21 +92,38 @@ def _int(v) -> int:
     return v
 
 
+def _array(v) -> list:
+    """A JSON array as is; any other shape is an input error."""
+    if type(v) is not list:
+        raise InvalidInstance(f"expected a JSON array, got {v!r}")
+    return v
+
+
+def _object(v) -> dict:
+    """A JSON object as is; any other shape is an input error."""
+    if type(v) is not dict:
+        raise InvalidInstance(f"expected a JSON object, got {v!r}")
+    return v
+
+
+def _ints(v) -> tuple[int, ...]:
+    return tuple(_int(x) for x in _array(v))
+
+
 def spec_from_json(obj: dict) -> FamilySpec:
-    family = obj.get("family")
+    family = _object(obj).get("family")
     if family == "explicit":
-        return ExplicitTable(tuple(_int(v) for v in obj["values"]))
+        return ExplicitTable(_ints(obj["values"]))
     if family == "coverage":
         return WeightedCoverage(_int(obj["n"]), _int(obj["universe"]),
-                                tuple(tuple(_int(u) for u in s) for s in obj["sets"]),
-                                tuple(_int(w) for w in obj["weights"]))
+                                tuple(_ints(s) for s in _array(obj["sets"])),
+                                _ints(obj["weights"]))
     if family == "digraph-cut":
         return DirectedGraphCut(_int(obj["n"]),
-                                tuple(tuple(_int(v) for v in a) for a in obj["arcs"]))
+                                tuple(_ints(a) for a in _array(obj["arcs"])))
     if family == "concave-modular":
-        return ConcaveCardinalityPlusModular(
-            tuple(_int(v) for v in obj["concave"]),
-            tuple(_int(v) for v in obj["modular"]))
+        return ConcaveCardinalityPlusModular(_ints(obj["concave"]),
+                                             _ints(obj["modular"]))
     if family == "interval-geometric":
         return IntervalGeometric(_int(obj["n"]))
     raise ValueError(f"unknown family {family!r}")
@@ -123,14 +140,14 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    obj = json.loads(text)
-    fn = dict(obj["function"])
+    obj = _object(json.loads(text))
+    fn = dict(_object(obj["function"]))
     seed = fn.pop("seed", None)
     spec = spec_from_json(fn)
     x0 = obj.get("x0")
     return Instance(n=_int(obj["n"]), spec=spec,
-                    direction=tuple(_int(v) for v in obj["direction"]),
-                    x0=tuple(_int(v) for v in x0) if x0 is not None else None,
+                    direction=_ints(obj["direction"]),
+                    x0=_ints(x0) if x0 is not None else None,
                     seed=seed)
 
 
@@ -201,7 +218,7 @@ def random_spec(family: str, n: int, rng: random.Random) -> FamilySpec:
     if family == "explicit":
         inner = random_spec(rng.choice(("coverage", "digraph-cut",
                                         "concave-modular")), n, rng)
-        table = make_family(inner).dense_table()
+        table = make_family(inner).dense_table().tolist()
         return ExplicitTable(tuple(table))
     raise ValueError(f"unknown family {family!r}")
 

@@ -82,8 +82,7 @@ class DenseLovasz:
     def __init__(self, oracle: SubmodularOracle, eps: float = 0.0):
         self.oracle = oracle
         self.n = oracle.n
-        self.table = np.asarray([float(v) for v in oracle.dense_table()],
-                                dtype=np.float64)
+        self.table = oracle.dense_table().astype(np.float64)
         self.eps = float(eps)
         self._idx = np.arange(self.n)
         self._bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
@@ -126,7 +125,7 @@ class DenseLovasz:
         prev = 0
         for e in order:
             mask |= 1 << e
-            cur = table[mask]
+            cur = table.item(mask)
             v[e] = cur - prev
             prev = cur
         self.oracle.charge(self.n)

@@ -94,8 +94,8 @@ def envelope(f: SubmodularOracle, d: Direction,
 def bruteforce_linesearch(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Reference solver: enumerate all ratios f(S)/d(S) with d(S) > 0."""
     before = f.calls
-    table = f.dense_table()
-    dsums = d.sums_table()
+    table = f.dense_table().tolist()
+    dsums = d.sums.tolist()
     best_num = best_den = None
     best_mask = 0
     for m in range(1, 1 << f.n):

@@ -17,21 +17,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyNotZero, GroundSetTooLarge, NegativeValue, NonSubmodular
-from .subsets import SubsetMask, subset_sums
+from .subsets import SubsetMask, subset_sums, table_dtype
 
 # The one declared size limit: every oracle and direction has n <= this, so
 # every function has a dense table of 2^n values.
 TABLE_N_CAP = 20
-
-# numpy int64 is safe for the vectorized table paths below this magnitude.
-_INT64_SAFE = 1 << 60
 
 
 class SubmodularOracle:
     """Value oracle for an integral submodular function with f(empty) = 0.
 
     The ground set has 1 to TABLE_N_CAP elements; larger sizes raise
-    GroundSetTooLarge here, so a dense table is always within reach.
+    GroundSetTooLarge here, so a dense table is always within reach.  A
+    table is stored once, as one array in the dtype `table_dtype(m_bound)`
+    picks; an `m_bound` below the table's max |f| is a ValueError.
 
     `calls` counts value-oracle reads.  Vectorized code paths that read a
     cached dense table account their reads in blocks via `charge`; building
@@ -51,14 +50,21 @@ class SubmodularOracle:
         self.family_tag = family_tag
         self.calls = 0
         self._fn = fn
-        self._table = list(table) if table is not None else None
+        self._table = None
+        if table is not None:
+            try:
+                self._table = np.asarray(table, dtype=table_dtype(m_bound))
+            except OverflowError:
+                raise ValueError(f"m_bound {m_bound} is below max |f|") from None
+            if self._table.max() > m_bound or self._table.min() < -m_bound:
+                raise ValueError(f"m_bound {m_bound} is below max |f|")
 
     def eval(self, s):
         """f(S) for S given as a SubsetMask or a raw bit mask."""
         mask = operator.index(s)
         self.calls += 1
         if self._table is not None:
-            return self._table[mask]
+            return self._table.item(mask)
         return self._fn(mask)
 
     def charge(self, k: int):
@@ -68,12 +74,13 @@ class SubmodularOracle:
     def has_table(self) -> bool:
         return self._table is not None
 
-    def dense_table(self) -> list:
-        """All 2^n values, cached."""
+    def dense_table(self) -> np.ndarray:
+        """All 2^n values as one array, cached; read-only by contract."""
         if self._table is None:
             fn = self._fn
             self.charge(1 << self.n)
-            self._table = [fn(m) for m in range(1 << self.n)]
+            self._table = np.array([fn(m) for m in range(1 << self.n)],
+                                   dtype=object)
         return self._table
 
     def __repr__(self):
@@ -105,15 +112,13 @@ class Direction:
         return sum(abs(di) for di in self.d)
 
     @cached_property
-    def _sums(self) -> list[int]:
+    def sums(self) -> np.ndarray:
+        """d(S) for every bit mask S, as one table."""
         return subset_sums(self.d)
 
     def of(self, s) -> int:
         """d(S) = sum of entries over the subset."""
-        return self._sums[operator.index(s)]
-
-    def sums_table(self) -> list[int]:
-        return self._sums
+        return self.sums.item(operator.index(s))
 
 
 # ---------------------------------------------------------------------------
@@ -189,35 +194,20 @@ FamilySpec = (
 def submodularity_witness(table, n):
     """First (S, i, j) with f(S+i) + f(S+j) < f(S+i+j) + f(S), or None.
 
-    Checking the quadruple inequality over all S and i, j not in S is
-    equivalent to full submodularity.
+    `table` is an oracle's dense table.  Checking the quadruple inequality
+    over all S and i, j not in S is equivalent to full submodularity.
     """
-    if n <= 1:
-        return None
-    small = all(abs(v) < _INT64_SAFE for v in table)
-    if small:
-        arr = np.asarray(table, dtype=np.int64)
-        masks = np.arange(1 << n, dtype=np.int64)
-        for i in range(n):
-            bi = 1 << i
-            free_i = masks[(masks & bi) == 0]
-            for j in range(i + 1, n):
-                bj = 1 << j
-                base = free_i[(free_i & bj) == 0]
-                viol = arr[base | bi] + arr[base | bj] - arr[base | bi | bj] - arr[base]
-                bad = np.nonzero(viol < 0)[0]
-                if bad.size:
-                    return int(base[bad[0]]), i, j
-        return None
+    masks = np.arange(1 << n)
     for i in range(n):
         bi = 1 << i
+        free_i = masks[(masks & bi) == 0]
         for j in range(i + 1, n):
             bj = 1 << j
-            for s in range(1 << n):
-                if s & (bi | bj):
-                    continue
-                if table[s | bi] + table[s | bj] < table[s | bi | bj] + table[s]:
-                    return s, i, j
+            base = free_i[(free_i & bj) == 0]
+            viol = table[base | bi] + table[base | bj] - table[base | bi | bj] - table[base]
+            bad = np.flatnonzero(viol < 0)
+            if bad.size:
+                return int(base[bad[0]]), i, j
     return None
 
 
@@ -322,13 +312,14 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         neg = min(spec.values)
         if neg < 0:
             raise NegativeValue(f"table contains {neg}")
-        witness = submodularity_witness(spec.values, n)
+        oracle = SubmodularOracle(n, m_bound=max(spec.values),
+                                  family_tag="explicit", table=spec.values)
+        witness = submodularity_witness(oracle.dense_table(), n)
         if witness is not None:
             s, i, j = witness
             raise NonSubmodular(
                 f"quadruple violated at S={SubsetMask(s, n)}, i={i}, j={j}")
-        return SubmodularOracle(n, m_bound=max(spec.values),
-                                family_tag="explicit", table=spec.values)
+        return oracle
 
     if isinstance(spec, WeightedCoverage):
         if any(w < 0 for w in spec.weights):
@@ -369,7 +360,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
                 raise NegativeValue(
                     f"f would be negative on some {k}-element set")
         m_bound = max(g) + sum(w for w in spec.modular if w > 0)
-        msums = subset_sums(spec.modular)
+        msums = subset_sums(spec.modular).tolist()
         table = [g[m.bit_count()] + msums[m] for m in range(1 << n)]
         return SubmodularOracle(n, m_bound=m_bound,
                                 family_tag="concave-modular", table=table)
@@ -397,10 +388,11 @@ def lift(f: SubmodularOracle, c: int) -> SubmodularOracle:
     """
     if c <= 0:
         raise ValueError("lift constant must be positive")
-    ft = f.dense_table()
-    table = list(ft) + [v + c for v in ft]
+    m_bound = f.m_bound + c
+    ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound))
+    table = np.concatenate((ft, ft + c))
     table[-1] = ft[-1]  # the full lifted set keeps f(E)
-    return SubmodularOracle(f.n + 1, m_bound=f.m_bound + c,
+    return SubmodularOracle(f.n + 1, m_bound=m_bound,
                             family_tag=f"lift({f.family_tag})", table=table)
 
 
@@ -435,9 +427,11 @@ def translate(f: SubmodularOracle, x0) -> SubmodularOracle:
     x0 = tuple(x0)
     if len(x0) != f.n or any(type(v) is not int for v in x0):
         raise ValueError("x0 must be an integer vector of length n")
-    table = [v - s for v, s in zip(f.dense_table(), subset_sums(x0))]
-    return SubmodularOracle(f.n, m_bound=f.m_bound + sum(abs(v) for v in x0),
-                            family_tag=f"translate({f.family_tag})", table=table)
+    m_bound = f.m_bound + sum(abs(v) for v in x0)
+    ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound))
+    return SubmodularOracle(f.n, m_bound=m_bound,
+                            family_tag=f"translate({f.family_tag})",
+                            table=ft - subset_sums(x0))
 
 
 def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
@@ -449,9 +443,12 @@ def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
     if q < 1:
         raise ValueError("scale must be a positive integer")
     w = tuple(w)
-    table = [q * v - s for v, s in zip(f.dense_table(), subset_sums(w))]
-    return SubmodularOracle(f.n, m_bound=q * f.m_bound + sum(abs(v) for v in w),
-                            family_tag=f"scaled({f.family_tag})", table=table)
+    m_bound = q * f.m_bound + sum(abs(v) for v in w)
+    # the product is formed in a dtype that also holds q, which f = 0 needs
+    ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound + q))
+    return SubmodularOracle(f.n, m_bound=m_bound,
+                            family_tag=f"scaled({f.family_tag})",
+                            table=q * ft - subset_sums(w))
 
 
 def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> SubmodularOracle:
@@ -463,4 +460,5 @@ def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> Submodular
 
 def infinity_norm(f: SubmodularOracle) -> int:
     """Exact max_S |f(S)|."""
-    return max(abs(v) for v in f.dense_table())
+    table = np.abs(f.dense_table())
+    return table.item(int(table.argmax()))

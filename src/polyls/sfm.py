@@ -60,21 +60,10 @@ def _table_min(table):
     By submodularity the minimizers form a lattice, so the AND/OR reductions
     are themselves minimizers: the unique minimal and maximal ones.
     """
-    if all(abs(v) < (1 << 60) for v in table):
-        arr = np.asarray(table, dtype=np.int64)
-        best = int(arr.min())
-        where = np.nonzero(arr == best)[0]
-        and_mask = int(np.bitwise_and.reduce(where))
-        or_mask = int(np.bitwise_or.reduce(where))
-        return best, and_mask, or_mask
-    best = min(table)
-    and_mask = None
-    or_mask = 0
-    for m, v in enumerate(table):
-        if v == best:
-            and_mask = m if and_mask is None else and_mask & m
-            or_mask |= m
-    return best, and_mask, or_mask
+    best = table.item(int(table.argmin()))
+    where = np.flatnonzero(table == best)
+    return (best, int(np.bitwise_and.reduce(where)),
+            int(np.bitwise_or.reduce(where)))
 
 
 def minimize_bruteforce(f: SubmodularOracle) -> SfmResult:

@@ -1,8 +1,10 @@
-"""Bit-mask subsets of a ground set {0, ..., n-1}."""
+"""Bit-mask subsets of a ground set {0, ..., n-1} and the 2^n tables they index."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,10 +33,6 @@ class SubsetMask:
         return cls((1 << n) - 1, n)
 
     @classmethod
-    def singleton(cls, n: int, i: int) -> SubsetMask:
-        return cls.from_indices(n, (i,))
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> SubsetMask:
         bits = 0
         for i in indices:
@@ -42,10 +40,6 @@ class SubsetMask:
                 raise ValueError(f"element {i} outside ground set of size {n}")
             bits |= 1 << i
         return cls(bits, n)
-
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.bits >> i & 1)
@@ -60,50 +54,35 @@ class SubsetMask:
         # lets a mask be used directly as a table index
         return self.bits
 
-    def _require_same_ground(self, other: SubsetMask):
+    def issubset(self, other: SubsetMask) -> bool:
         if self.n != other.n:
             raise ValueError(f"mixed ground sets: {self.n} vs {other.n}")
-
-    def union(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_ground(other)
-        return SubsetMask(self.bits | other.bits, self.n)
-
-    def intersection(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_ground(other)
-        return SubsetMask(self.bits & other.bits, self.n)
-
-    def setminus(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_ground(other)
-        return SubsetMask(self.bits & ~other.bits, self.n)
-
-    def complement(self) -> SubsetMask:
-        return SubsetMask(self.bits ^ ((1 << self.n) - 1), self.n)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = setminus
-    __invert__ = complement
-
-    def issubset(self, other: SubsetMask) -> bool:
-        self._require_same_ground(other)
         return self.bits & ~other.bits == 0
-
-    def add(self, i: int) -> SubsetMask:
-        if not 0 <= i < self.n:
-            raise ValueError(f"element {i} outside ground set of size {self.n}")
-        return SubsetMask(self.bits | (1 << i), self.n)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.indices()) + "}"
 
 
-def subset_sums(values) -> list:
+def table_dtype(bound) -> type:
+    """The dtype of a 2^n value table whose entries are at most `bound` in
+    magnitude: numpy int64 below 2^60, exact Python ints (object) otherwise.
+
+    Every table pass is one numpy expression that is exact in both dtypes;
+    below 2^60 a sum of four entries cannot overflow int64.
+    """
+    return np.int64 if bound < 1 << 60 else object
+
+
+def subset_sums(values) -> np.ndarray:
     """All subset sums of `values`, indexed by bit mask.
 
     out[m] == sum(values[i] for bits i set in m); built by doubling, so the
-    result has 2**len(values) entries.
+    result has 2**len(values) entries, in the dtype `table_dtype` picks for
+    sum(|values|).
     """
-    out = [0]
-    for v in values:
-        out += [s + v for s in out]
+    values = tuple(values)
+    out = np.zeros(1 << len(values),
+                   dtype=table_dtype(sum(abs(v) for v in values)))
+    for i, v in enumerate(values):
+        out[1 << i:2 << i] = out[:1 << i] + v
     return out

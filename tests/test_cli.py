@@ -130,6 +130,24 @@ def test_non_integer_json_is_input_error(tmp_path, capsys, field, bad):
     assert "lambda_star" not in out
 
 
+@pytest.mark.parametrize("inst", [
+    {"n": 2, "function": {"family": "explicit", "values": 5}, "direction": [3, 4]},
+    [1, 2],
+    {"n": 2, "function": [0, 1], "direction": [3, 4]},
+    {"n": 2, "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+     "direction": 7},
+], ids=["values-int", "top-level-array", "function-array", "direction-int"])
+def test_malformed_json_shape_is_input_error(tmp_path, capsys, inst):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", "newton")
+    assert code == 1
+    assert "input error: InvalidInstance" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
 def test_declared_n_must_match_table(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({

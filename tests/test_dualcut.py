@@ -200,7 +200,7 @@ def test_perturb_is_lazy():
         assert g.eval(0) == 0
         for mask in range(1, 1 << f.n):
             assert g.eval(mask) == table[mask] + eps
-        assert g.dense_table() == [0] + [v + eps for v in table[1:]]
+        assert g.dense_table().tolist() == [0] + [v + eps for v in table.tolist()[1:]]
 
 
 def test_solve_dual_worked_examples(two_elem, d34, d_mixed):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from polyls import (Direction, IntervalGeometric, binary_search,
+from polyls import (Direction, ExplicitTable, IntervalGeometric, binary_search,
                     bruteforce_linesearch, discrete_newton, envelope,
-                    ladder_spacing, make_family, membership, upper_bound)
+                    ladder_spacing, make_family, membership, solve_dual,
+                    upper_bound)
 from polyls.errors import BadStart
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
@@ -153,3 +154,38 @@ def test_binary_search_sandwich_random():
         res = binary_search(f, d, eps=eps)
         assert res.value <= star <= res.value + eps
         assert membership(f, [res.value * di for di in d.d]).inside
+
+
+# --- exactness across the int64 / Python-int table boundary ---------------
+
+
+@pytest.mark.parametrize("values, direction", [
+    ((0, 2**64, 2**64, 2**64 + 1), (3, 4)),
+    ((0, 2**59 + 1, 2**59, 2**59 + 7), (999, 1000)),
+    ((0, 2**62, 2**62 - 1, 2**62 + 5), (-5, 7)),
+], ids=["values-past-2^63", "only-qM-past-2^60", "mixed-direction-past-2^60"])
+def test_exact_across_int64_boundary(values, direction):
+    f = make_family(ExplicitTable(values))
+    d = Direction(direction)
+    star = bruteforce_linesearch(f, d).lambda_star
+    eps = ladder_spacing(d)
+    hi = upper_bound(f, d)
+    for lam in (Fraction(0), star - eps, star, star + eps, hi):
+        g, s = envelope(f, d, lam)
+        assert g == min(f.eval(m) - lam * d.of(m) for m in range(1 << f.n))
+        assert f.eval(s) - lam * d.of(s) == g
+        mem = membership(f, [lam * di for di in d.d])
+        assert mem.margin == g and mem.inside == (g >= 0)
+    bs = binary_search(f, d, Fraction(0), hi, eps)
+    routes = {"newton": discrete_newton(f, d), "dualcut": solve_dual(f, d),
+              "binary": discrete_newton(f, d, bs.value + eps)}
+    for route, res in routes.items():
+        assert res.lambda_star == star, route
+        assert f.eval(res.tight_set) == star * d.of(res.tight_set), route
+
+
+def test_zero_function_envelope_at_tiny_lambda():
+    # q = 2^70 with M = 0: the scale itself is past int64
+    f = make_family(ExplicitTable((0, 0, 0, 0)))
+    assert envelope(f, Direction((1, 1)), Fraction(1, 2**70)) == \
+        (Fraction(-1, 2**69), SubsetMask.full(2))

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyls import (Direction, ExplicitTable, IntervalGeometric, check_oracle,
-                    infinity_norm, lift, make_family, newton_scale, perturb,
-                    subgradient, submodularity_witness, translate)
+from polyls import (Direction, ExplicitTable, IntervalGeometric,
+                    SubmodularOracle, check_oracle, infinity_norm, lift,
+                    make_family, newton_scale, perturb, subgradient,
+                    submodularity_witness, translate)
 from polyls.errors import (EmptyNotZero, GroundSetTooLarge, NegativeValue,
                            NonSubmodular)
 from polyls.instances import random_instance, random_spec
@@ -128,8 +129,8 @@ def test_translate(two_elem):
 
 
 def test_newton_scale(two_elem, d34):
-    assert newton_scale(two_elem, d34, Fraction(0)).dense_table() == \
-        two_elem.dense_table()
+    assert newton_scale(two_elem, d34, Fraction(0)).dense_table().tolist() == \
+        two_elem.dense_table().tolist()
     h = newton_scale(two_elem, d34, Fraction(1, 2))
     assert h.eval(0b11) == 2 * 3 - 1 * 7 == -1
     assert h.m_bound == 2 * 3 + 1 * 7
@@ -151,6 +152,25 @@ def test_infinity_norm(two_elem):
     assert infinity_norm(zero) == 0
     f3 = make_family(IntervalGeometric(3))
     assert infinity_norm(f3) == max(f3.eval(m) for m in range(8))
+
+
+def test_m_bound_below_max_abs_value_rejected():
+    SubmodularOracle(2, m_bound=3, table=[0, 2, 2, 3])
+    with pytest.raises(ValueError):
+        SubmodularOracle(2, m_bound=2, table=[0, 2, 2, 3])
+    with pytest.raises(ValueError):
+        SubmodularOracle(2, m_bound=3, table=[0, -5, 2, 3])
+    with pytest.raises(ValueError):  # past int64 under an int64-sized bound
+        SubmodularOracle(2, m_bound=3, table=[0, 2**64, 2**64, 2**64 + 1])
+
+
+def test_quadruple_check_exact_near_int64_limit():
+    # every value fits in int64, but the quadruple sum f({0}) + f({1})
+    # - f({0,1}) - f(empty) does not
+    big = 3 * 2**61
+    check_oracle(make_family(ExplicitTable((0, big, big, 1))))
+    with pytest.raises(NonSubmodular):
+        make_family(ExplicitTable((0, big, big, 2 * big + 1)))
 
 
 def test_call_counter_monotone(two_elem):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyls.subsets import SubsetMask, subset_sums
@@ -17,11 +17,6 @@ def as_set(m: SubsetMask) -> set:
 def test_algebra_matches_set_semantics(bits_bits_n):
     a_bits, b_bits, n = bits_bits_n
     a, b = SubsetMask(a_bits, n), SubsetMask(b_bits, n)
-    assert as_set(a | b) == as_set(a) | as_set(b)
-    assert as_set(a & b) == as_set(a) & as_set(b)
-    assert as_set(a - b) == as_set(a) - as_set(b)
-    assert as_set(~a) == set(range(n)) - as_set(a)
-    assert a.cardinality == len(as_set(a))
     assert a.issubset(b) == as_set(a).issubset(as_set(b))
 
 
@@ -40,17 +35,18 @@ def test_bounds_checked():
     with pytest.raises(ValueError):
         SubsetMask.from_indices(3, [3])
     with pytest.raises(ValueError):
-        SubsetMask(1, 2) | SubsetMask(1, 3)
+        SubsetMask(1, 2).issubset(SubsetMask(1, 3))
 
 
 def test_constructors():
-    assert SubsetMask.empty(4).cardinality == 0
+    assert SubsetMask.empty(4) == SubsetMask(0, 4)
     assert SubsetMask.full(4) == SubsetMask(0b1111, 4)
-    assert SubsetMask.singleton(4, 2).indices() == (2,)
+    assert SubsetMask.from_indices(4, (2,)).indices() == (2,)
     assert str(SubsetMask(0b101, 3)) == "{0,2}"
 
 
 @given(st.lists(st.integers(-50, 50), min_size=0, max_size=10))
+@example([2**62, 2**62, -1])  # sums past int64 stay exact
 def test_subset_sums_table(values):
     table = subset_sums(values)
     assert len(table) == 1 << len(values)
