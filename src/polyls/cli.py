@@ -207,6 +207,16 @@ def cmd_verify(args) -> int:
     return 3 if mismatches else 0
 
 
+def _row(inst_id, fam, n, method, res=None, wall=0, status="ok", extra=""):
+    """One CSV_HEADER row; without a result the counters read 0."""
+    if res is None:
+        return [inst_id, fam, n, method, "", 0, 0, 0, 0, wall, status, extra,
+                CSV_SCHEMA]
+    return [inst_id, fam, n, method, format_fraction(res.lambda_star),
+            res.oracle_calls, res.sfm_calls, res.engine_iterations,
+            res.newton_iterations, wall, status, extra, CSV_SCHEMA]
+
+
 def _bench_rows_cross(count: int, seed: int):
     rows = []
     for fam in FAMILIES:
@@ -220,14 +230,10 @@ def _bench_rows_cross(count: int, seed: int):
             for method in methods:
                 try:
                     res, wall = _solve_one(inst, method)
-                    rows.append([inst_id, fam, n, method,
-                                 format_fraction(res.lambda_star),
-                                 res.oracle_calls, res.sfm_calls,
-                                 res.engine_iterations, res.newton_iterations,
-                                 wall, "ok", "", CSV_SCHEMA])
+                    rows.append(_row(inst_id, fam, n, method, res, wall))
                 except errors.PolylsError as exc:
-                    rows.append([inst_id, fam, n, method, "", 0, 0, 0, 0, 0,
-                                 f"error:{type(exc).__name__}", "", CSV_SCHEMA])
+                    rows.append(_row(inst_id, fam, n, method,
+                                     status=f"error:{type(exc).__name__}"))
     return rows
 
 
@@ -246,11 +252,8 @@ def _bench_rows_ladder(count: int, seed: int):
                 t0 = time.perf_counter_ns()
                 res = discrete_newton(f, d, star + k * eps - eps / 2)
                 wall = time.perf_counter_ns() - t0
-                rows.append([inst_id, fam, n, "newton",
-                             format_fraction(res.lambda_star),
-                             res.oracle_calls, res.sfm_calls, 0,
-                             res.newton_iterations, wall, "ok",
-                             f"warmstart_k={k}", CSV_SCHEMA])
+                rows.append(_row(inst_id, fam, n, "newton", res, wall,
+                                 extra=f"warmstart_k={k}"))
     return rows
 
 
@@ -270,10 +273,8 @@ def _bench_rows_worstcase():
             res, wall = _solve_one(inst, method)
             extra = (f"D={big};first_breakpoint={format_fraction(bp)};"
                      f"minimizer_below={below};minimizer_above={above}")
-            rows.append([f"interval-D{big}", "interval-geometric", 2, method,
-                         format_fraction(res.lambda_star), res.oracle_calls,
-                         res.sfm_calls, res.engine_iterations,
-                         res.newton_iterations, wall, "ok", extra, CSV_SCHEMA])
+            rows.append(_row(f"interval-D{big}", "interval-geometric", 2,
+                             method, res, wall, extra=extra))
     return rows
 
 
@@ -291,15 +292,10 @@ def _bench_rows_dual_warmstart(count: int, seed: int):
             warm = solve_dual(f, d)
             t1 = time.perf_counter_ns()
             assert cold.lambda_star == warm.lambda_star
-            rows.append([inst_id, fam, n, "newton",
-                         format_fraction(cold.lambda_star), cold.oracle_calls,
-                         cold.sfm_calls, 0, cold.newton_iterations, mid - t0,
-                         "ok", "start=upper_bound", CSV_SCHEMA])
-            rows.append([inst_id, fam, n, "dualcut",
-                         format_fraction(warm.lambda_star), warm.oracle_calls,
-                         warm.sfm_calls, warm.engine_iterations,
-                         warm.newton_iterations, t1 - mid, "ok",
-                         "start=dual", CSV_SCHEMA])
+            rows.append(_row(inst_id, fam, n, "newton", cold, mid - t0,
+                             extra="start=upper_bound"))
+            rows.append(_row(inst_id, fam, n, "dualcut", warm, t1 - mid,
+                             extra="start=dual"))
     return rows
 
 

@@ -2,9 +2,12 @@
 
 All functions are normalized (f(empty) = 0) and integer-valued; `m_bound` is
 an upper bound on max_S |f(S)| (exact for explicit tables, analytic for the
-generated families).  Wrappers produce new oracles for lifting to a larger
-ground set, constant perturbation, modular translation, and the integral
-rescaling used by the parametric solvers.
+generated families).  Every 2^n table, a direction's subset sums included,
+is built by element doubling (see `subset_sums`): the values on masks that
+contain element k come from those that do not, in one array expression per
+k.  Wrappers produce new oracles for lifting to a larger ground set,
+constant perturbation, modular translation, and the integral rescaling used
+by the parametric solvers.
 """
 
 from __future__ import annotations
@@ -224,66 +227,12 @@ def check_oracle(oracle: SubmodularOracle):
 
 
 # ---------------------------------------------------------------------------
-# Family table builders
+# Family tables
 
 
-def _coverage_table(spec: WeightedCoverage) -> list[int]:
-    set_masks = [0] * spec.n
-    for i, members in enumerate(spec.sets):
-        for u in members:
-            set_masks[i] |= 1 << u
-    cover = [0] * (1 << spec.n)
-    table = [0] * (1 << spec.n)
-    for m in range(1, 1 << spec.n):
-        low = m & -m
-        cover[m] = cover[m ^ low] | set_masks[low.bit_length() - 1]
-        c = cover[m]
-        w = 0
-        while c:
-            lu = c & -c
-            w += spec.weights[lu.bit_length() - 1]
-            c ^= lu
-        table[m] = w
-    return table
-
-
-def _digraph_table(spec: DirectedGraphCut) -> list[int]:
-    out_arcs = [[] for _ in range(spec.n)]
-    in_arcs = [[] for _ in range(spec.n)]
-    for u, v, c in spec.arcs:
-        out_arcs[u].append((v, c))
-        in_arcs[v].append((u, c))
-    table = [0] * (1 << spec.n)
-    for m in range(1, 1 << spec.n):
-        low = m & -m
-        k = low.bit_length() - 1
-        rest = m ^ low
-        delta = 0
-        for v, c in out_arcs[k]:
-            if not m >> v & 1:
-                delta += c
-        for u, c in in_arcs[k]:
-            if rest >> u & 1:
-                delta -= c
-        table[m] = table[rest] + delta
-    return table
-
-
-def _interval_value(mask: int, n: int) -> int:
-    total = 0
-    i = 0
-    while i < n:
-        if mask >> i & 1:
-            j = i
-            while j + 1 < n and mask >> (j + 1) & 1:
-                j += 1
-            # run [i, j] zero-based is [i+1, j+1] one-based
-            a, b = i + 1, j + 1
-            total += 1 << (2 * (b * (b - 1) // 2 + a))
-            i = j + 1
-        else:
-            i += 1
-    return total
+def _run_value(i: int, j: int) -> int:
+    """Interval-geometric value of the zero-based run [i, j]."""
+    return 1 << (j * (j + 1) + 2 * i + 2)
 
 
 def make_family(spec: FamilySpec) -> SubmodularOracle:
@@ -291,8 +240,11 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
 
     The ground-set size is checked against TABLE_N_CAP before any table is
     built.  Explicit tables are validated eagerly (normalization,
-    nonnegativity, submodularity); generated families are correct by
-    construction and get spot-checked by the test suite instead.
+    nonnegativity, submodularity).  Every generated table is built like
+    `subset_sums`, by element doubling: one array expression per element k
+    fills the masks that contain k from those that do not, exact in the
+    dtype of the family's `m_bound`.  The test suite checks each family's
+    table against its definition.
     """
     if isinstance(spec, ExplicitTable):
         size = len(spec.values)
@@ -322,24 +274,48 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         return oracle
 
     if isinstance(spec, WeightedCoverage):
+        if len(spec.sets) != n:
+            raise ValueError(f"coverage needs n = {n} sets, got {len(spec.sets)}")
+        if len(spec.weights) != spec.universe:
+            raise ValueError(f"coverage needs one weight per universe element "
+                             f"({spec.universe}), got {len(spec.weights)}")
         if any(w < 0 for w in spec.weights):
             raise NegativeValue("coverage weights must be nonnegative")
-        for members in spec.sets:
+        owners = [0] * spec.universe  # owners[u]: mask of the sets holding u
+        for i, members in enumerate(spec.sets):
             for u in members:
                 if not 0 <= u < spec.universe:
                     raise ValueError(f"universe element {u} out of range")
-        return SubmodularOracle(n, m_bound=sum(spec.weights),
-                                family_tag="coverage", table=_coverage_table(spec))
+                owners[u] |= 1 << i
+        m_bound = sum(spec.weights)
+        # within[m]: weight of the elements whose owners all lie in m; S
+        # misses exactly the elements owned within its complement
+        within = np.zeros(1 << n, dtype=table_dtype(m_bound))
+        for owner, w in zip(owners, spec.weights):
+            within[owner] += w
+        for k in range(n):
+            halves = within.reshape(-1, 2, 1 << k)
+            halves[:, 1] += halves[:, 0]
+        return SubmodularOracle(n, m_bound=m_bound, family_tag="coverage",
+                                table=m_bound - within[::-1])
 
     if isinstance(spec, DirectedGraphCut):
+        cap = [[0] * n for _ in range(n)]
         for u, v, c in spec.arcs:
             if c < 0:
                 raise NegativeValue(f"arc capacity {c} < 0")
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad arc ({u}, {v})")
-        return SubmodularOracle(n, m_bound=sum(c for _, _, c in spec.arcs),
-                                family_tag="digraph-cut",
-                                table=_digraph_table(spec))
+            cap[u][v] += c
+        m_bound = sum(c for _, _, c in spec.arcs)
+        table = np.zeros(1 << n, dtype=table_dtype(m_bound))
+        for k in range(n):
+            # adding k to S below it cuts k's out-arcs except those into S
+            # and uncuts the arcs from S into k
+            table[1 << k:2 << k] = (table[:1 << k] + sum(cap[k]) - subset_sums(
+                [cap[i][k] + cap[k][i] for i in range(k)]))
+        return SubmodularOracle(n, m_bound=m_bound, family_tag="digraph-cut",
+                                table=table)
 
     if isinstance(spec, ConcaveCardinalityPlusModular):
         g = spec.concave
@@ -360,8 +336,9 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
                 raise NegativeValue(
                     f"f would be negative on some {k}-element set")
         m_bound = max(g) + sum(w for w in spec.modular if w > 0)
-        msums = subset_sums(spec.modular).tolist()
-        table = [g[m.bit_count()] + msums[m] for m in range(1 << n)]
+        sizes = subset_sums((1,) * n)
+        table = (np.array(g, dtype=table_dtype(m_bound))[sizes]
+                 + subset_sums(spec.modular))
         return SubmodularOracle(n, m_bound=m_bound,
                                 family_tag="concave-modular", table=table)
 
@@ -369,8 +346,19 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         raise ValueError("interval family needs n >= 1")
     # any S decomposes into runs with distinct right endpoints j, and each
     # run value is at most the singleton value at its j
-    m_bound = sum(1 << (2 * (j * (j - 1) // 2 + j)) for j in range(1, n + 1))
-    table = [_interval_value(m, n) for m in range(1 << n)]
+    m_bound = sum(_run_value(j, j) for j in range(n))
+    dtype = table_dtype(m_bound)
+    table = np.zeros(1 << n, dtype=dtype)
+    # start[S] for S below k: the first element of k's run in S + k (k
+    # itself when k-1 is not in S)
+    start = np.zeros(1 << n, dtype=np.int64)
+    for k in range(n):
+        # k extends the run [i, k-1] starting at i < k, or starts [k, k]
+        gain = np.array([_run_value(i, k) - _run_value(i, k - 1)
+                         for i in range(k)] + [_run_value(k, k)], dtype=dtype)
+        table[1 << k:2 << k] = table[:1 << k] + gain[start[:1 << k]]
+        start[1 << k:2 << k] = start[:1 << k]
+        start[:1 << k] = k + 1
     return SubmodularOracle(n, m_bound=m_bound,
                             family_tag="interval-geometric", table=table)
 

@@ -148,6 +148,27 @@ def test_malformed_json_shape_is_input_error(tmp_path, capsys, inst):
     assert "lambda_star" not in out
 
 
+@pytest.mark.parametrize("sets,weights", [
+    ([[0], [1]], [1]),
+    ([[0], [1], [0, 1]], [1, 1]),
+    ([[0, 1]], [1, 1]),
+], ids=["short-weights", "extra-set", "missing-set"])
+def test_coverage_shape_is_input_error(tmp_path, capsys, sets, weights):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "function": {"family": "coverage", "n": 2, "universe": 2,
+                     "sets": sets, "weights": weights},
+        "direction": [1, 1],
+    }))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", "newton")
+    assert code == 1
+    assert "input error: ValueError" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
 def test_declared_n_must_match_table(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({

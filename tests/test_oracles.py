@@ -1,17 +1,20 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyls import (Direction, ExplicitTable, IntervalGeometric,
-                    SubmodularOracle, check_oracle, infinity_norm, lift,
-                    make_family, newton_scale, perturb, subgradient,
-                    submodularity_witness, translate)
+from polyls import (ConcaveCardinalityPlusModular, DirectedGraphCut,
+                    Direction, ExplicitTable, IntervalGeometric, SubsetMask,
+                    SubmodularOracle, WeightedCoverage, check_oracle,
+                    infinity_norm, lift, make_family, newton_scale, perturb,
+                    subgradient, submodularity_witness, translate)
 from polyls.errors import (EmptyNotZero, GroundSetTooLarge, NegativeValue,
                            NonSubmodular)
 from polyls.instances import random_instance, random_spec
 from polyls.oracles import TABLE_N_CAP
+from polyls.subsets import table_dtype
 from conftest import iter_instances, rng_of
 
 
@@ -70,6 +73,68 @@ def test_families_past_size_limit_rejected(family):
     spec = random_spec(family, 40, rng_of(40))
     with pytest.raises(GroundSetTooLarge):
         make_family(spec)
+
+
+# --- every generated table against its family's definition --------------
+# Each reference reads one set S (sorted element indices) straight from the
+# family docstring.
+
+
+def _covered_weight(spec, s):
+    """Total weight of the universe elements covered by the chosen sets."""
+    covered = set().union(*(spec.sets[i] for i in s))
+    return sum(spec.weights[u] for u in covered)
+
+
+def _leaving_capacity(spec, s):
+    """Total capacity of the arcs leaving S."""
+    return sum(c for u, v, c in spec.arcs if u in s and v not in s)
+
+
+def _concave_plus_modular(spec, s):
+    """concave[|S|] + modular(S)."""
+    return spec.concave[len(s)] + sum(spec.modular[i] for i in s)
+
+
+def _interval_runs(spec, s):
+    """Sum over the maximal runs [i, j] of S, 1-indexed, of 4^(j(j-1)/2) * 4^i."""
+    total = 0
+    one_based = [e + 1 for e in s]
+    for _, run in groupby(enumerate(one_based), key=lambda t: t[1] - t[0]):
+        run = [e for _, e in run]
+        i, j = run[0], run[-1]
+        total += 4 ** (j * (j - 1) // 2) * 4 ** i
+    return total
+
+
+DEFINITIONS = {"coverage": _covered_weight,
+               "digraph-cut": _leaving_capacity,
+               "concave-modular": _concave_plus_modular,
+               "interval-geometric": _interval_runs}
+
+
+@given(st.builds(lambda family, n, seed: random_spec(family, n, rng_of(seed)),
+                 st.sampled_from(sorted(DEFINITIONS)), st.integers(1, 12),
+                 st.integers(0, 10**6)))
+# a universe wider than 64 bits whose total weight is past 2^60
+@example(WeightedCoverage(3, 70, ((0, 64, 69), (69, 1), ()), (2**59,) * 70))
+# capacities summing past 2^60, a repeated arc among them
+@example(DirectedGraphCut(3, ((0, 1, 2**60), (1, 0, 2**60), (1, 2, 3),
+                              (0, 1, 5))))
+@example(ConcaveCardinalityPlusModular((0, 2**61, 2**62 - 1),
+                                       (-2**60, 2**61)))
+# the last int64 size and the first exact-int size
+@example(IntervalGeometric(7))
+@example(IntervalGeometric(8))
+def test_family_table_matches_definition(spec):
+    n = spec.n
+    definition = DEFINITIONS[spec.family]
+    expected = [definition(spec, SubsetMask(m, n).indices())
+                for m in range(1 << n)]
+    f = make_family(spec)
+    table = f.dense_table()
+    assert table.tolist() == expected
+    assert table.dtype == table_dtype(f.m_bound)
 
 
 @given(st.integers(0, 10_000))
