@@ -2,18 +2,23 @@
 
 The line search over the polymatroid is dual to minimizing the Lovász
 extension over the slice {x >= 0, d.x = 1}.  Eliminating one positive pivot
-coordinate gives an (n-1)-dimensional convex program that an ellipsoid-style
-cutting-plane engine solves approximately in floats; the approximate point is
-snapped to an exactly feasible rational point, whose extension value upper
-bounds the intersection, and a couple of exact Newton steps land on the
-answer.  Correctness never depends on the float phase - it only buys a warm
-start.
+coordinate gives an (n-1)-dimensional convex program over
+{0 <= z <= u, d_rest.z <= 1}, which an analytic-center cutting-plane method
+(ACCPM) solves approximately in floats.  The box and the hyperplane are
+log-barrier rows, so every query is an objective cut, and each query is the
+analytic center of the localizer in epigraph form, found by a few Newton
+steps from the previous center.  A convex combination of the cuts,
+weighted by the centering duals and minimized exactly over the domain,
+certifies a lower bound.  The approximate point is snapped to an exactly
+feasible rational point, whose extension value upper bounds the
+intersection, and a couple of exact Newton steps land on the answer.
+Correctness never depends on the float phase - it only buys a warm start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +70,14 @@ class ReducedProblem:
     def d_pivot(self) -> int:
         return self.direction.d[self.pivot]
 
+    @property
+    def cut_cap(self) -> int:
+        """Cut budget of order m ln(kappa), with kappa = n * r_box * ||d||_1
+        / alpha the ratio of box size to target accuracy."""
+        ln_kappa = (math.log(self.direction.n) + _ln_fraction(self.r_box)
+                    - _ln_fraction(self.alpha) + math.log(self.direction.norm1))
+        return int(4 * (self.omega_dim + 1) * max(ln_kappa, 1.0)) + 100
+
 
 def lift_point(z, prob: ReducedProblem) -> list[Fraction]:
     """Insert the pivot coordinate so that d.x = 1, in exact rationals."""
@@ -102,11 +115,19 @@ def _phi_oracle(f_like: SubmodularOracle, prob: ReducedProblem):
 
 
 # ---------------------------------------------------------------------------
-# Ellipsoid engine
+# Analytic-center cutting-plane engine
 
 
 @dataclass
 class CutEngineState:
+    """Where the engine stopped, with its bracket best_value - lower_bound.
+
+    The box and the hyperplane are barrier rows, never cuts, so every query
+    is an objective cut: `iterations == objective_cuts` and
+    `feasibility_cuts` is always 0.  `newton_steps` counts the centering
+    steps of all queries together.
+    """
+
     best_point: np.ndarray
     best_value: float
     lower_bound: float
@@ -116,8 +137,7 @@ class CutEngineState:
     stalled: bool = False
     feasibility_cuts: int = 0
     objective_cuts: int = 0
-    oracle_evals: int = 0
-    history: list = field(default_factory=list)
+    newton_steps: int = 0
 
 
 def _ln_fraction(x) -> float:
@@ -125,207 +145,279 @@ def _ln_fraction(x) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _most_violated(A: np.ndarray, b: np.ndarray, center: np.ndarray,
-                   feas_tol: float) -> int | None:
-    """Row of A z <= b that the center violates most, or None.
+def float_resolution(n: int, m_bound) -> float:
+    """Absolute error up to which the floats know a value of the objective.
 
-    A row counts as violated when A[k].center - b[k] > feas_tol; ties go to
-    the lowest row index.  One matrix-vector product per call.
+    phi(z) is the dot product of the lifted point x with the greedy
+    marginals: n products, each marginal a difference of two table values
+    of size at most M, so |marginal| <= 2M.  The dot-product error bound
+    n * 2^-53 * sum_i |x_i| |marginal_i|, with |x_i| <= 1 in the unit search
+    box, is n * 2^-53 * n * 2M = 2^-52 * n^2 * M (the roundoff of the table
+    entries themselves adds a lower-order 2^-52 * n * M).  An engine asked
+    for a gap at or below this cannot certify it, so it does not try.
     """
-    viol = A @ center - b
-    k = int(viol.argmax())
-    return k if viol[k] > feas_tol else None
+    try:
+        return math.ldexp(float(n * n * max(m_bound, 1)), -52)
+    except OverflowError:
+        return math.inf
 
 
-def _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init, target_gap,
-                        cap, feas_tol, lb_init=-math.inf,
-                        record_history=False) -> CutEngineState:
-    """Deep-cut ellipsoid method over {z : A z <= b}.
+def _box_min(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a) -> float:
+    """min c.z over {lo <= z <= hi, a.z <= 1}; a is None for the box alone.
 
-    phi_fn must be convex on the feasible set and the feasible set must
-    contain a minimizer inside the initial ball.  The certified lower bound
-    is the running max over objective cuts of the cut's affine minorant
-    minimized over the localizer at cut time (valid because the localizer
-    always contains a constrained minimizer and only shrinks).  Feasibility
-    cuts take the most violated row and have priority over objective cuts.
+    The Lagrangian dual in the hyperplane's multiplier mu >= 0 is
+    q(mu) = -mu + sum_i min((c_i + mu a_i) lo_i, (c_i + mu a_i) hi_i): concave,
+    piecewise linear, with kinks at mu = -c_i/a_i.  Its maximum over
+    mu >= 0 lies at 0 or at a positive kink and equals the LP minimum.  Each
+    q(mu) is a lower bound by weak duality, so a rounded kink only loosens
+    the bound.  O(m^2): every kink is evaluated in one array expression.
     """
-    m = len(c0)
-    v0, _ = phi_fn(np.asarray(z_init, dtype=np.float64))
-    best = float(v0)
-    best_point = np.asarray(z_init, dtype=np.float64).copy()
-    lb = float(lb_init)
-    evals = 1
-
-    if m == 0:
-        return CutEngineState(best_point, best, best, 0.0, 0, True,
-                              oracle_evals=evals)
-
-    interval = m == 1
-    if interval:
-        lo, hi = float(c0[0] - radius), float(c0[0] + radius)
+    mu = np.zeros(1)
+    if a is not None:
+        nz = a != 0
+        kinks = -c[nz] / a[nz]
+        mu = np.concatenate((mu, kinks[kinks > 0]))
+        coef = c + mu[:, None] * a
     else:
-        c = np.asarray(c0, dtype=np.float64).copy()
-        P = np.eye(m) * float(radius) ** 2
+        coef = c[None, :]
+    return float((np.minimum(coef * lo, coef * hi).sum(axis=1) - mu).max())
 
-    it = 0
-    fcuts = ocuts = 0
+
+_NEWTON_CAP = 100
+_CENTER_TOL = 0.25  # Newton decrement lambda^2 at which a center is accepted
+_SHIFT = 0.5        # a shifted row clears the center by this many Dikin widths
+
+
+def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
+    """Weighted analytic center of {y : A y <= b}: argmax sum_k omega_k log(b - A y)_k.
+
+    Newton's method from a strictly feasible y.  While the Newton decrement
+    lambda^2 is above _CENTER_TOL, a backtracking line search on the barrier
+    starts at the largest step that keeps every slack positive; below it,
+    lambda <= 1/2 and the full step stays inside the Dikin ellipsoid of this
+    self-concordant barrier, so it is taken and the point returned.
+    Returns (y, s, H, steps), with s > 0 the slacks and H the last Newton
+    matrix, or None when a step fails or H is singular.
+    """
+    s = b - A @ y
+    if not s.min() > 0.0:
+        return None
+    val = None
+    for step in range(1, _NEWTON_CAP + 1):
+        w = omega / s
+        grad = A.T @ w
+        H = (A.T * (w / s)) @ A
+        try:
+            dy = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        dec = -float(grad @ dy)
+        if not math.isfinite(dec):
+            return None
+        As = A @ dy
+        if dec <= _CENTER_TOL:
+            y = y + dy
+            s = s - As
+            return (y, s, H, step) if s.min() > 0.0 else None
+        if val is None:
+            val = -float(omega @ np.log(s))
+        # the largest step keeping s - t As > 0, backed off by 1%, capped at 1
+        t = 0.99 / max(float((As / s).max()), 0.99)
+        while True:
+            s1 = s - t * As
+            if s1.min() > 0.0:
+                val1 = -float(omega @ np.log(s1))
+                if val1 <= val - 0.01 * t * dec:
+                    break
+            t *= 0.5
+            if t < 1e-10:
+                return None
+        y = y + t * dy
+        s, val = s1, val1
+    return None
+
+
+def _accpm(phi_fn, lo, hi, a, z_init, target_gap, cap,
+           resolution) -> CutEngineState:
+    """Minimize a convex phi over Z = {lo <= z <= hi, a.z <= 1} by ACCPM.
+
+    Epigraph form over y = (z, t): the box and the hyperplane are barrier
+    rows, one row t <= best holds the best value found, and every query z_j
+    adds the cut g_j.z - t <= g_j.z_j - phi_j.  The next query is the z part
+    of the localizer's analytic center.  The lower bound weights the cuts by
+    their centering duals, a convex combination of minorants of phi, and
+    minimizes it over Z exactly (`_box_min`); any nonnegative weights give a
+    valid bound, so inexact centering can only weaken it.
+
+    Each centering starts from the previous center.  A row that center
+    violates or nearly touches (the new cut, the t row after best improved)
+    enters shifted outward to clear it by half a Dikin width: a shifted row
+    is a weaker but still valid row, so every Newton start is strictly
+    feasible and close to the new center, and the row returns toward its
+    true place at later centers.
+
+    phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
+    best - lb <= target_gap; stalled at once, with 0 cuts, when the target
+    is below the float resolution of phi, and later when neither best nor
+    lb moves for a window of cuts or a centering fails; past `cap` cuts it
+    raises IterationCapExceeded carrying the state.
+    """
+    m = len(lo)
+    z0 = np.asarray(z_init, dtype=np.float64).copy()
+    v0, g0 = phi_fn(z0)
+    scale = max(1.0, abs(float(v0)))
+    best = float(v0) / scale
+    best_point = z0
+    lb = -math.inf
+    it = newton = 0
     converged = stalled = False
-    window = 4 * m * (m + 1) + 300
-    mark_lb, mark_best, mark_it = lb, best, 0
-    history = []
 
     def state() -> CutEngineState:
-        return CutEngineState(best_point.copy(), best, lb, max(0.0, best - lb),
-                              it, converged, stalled, fcuts, ocuts, evals,
-                              history)
+        return CutEngineState(best_point.copy(), best * scale, lb * scale,
+                              max(0.0, best - lb) * scale, it, converged,
+                              stalled, 0, it, newton)
 
-    while True:
-        center = np.array([(lo + hi) / 2.0]) if interval else c
+    if m == 0:
+        lb = best
+        converged = True
+        return state()
+    if resolution >= target_gap:
+        stalled = True
+        return state()
+    tgt = target_gap / scale
 
-        cut = _most_violated(A, b, center, feas_tol)
-        if cut is None:
-            val, graw = phi_fn(center)
-            evals += 1
-            val = float(val)
-            if math.isfinite(val) and val < best:
-                best = val
-                best_point = center.copy()
-            if interval:
-                gpg = (float(graw[0]) * (hi - lo) / 2.0) ** 2
-            else:
-                Pg = P @ graw
-                gpg = float(graw @ Pg)
-            if gpg > 0 and math.isfinite(gpg):
-                lb = max(lb, val - math.sqrt(gpg))
-            if best - lb <= target_gap:
-                converged = True
-                break
-            g = graw
-            beta = best - val  # minimizer satisfies g.(z - c) <= best - val
-            ocuts += 1
-        else:
-            g = A[cut]
-            # feasible points satisfy g.(z - c) <= b - g.c; the row's own dot
-            # product keeps beta bit-identical to a per-row evaluation
-            beta = float(b[cut]) - float(g @ center)
-            fcuts += 1
+    # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= -lo_i,
+    # z_i <= hi_i, then a.z <= 1, then t <= best, then one row per cut
+    n_fixed = 2 * m + (a is not None) + 1
+    A = np.zeros((n_fixed + cap + 1, m + 1))
+    b = np.zeros(n_fixed + cap + 1)
+    A[0:m, :m] = -np.eye(m)
+    b[0:m] = -lo
+    A[m:2 * m, :m] = np.eye(m)
+    b[m:2 * m] = hi
+    if a is not None:
+        na = float(np.linalg.norm(a))
+        A[2 * m, :m] = a / na
+        b[2 * m] = 1.0 / na
+    t_row = n_fixed - 1
+    A[t_row, m] = 1.0
+    b[t_row] = best
+    k = n_fixed
 
-        ng = math.sqrt(float(g @ g))
-        if not math.isfinite(ng) or ng <= 0.0:
+    b_true = b.copy()  # b >= b_true: a shifted row is weaker, still valid
+
+    def add_cut(z, v, g):
+        nonlocal k
+        g = g / scale
+        nrm = math.sqrt(float(g @ g) + 1.0)
+        A[k, :m] = g / nrm
+        A[k, m] = -1.0 / nrm
+        b_true[k] = (float(g @ z) - v / scale) / nrm
+        b[k] = math.inf
+        k += 1
+
+    def bound(w):
+        # w >= 0 on the cut rows: their sum is t >= (w.A_z z - w.b) / W with
+        # W = -w.A_t, a convex combination of the cuts' minorants of phi
+        rows = A[n_fixed:k]
+        W = -float(w @ rows[:, m])
+        c = (w @ rows[:, :m]) / W
+        return _box_min(c, lo, hi, a) - float(w @ b_true[n_fixed:k]) / W
+
+    def shift(y, H):
+        # a row the center y does not clear by _SHIFT Dikin widths
+        # sqrt(a H^-1 a) (widths 1 before the first center) moves out to do
+        # so, never inside its true place and never further out than before,
+        # so y stays strictly feasible and Newton starts near the new center
+        rows = np.flatnonzero(b[:k] > b_true[:k])
+        Ar = A[rows]
+        width = 1.0 if H is None else np.sqrt(
+            np.einsum("ij,ji->i", Ar, np.linalg.solve(H, Ar.T)))
+        b[rows] = np.minimum(b[rows],
+                             np.maximum(b_true[rows], Ar @ y + _SHIFT * width))
+
+    add_cut(z0, float(v0), g0)
+    lb = bound(np.ones(1))
+    # z_init is strictly inside Z; the t row and the first cut both pass
+    # through (z_init, best), so they start shifted
+    y = np.append(z0, best)
+    b[t_row] = math.inf
+    omega = np.ones(len(b))
+    shift(y, None)
+    window = 4 * (m + 1) + 20
+    mark_best, mark_lb, mark_it = best, lb, 0
+    while best - lb > tgt:
+        if it >= cap:
+            raise IterationCapExceeded(f"cutting-plane cap {cap} hit", state())
+        # weighting the t row by sqrt(k (m + 1)) over k rows pulls the center
+        # toward the minimum of the cut model, so the centering duals bound
+        # phi well; weights 1 and m + 1 stalled or hit the cap, and k and
+        # 2 (m + 1) took 10-30% more cuts on the benchmark workloads
+        omega[t_row] = math.sqrt(k * (m + 1))
+        out = _center(A[:k], b[:k], omega[:k], y)
+        if out is None:
             stalled = True
             break
-        g = g / ng
-        beta = min(beta / ng, 0.0)
-
-        if interval:
-            r = (hi - lo) / 2.0
-            cmid = (lo + hi) / 2.0
-            if r <= 0.0:
-                stalled = True
-                break
-            if g[0] > 0:
-                hi = min(hi, cmid + beta)
-            else:
-                lo = max(lo, cmid - beta)
-            if hi < lo:
-                stalled = True
-                break
-        else:
-            Pg = P @ g
-            gpg = float(g @ Pg)
-            if gpg <= 0.0 or not math.isfinite(gpg):
-                stalled = True
-                break
-            sq = math.sqrt(gpg)
-            gamma = -beta / sq
-            if gamma >= 1.0:
-                # the half-space misses the whole localizer: numerically done
-                stalled = True
-                break
-            tau = (1.0 + m * gamma) / (m + 1.0)
-            delta = (m * m / (m * m - 1.0)) * (1.0 - gamma * gamma)
-            sigma = 2.0 * (1.0 + m * gamma) / ((m + 1.0) * (1.0 + gamma))
-            c = c - tau * Pg / sq
-            P = delta * (P - sigma * (Pg[:, None] * Pg) / gpg)
-            P = (P + P.T) / 2.0
-            if not np.isfinite(P).all():
-                stalled = True
-                break
-
+        y, s, H, steps = out
+        newton += steps
+        lb = max(lb, bound(1.0 / s[n_fixed:]))
+        if best - lb <= tgt:
+            break
+        z = np.clip(y[:m], lo, hi)
+        v, g = phi_fn(z)
+        v = float(v)
         it += 1
-        if record_history:
-            if interval:
-                logvol = math.log(max(hi - lo, 1e-300))
-            else:
-                sign, logdet = np.linalg.slogdet(P)
-                logvol = 0.5 * logdet if sign > 0 else -math.inf
-            history.append((it, logvol, best, lb))
-
-        prog = max(1e-13 * max(1.0, abs(best)), 1e-300)
-        if lb > mark_lb + prog or best < mark_best - prog:
-            mark_lb, mark_best, mark_it = lb, best, it
+        if (a is None or float(a @ z) <= 1.0) and v / scale < best:
+            best = v / scale
+            best_point = z
+            b_true[t_row] = best
+        add_cut(z, v, g)
+        shift(y, H)
+        prog = 1e-13 * max(1.0, abs(best))
+        if best < mark_best - prog or lb > mark_lb + prog:
+            mark_best, mark_lb, mark_it = best, lb, it
         elif it - mark_it > window:
             stalled = True
             break
-        if it >= cap:
-            raise IterationCapExceeded(f"cutting-plane cap {cap} hit", state())
-
+    converged = best - lb <= tgt
     return state()
 
 
-def cutting_plane_minimize(phi_fn, prob: ReducedProblem, target_gap,
-                           *, box_hint: Fraction | None = None,
-                           record_history: bool = False) -> CutEngineState:
+def unit_box(prob: ReducedProblem) -> np.ndarray:
+    """Upper corner u of the search box 0 <= z <= u.
+
+    u_i = 1, or u_i = 1/d_i when no entry of d is negative (u_i = 1 where
+    d_i = 0).  The box holds the minimizer of the perturbed objective: f >= 0,
+    so f + eps is positive on every nonempty set and the extension is
+    positive along every ray of the slice {x >= 0, d.x = 1}; it is linear
+    between the slice's vertices 1_S/d(S), so its minimum sits at one, and
+    d(S) is a positive integer.  Every coordinate of such a vertex is
+    1/d(S) <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative, since
+    then d(S) >= d_i for every i in S.
+    """
+    all_nonneg = all(v >= 0 for v in prob.d_rest)
+    return np.array([1.0 / di if all_nonneg and di > 0 else 1.0
+                     for di in prob.d_rest])
+
+
+def cutting_plane_minimize(phi_fn, prob: ReducedProblem,
+                           target_gap) -> CutEngineState:
     """Minimize the reduced objective over the dual domain to a certified gap.
 
-    phi_fn: callable z -> (float value, float subgradient).  The initial ball
-    circumscribes a per-coordinate box that provably contains a minimizer of
-    the perturbed objective; on numerical stall the state is returned with
-    certified_gap above target (callers restore exactness by rounding).
+    phi_fn: callable z -> (float value, float subgradient).  The domain is
+    {0 <= z <= unit_box(prob), d_rest.z <= 1}, which holds the minimizer of
+    the perturbed objective.  The cap is of order m ln(kappa) cuts.  On a
+    stall the state is returned with certified_gap above target (callers
+    restore exactness by rounding).
     """
     m = prob.omega_dim
     norm1 = prob.direction.norm1
-
-    def to_float(fr):
-        try:
-            return float(fr)
-        except OverflowError:
-            return math.inf
-
-    r_box = to_float(prob.r_box)
-    hint = to_float(box_hint) if box_hint is not None else math.inf
-    all_nonneg = all(v >= 0 for v in prob.d_rest)
-    u = np.empty(m)
-    for i, di in enumerate(prob.d_rest):
-        cand = r_box
-        if all_nonneg and di > 0:
-            cand = min(cand, 1.0 / di)
-        u[i] = min(cand, hint)
-    if m and (not np.isfinite(u).all() or u.min() <= 0):
-        raise InvariantViolation("degenerate search box")
-
-    # rows 2i, 2i+1: -z_i <= 0 and z_i <= u_i; last row: d_rest.z <= 1
-    A = np.zeros((2 * m + 1, m))
-    A[0:2 * m:2] = -np.eye(m)
-    A[1:2 * m:2] = np.eye(m)
-    A[2 * m] = prob.d_rest
-    b = np.zeros(2 * m + 1)
-    b[1:2 * m:2] = u
-    b[2 * m] = 1.0
-
-    z_init = np.full(m, min(1.0 / (2.0 * norm1), float(u.min()) / 2.0 if m else 1.0))
-    c0 = u / 2.0
-    radius = float(np.linalg.norm(u / 2.0)) * (1.0 + 1e-9) + 1e-12
-
-    ln_kappa = (math.log(prob.direction.n) + _ln_fraction(prob.r_box)
-                - _ln_fraction(prob.alpha) + math.log(norm1))
-    cap = int(8 * m * m * max(ln_kappa, 1.0)) + 1000
-
-    feas_tol = 1e-9 * max(1.0, float(norm1))
-    lb_init = to_float(prob.eps / norm1)  # phi_eps >= eps * ||x||_inf >= eps/||d||_1
-    return _ellipsoid_minimize(phi_fn, A, b, c0, radius, z_init,
-                               float(target_gap), cap, feas_tol,
-                               lb_init=lb_init, record_history=record_history)
+    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
+    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
+    m_bound = prob.r_box * prob.eps / 2
+    return _accpm(phi_fn, np.zeros(m), unit_box(prob), a,
+                  np.full(m, 1.0 / (2.0 * norm1)), float(target_gap),
+                  prob.cut_cap, float_resolution(prob.direction.n, m_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +454,8 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     prob = ReducedProblem.for_instance(f, d)
     f_eps = perturb(f, prob.eps)
     phi_fn = _phi_oracle(f_eps, prob)
-    box_hint = (u + prob.eps) / prob.eps + 1
     try:
-        state = cutting_plane_minimize(phi_fn, prob, float(prob.eps / 4),
-                                       box_hint=box_hint)
+        state = cutting_plane_minimize(phi_fn, prob, float(prob.eps / 4))
     except IterationCapExceeded as exc:
         state = exc.state  # rounding below restores exactness regardless
 
@@ -409,19 +499,14 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         prob = ReducedProblem.for_instance(f, d)
         m = prob.omega_dim
         bound = 1.0 + abs(1.0 / d_full)
-        # rows 2i, 2i+1: z_i <= bound and -z_i <= bound
-        A = np.zeros((2 * m, m))
-        A[0::2] = np.eye(m)
-        A[1::2] = -np.eye(m)
-        z_init = np.full(m, 1.0 / d_full)
-        phi_fn = _phi_oracle(f, prob)
-        eps = float(ladder_spacing(d))
-        state = _ellipsoid_minimize(
-            phi_fn, A, np.full(2 * m, bound), np.zeros(m),
-            bound * math.sqrt(m) * 1.01 + 1e-9,
-            z_init, eps / 4,
-            cap=int(8 * m * m * 60) + 1000,
-            feas_tol=1e-9 * max(1.0, float(d.norm1)))
+        eps = float(prob.eps)
+        try:
+            state = _accpm(_phi_oracle(f, prob), np.full(m, -bound),
+                           np.full(m, bound), None, np.full(m, 1.0 / d_full),
+                           eps / 4, prob.cut_cap,
+                           float_resolution(f.n, f.m_bound))
+        except IterationCapExceeded as exc:
+            state = exc.state
         engine_iterations = state.iterations
         if abs(state.best_value - float(lam)) > eps + 1e-6 * max(1.0, abs(float(lam))):
             raise InvariantViolation(

@@ -84,12 +84,11 @@ class DenseLovasz:
         self.n = oracle.n
         self.table = oracle.dense_table().astype(np.float64)
         self.eps = float(eps)
-        self._idx = np.arange(self.n)
         self._bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
 
     def _order(self, x: np.ndarray) -> np.ndarray:
         # descending x, ties by ascending index (matches greedy_order)
-        return np.lexsort((self._idx, -x))
+        return np.argsort(-x, kind="stable")
 
     def value_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         order = self._order(x)

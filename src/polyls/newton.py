@@ -56,8 +56,9 @@ def dual_point(tight_set: SubsetMask, d: Direction) -> tuple[Fraction, ...]:
     den = d.of(tight_set)
     if den == 0:
         raise InvariantViolation("tight set with d(S) = 0 has no dual witness")
-    return tuple(Fraction(1, den) if i in tight_set else Fraction(0)
-                 for i in range(d.n))
+    # two shared immutable entries, not n: a held result stays small
+    inside, outside = Fraction(1, den), Fraction(0)
+    return tuple(inside if i in tight_set else outside for i in range(d.n))
 
 
 def _result(f, d, lam, tight, method, **kw) -> LineSearchResult:

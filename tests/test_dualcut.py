@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,11 +9,11 @@ import pytest
 from polyls import (Direction, ReducedProblem, bruteforce_linesearch,
                     cutting_plane_minimize, evaluate, lift_point, make_family,
                     perturb, solve_dual, solve_dual_base, verify_lifting)
-from polyls.dualcut import _phi_oracle
-from polyls.errors import InfeasibleBaseLineSearch
+from polyls.dualcut import _box_min, _phi_oracle, float_resolution, unit_box
+from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
 from polyls.newton import upper_bound
-from polyls.oracles import ExplicitTable, infinity_norm
+from polyls.oracles import ExplicitTable, IntervalGeometric, infinity_norm
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
 
@@ -111,81 +112,154 @@ def test_engine_zero_dimensional():
     assert state.best_point.shape == (0,)
 
 
-def test_engine_certifies_against_bruteforce_dual():
+def _perturbed_optimum(f, d, eps):
+    """Exact min over d(S) > 0 of (f(S) + eps)/d(S), and every set attaining it."""
+    table = f.dense_table().tolist()
+    ratios = {m: Fraction(table[m] + eps, 1) / d.of(m)
+              for m in range(1, 1 << f.n) if d.of(m) > 0}
+    star = min(ratios.values())
+    return star, [m for m, r in ratios.items() if r == star]
+
+
+def _run_engine(f, d, target=None):
+    prob = ReducedProblem.for_instance(f, d)
+    f_eps = perturb(f, prob.eps)
+    target = float(prob.eps) / 4 if target is None else target
+    return prob, cutting_plane_minimize(_phi_oracle(f_eps, prob), prob, target)
+
+
+def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
+    prob = ReducedProblem.for_instance(two_elem, d34)
+    fn = _phi_oracle(perturb(two_elem, prob.eps), prob)
+    monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
+    with pytest.raises(IterationCapExceeded) as exc:
+        cutting_plane_minimize(fn, prob, 1e-12)
+    state = exc.value.state
+    assert state.iterations == state.objective_cuts == 3
+    assert not state.converged and not state.stalled
+    assert math.isfinite(state.best_value)
+    assert state.lower_bound <= state.best_value
+    assert state.best_point.shape == (1,)
+
+
+def test_engine_certifies_against_bruteforce_dual(monkeypatch):
     for inst in iter_instances(3, seed=233, n_max=8, n_min=2):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
-        f_eps = perturb(f, prob.eps)
+        prob, state = _run_engine(f, d)
         target = float(prob.eps) / 4
-        state = cutting_plane_minimize(_phi_oracle(f_eps, prob), prob, target,
-                                       record_history=True)
         assert state.converged and state.certified_gap <= target
         # engine brackets the true perturbed optimum
-        table = f.dense_table()
-        star_eps = min(Fraction(table[m] + prob.eps * 1, 1) / d.of(m)
-                       for m in range(1, 1 << f.n) if d.of(m) > 0)
+        star_eps, _ = _perturbed_optimum(f, d, prob.eps)
         slack = 1e-7 * max(1.0, abs(float(star_eps)))
         assert state.best_value >= float(star_eps) - slack
         assert state.lower_bound <= float(star_eps) + slack
         # feasibility of the reported point
-        tol = 1e-9 * max(1.0, d.norm1)
-        assert (state.best_point >= -tol).all()
-        assert float(np.dot(prob.d_rest, state.best_point)) <= 1 + tol
-        # localizer volume never grows
-        vols = [h[1] for h in state.history]
-        for a, b in zip(vols, vols[1:]):
-            assert b <= a + 1e-9
+        assert (state.best_point >= 0).all()
+        assert (state.best_point <= unit_box(prob)).all()
+        assert float(np.dot(prob.d_rest, state.best_point)) <= 1
+        assert state.feasibility_cuts == 0
+        assert state.objective_cuts == state.iterations
+        # the engine is deterministic, so capping it after j cuts shows its
+        # state after cut j: the lower bound never falls, best never rises
+        trail = []
+        for cap in range(state.iterations):
+            monkeypatch.setattr(ReducedProblem, "cut_cap",
+                                property(lambda self, cap=cap: cap))
+            with pytest.raises(IterationCapExceeded) as exc:
+                _run_engine(f, d)
+            trail.append(exc.value.state)
+        monkeypatch.undo()
+        trail.append(state)
+        assert [s.iterations for s in trail] == list(range(len(trail)))
+        for s0, s1 in zip(trail, trail[1:]):
+            assert s1.lower_bound >= s0.lower_bound
+            assert s1.best_value <= s0.best_value
 
 
-def test_engine_cap_carries_state(two_elem, d34):
-    from polyls.dualcut import _ellipsoid_minimize
-    from polyls.errors import IterationCapExceeded
-    prob = ReducedProblem.for_instance(two_elem, d34)
-    fn = _phi_oracle(perturb(two_elem, prob.eps), prob)
-    A, b = np.array([[-1.0], [3.0]]), np.array([0.0, 1.0])
-    with pytest.raises(IterationCapExceeded) as exc:
-        _ellipsoid_minimize(fn, A, b, np.array([0.2]), 0.5, np.array([0.1]),
-                            target_gap=0.0, cap=3, feas_tol=1e-9)
-    state = exc.value.state
-    assert state.iterations == 3
-    assert math.isfinite(state.best_value)
-    assert state.best_point.shape == (1,)
+def test_converged_engine_brackets_perturbed_optimum():
+    # the ellipsoid engine this one replaced reported converged with a
+    # wrong bracket on these two (it evaluated phi outside z >= 0)
+    cases = [(make_family(IntervalGeometric(6)), Direction((8, -9, -5, 0, 0, 0))),
+             (make_family(IntervalGeometric(6)), Direction((-7, -5, 9, 7, 2, 3)))]
+    cases += [inst.build() for inst in iter_instances(7, seed=4321, n_max=8, n_min=2)]
+    converged = 0
+    for f, d in cases:
+        prob, state = _run_engine(f, d)
+        if not state.converged:
+            continue
+        converged += 1
+        star_eps, _ = _perturbed_optimum(f, d, prob.eps)
+        slack = 1e-7 * max(1.0, abs(float(star_eps)))
+        assert state.lower_bound <= float(star_eps) + slack
+        assert float(star_eps) <= state.best_value + slack
+    assert converged >= 30
 
 
-def test_cut_selection_matches_per_row_loop():
-    from polyls.dualcut import _most_violated
+def test_resolution_exit_stalls_without_cuts():
+    f = make_family(IntervalGeometric(14))  # M around 10^53
+    d = Direction((3, -2, 5, 1, -4, 2, 2, 7, -1, 6, 1, -3, 4, 2))
+    prob, state = _run_engine(f, d)
+    assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 4
+    assert state.stalled and not state.converged
+    assert state.iterations == state.objective_cuts == 0
+    assert state.newton_steps == 0
+    assert solve_dual(f, d).lambda_star == bruteforce_linesearch(f, d).lambda_star
 
-    def reference(A, b, center, feas_tol):
-        # per-row reference: strictly most violated row, first index on ties
-        pick, worst = None, feas_tol
-        for k, (a, bk) in enumerate(zip(A, b)):
-            viol = float(a @ center - bk)
-            if viol > worst:
-                pick, worst = k, viol
-        return pick
 
-    rng = np.random.default_rng(31)
+def test_unit_box_holds_perturbed_minimizer():
+    for inst in iter_instances(6, seed=808, n_max=8, n_min=2):
+        f, d = inst.build()
+        prob = ReducedProblem.for_instance(f, d)
+        hi = unit_box(prob)
+        _, minimizers = _perturbed_optimum(f, d, prob.eps)
+        for mask in minimizers:
+            x = [Fraction(1, d.of(mask)) if mask >> i & 1 else Fraction(0)
+                 for i in range(f.n)]
+            z = x[:prob.pivot] + x[prob.pivot + 1:]
+            assert all(0 <= zi <= ui * (1 + 1e-12) for zi, ui in zip(z, hi))
+
+
+def _lp_min_by_vertices(c, lo, hi, a):
+    """min c.z over {lo <= z <= hi, a.z <= 1} by enumerating its vertices:
+    every coordinate at a bound, or all but one at a bound and a.z = 1."""
+    m = len(c)
+    best = math.inf
+    for corner in itertools.product((0, 1), repeat=m):
+        z = np.where(np.array(corner) == 1, hi, lo)
+        if a is None or a @ z <= 1 + 1e-12:
+            best = min(best, float(c @ z))
+        if a is None:
+            continue
+        for i in range(m):
+            if a[i] == 0:
+                continue
+            rest = a @ z - a[i] * z[i]
+            zi = (1 - rest) / a[i]
+            if lo[i] - 1e-12 <= zi <= hi[i] + 1e-12:
+                w = z.copy()
+                w[i] = zi
+                best = min(best, float(c @ w))
+    return best
+
+
+def test_box_bound_matches_vertex_enumeration():
+    rng = np.random.default_rng(404)
     for trial in range(300):
         m = 1 + trial % 6
-        A = np.zeros((2 * m + 1, m))
-        A[0:2 * m:2] = -np.eye(m)
-        A[1:2 * m:2] = np.eye(m)
-        A[2 * m] = rng.integers(-9, 10, size=m)
-        b = np.zeros(2 * m + 1)
-        b[1:2 * m:2] = rng.integers(1, 4, size=m)
-        b[2 * m] = 1.0
-        center = rng.normal(scale=3.0, size=m)
-        if trial % 3 == 0:
-            # integral centers make equal violations common: -z_i <= 0 rows
-            # and z_i <= b_i rows tie exactly across coordinates
-            center = rng.integers(-3, 5, size=m).astype(float)
-        assert _most_violated(A, b, center, 1e-9) == reference(A, b, center, 1e-9)
-
-    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
-    b = np.array([0.0, 0.0, 1.0])
-    assert _most_violated(A, b, np.array([-2.0, -2.0]), 1e-9) == 0  # exact tie
-    assert _most_violated(A, b, np.array([0.25, 0.25]), 1e-9) is None
-    assert reference(A, b, np.array([0.25, 0.25]), 1e-9) is None
+        c = rng.normal(size=m) * rng.choice([1.0, 1e-3, 1e3])
+        if trial % 4 == 0:
+            c = rng.integers(-2, 3, size=m).astype(float)  # ties and zeros
+        a = rng.integers(-9, 10, size=m).astype(float)
+        if trial % 5 == 0:
+            lo, hi, a = -np.ones(m) * 1.5, np.ones(m) * 1.5, None
+        else:
+            lo = np.zeros(m)
+            hi = np.where(a > 0, 1 / np.maximum(a, 1), 1.0) if trial % 2 else np.ones(m)
+            if not a.any():
+                a = None
+        want = _lp_min_by_vertices(c, lo, hi, a)
+        got = _box_min(c, lo, hi, a)
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_perturb_is_lazy():

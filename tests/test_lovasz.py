@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyls import (DenseLovasz, SubmodularOracle, evaluate, greedy_order,
-                    subgradient)
+from polyls import (DenseLovasz, ExplicitTable, SubmodularOracle, evaluate,
+                    greedy_order, make_family, subgradient)
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
 
@@ -31,6 +31,15 @@ def test_greedy_order_tie_break():
 def test_greedy_order_sorts_descending(xs):
     perm = greedy_order(xs).perm
     assert sorted(xs, reverse=True) == [xs[i] for i in perm]
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+def test_dense_order_matches_greedy_order_with_ties(xs):
+    # few distinct values, so most draws have ties (and -0.0 next to 0.0)
+    x = np.array(xs, dtype=np.float64) * 0.5
+    lov = DenseLovasz(make_family(ExplicitTable((0,) * (1 << len(xs)))))
+    assert tuple(lov._order(x).tolist()) == greedy_order(x.tolist()).perm
+    assert tuple(lov._order(-x).tolist()) == greedy_order((-x).tolist()).perm
 
 
 def test_worked_values(two_elem):
