@@ -121,11 +121,11 @@ def _perturbed_optimum(f, d, eps):
     return star, [m for m, r in ratios.items() if r == star]
 
 
-def _run_engine(f, d, target=None):
+def _run_engine(f, d):
     prob = ReducedProblem.for_instance(f, d)
     f_eps = perturb(f, prob.eps)
-    target = float(prob.eps) / 4 if target is None else target
-    return prob, cutting_plane_minimize(_phi_oracle(f_eps, prob), prob, target)
+    return prob, cutting_plane_minimize(_phi_oracle(f_eps, prob), prob,
+                                        float(prob.eps) / 4)
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
@@ -177,8 +177,8 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
 
 
 def test_converged_engine_brackets_perturbed_optimum():
-    # the ellipsoid engine this one replaced reported converged with a
-    # wrong bracket on these two (it evaluated phi outside z >= 0)
+    # an engine that evaluates phi outside z >= 0 reports converged with a
+    # wrong bracket on these two
     cases = [(make_family(IntervalGeometric(6)), Direction((8, -9, -5, 0, 0, 0))),
              (make_family(IntervalGeometric(6)), Direction((-7, -5, 9, 7, 2, 3)))]
     cases += [inst.build() for inst in iter_instances(7, seed=4321, n_max=8, n_min=2)]
@@ -196,7 +196,7 @@ def test_converged_engine_brackets_perturbed_optimum():
 
 
 def test_resolution_exit_stalls_without_cuts():
-    f = make_family(IntervalGeometric(14))  # M around 10^53
+    f = make_family(IntervalGeometric(14))  # M around 10^63
     d = Direction((3, -2, 5, 1, -4, 2, 2, 7, -1, 6, 1, -3, 4, 2))
     prob, state = _run_engine(f, d)
     assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 4
