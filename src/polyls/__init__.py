@@ -16,7 +16,7 @@ from .newton import (BinarySearchResult, LineSearchResult, NewtonTrace,
 from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                       Direction, ExplicitTable, IntervalGeometric,
                       SubmodularOracle, WeightedCoverage, check_oracle,
-                      infinity_norm, lift, make_family, newton_scale, perturb,
+                      infinity_norm, lift, make_family, newton_scale,
                       submodularity_witness, translate)
 from .sfm import (MembershipResult, SfmResult, membership, minimize,
                   minimize_bruteforce, minimize_mnp)

@@ -1,8 +1,9 @@
 """Command-line front end: gen / solve / verify / bench.
 
 Exit codes: 0 ok, 1 input error, 2 solver error, 3 verification mismatch.
-LINESEARCH_THREADS > 1 parallelizes verify/bench across instances with a
-process pool; output order stays deterministic either way.
+LINESEARCH_THREADS > 1 fans `verify` out across instances with a process
+pool (`bench` always runs in one process); output order stays deterministic
+either way.
 """
 
 from __future__ import annotations

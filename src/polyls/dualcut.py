@@ -28,7 +28,7 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
 from .lovasz import DenseLovasz, evaluate
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, ladder_spacing, upper_bound)
-from .oracles import Direction, SubmodularOracle, perturb
+from .oracles import Direction, SubmodularOracle
 from .sfm import membership
 from .subsets import SubsetMask
 
@@ -37,18 +37,15 @@ from .subsets import SubsetMask
 class ReducedProblem:
     """The (n-1)-dimensional dual domain after eliminating the pivot coordinate.
 
-    eps is the ladder spacing 1/||d||_1^2; r_box = 2M/eps bounds the sup-norm
-    of the perturbed minimizer; alpha = eps/(2M^2) is the relative accuracy
-    that makes the absolute gap O(eps).  M is clamped to >= 1 so the budget
-    formulas stay finite for the zero function.
+    eps is the ladder spacing 1/||d||_1^2 and m_bound the oracle's bound M on
+    every |f(S)|.
     """
 
     pivot: int
     omega_dim: int
     d_rest: tuple[int, ...]
     eps: Fraction
-    r_box: Fraction
-    alpha: Fraction
+    m_bound: int
     direction: Direction
 
     @classmethod
@@ -56,14 +53,11 @@ class ReducedProblem:
         pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
         if d.d[pivot] <= 0:
             raise InvariantViolation("direction lost its positive entry")
-        eps = ladder_spacing(d)
-        m_eff = max(int(f.m_bound), 1)
         return cls(pivot=pivot,
                    omega_dim=d.n - 1,
                    d_rest=tuple(v for i, v in enumerate(d.d) if i != pivot),
-                   eps=eps,
-                   r_box=Fraction(2 * m_eff) / eps,
-                   alpha=eps / (2 * m_eff * m_eff),
+                   eps=ladder_spacing(d),
+                   m_bound=f.m_bound,
                    direction=d)
 
     @property
@@ -72,10 +66,16 @@ class ReducedProblem:
 
     @property
     def cut_cap(self) -> int:
-        """Cut budget of order m ln(kappa), with kappa = n * r_box * ||d||_1
-        / alpha the ratio of box size to target accuracy."""
-        ln_kappa = (math.log(self.direction.n) + _ln_fraction(self.r_box)
-                    - _ln_fraction(self.alpha) + math.log(self.direction.norm1))
+        """Cut budget of order m ln(kappa), with kappa = 4 n M^3 ||d||_1^5.
+
+        kappa is the ratio n r ||d||_1 / alpha of the box radius
+        r = 2M/eps to the relative accuracy alpha = eps/(2M^2), with
+        eps = 1/||d||_1^2 and M clamped to >= 1 so the zero function keeps
+        a finite budget.
+        """
+        m = max(self.m_bound, 1)
+        d = self.direction
+        ln_kappa = math.log(4 * d.n * m ** 3 * d.norm1 ** 5)
         return int(4 * (self.omega_dim + 1) * max(ln_kappa, 1.0)) + 100
 
 
@@ -89,20 +89,22 @@ def lift_point(z, prob: ReducedProblem) -> list[Fraction]:
     return z[:prob.pivot] + [zeta] + z[prob.pivot:]
 
 
-def _phi_oracle(f_like: SubmodularOracle, prob: ReducedProblem):
-    """Float (value, subgradient) closure over the reduced domain."""
-    n = f_like.n
+def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
+    """Float Lovász extension of f + eps, eps added to every nonempty value
+    so that f(empty) = 0 stays normalized."""
+    if eps <= 0:
+        raise ValueError("perturbation must be positive")
+    return DenseLovasz(f, eps=float(eps))
+
+
+def _phi_oracle(lov: DenseLovasz, prob: ReducedProblem):
+    """Float (value, subgradient) closure of an extension over the reduced
+    domain."""
+    n = lov.n
     pivot = prob.pivot
     rest_idx = np.array([i for i in range(n) if i != pivot], dtype=np.intp)
     d_rest = np.array(prob.d_rest, dtype=np.float64)
     dp = float(prob.d_pivot)
-
-    # a perturbed oracle is read through its base, with eps added in floats
-    base = getattr(f_like, "base", None)
-    if base is None:
-        lov = DenseLovasz(f_like)
-    else:
-        lov = DenseLovasz(base, eps=float(f_like.eps))
 
     def fn(z: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.empty(n)
@@ -138,11 +140,6 @@ class CutEngineState:
     feasibility_cuts: int = 0
     objective_cuts: int = 0
     newton_steps: int = 0
-
-
-def _ln_fraction(x) -> float:
-    x = Fraction(x)
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def float_resolution(n: int, m_bound) -> float:
@@ -237,7 +234,7 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
     return None
 
 
-def _accpm(phi_fn, lo, hi, a, z_init, target_gap, cap,
+def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
            resolution) -> CutEngineState:
     """Minimize a convex phi over Z = {lo <= z <= hi, a.z <= 1} by ACCPM.
 
@@ -264,7 +261,7 @@ def _accpm(phi_fn, lo, hi, a, z_init, target_gap, cap,
     """
     m = len(lo)
     z0 = np.asarray(z_init, dtype=np.float64).copy()
-    v0, g0 = phi_fn(z0)
+    v0, g0 = phi(z0)
     scale = max(1.0, abs(float(v0)))
     best = float(v0) / scale
     best_point = z0
@@ -364,7 +361,7 @@ def _accpm(phi_fn, lo, hi, a, z_init, target_gap, cap,
         if best - lb <= tgt:
             break
         z = np.clip(y[:m], lo, hi)
-        v, g = phi_fn(z)
+        v, g = phi(z)
         v = float(v)
         it += 1
         if (a is None or float(a @ z) <= 1.0) and v / scale < best:
@@ -400,11 +397,11 @@ def unit_box(prob: ReducedProblem) -> np.ndarray:
                      for di in prob.d_rest])
 
 
-def cutting_plane_minimize(phi_fn, prob: ReducedProblem,
+def cutting_plane_minimize(phi, prob: ReducedProblem,
                            target_gap) -> CutEngineState:
     """Minimize the reduced objective over the dual domain to a certified gap.
 
-    phi_fn: callable z -> (float value, float subgradient).  The domain is
+    phi: callable z -> (float value, float subgradient).  The domain is
     {0 <= z <= unit_box(prob), d_rest.z <= 1}, which holds the minimizer of
     the perturbed objective.  The cap is of order m ln(kappa) cuts.  On a
     stall the state is returned with certified_gap above target (callers
@@ -414,10 +411,10 @@ def cutting_plane_minimize(phi_fn, prob: ReducedProblem,
     norm1 = prob.direction.norm1
     # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
     a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
-    m_bound = prob.r_box * prob.eps / 2
-    return _accpm(phi_fn, np.zeros(m), unit_box(prob), a,
+    return _accpm(phi, np.zeros(m), unit_box(prob), a,
                   np.full(m, 1.0 / (2.0 * norm1)), float(target_gap),
-                  prob.cut_cap, float_resolution(prob.direction.n, m_bound))
+                  prob.cut_cap,
+                  float_resolution(prob.direction.n, prob.m_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +449,9 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     before = f.calls
     u = upper_bound(f, d)
     prob = ReducedProblem.for_instance(f, d)
-    f_eps = perturb(f, prob.eps)
-    phi_fn = _phi_oracle(f_eps, prob)
+    phi = _phi_oracle(perturb(f, prob.eps), prob)
     try:
-        state = cutting_plane_minimize(phi_fn, prob, float(prob.eps / 4))
+        state = cutting_plane_minimize(phi, prob, float(prob.eps / 4))
     except IterationCapExceeded as exc:
         state = exc.state  # rounding below restores exactness regardless
 
@@ -501,9 +497,9 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         bound = 1.0 + abs(1.0 / d_full)
         eps = float(prob.eps)
         try:
-            state = _accpm(_phi_oracle(f, prob), np.full(m, -bound),
-                           np.full(m, bound), None, np.full(m, 1.0 / d_full),
-                           eps / 4, prob.cut_cap,
+            state = _accpm(_phi_oracle(DenseLovasz(f), prob),
+                           np.full(m, -bound), np.full(m, bound), None,
+                           np.full(m, 1.0 / d_full), eps / 4, prob.cut_cap,
                            float_resolution(f.n, f.m_bound))
         except IterationCapExceeded as exc:
             state = exc.state

@@ -6,7 +6,8 @@ class PolylsError(Exception):
 
 
 class InvalidInstance(PolylsError):
-    """An instance's declared sizes disagree (n, function, direction, x0)."""
+    """An instance's declared sizes disagree (n, function, direction, x0), or
+    its x0 lies outside P(f)."""
 
 
 class NonSubmodular(PolylsError):

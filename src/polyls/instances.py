@@ -25,6 +25,7 @@ from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                       Direction, ExplicitTable, FamilySpec, IntervalGeometric,
                       SubmodularOracle, WeightedCoverage, make_family,
                       translate)
+from .subsets import SubsetMask
 
 FAMILIES = ("explicit", "coverage", "digraph-cut", "concave-modular",
             "interval-geometric")
@@ -39,7 +40,8 @@ class Instance:
     seed: int | None = None
 
     def build(self) -> tuple[SubmodularOracle, Direction]:
-        """Validated oracle and direction; every size must equal n."""
+        """Validated oracle and direction; every size must equal n, and x0
+        must lie in P(f), so the translated function is nonnegative."""
         oracle = make_family(self.spec)
         sizes = [("function", oracle.n), ("direction", len(self.direction))]
         if self.x0 is not None:
@@ -50,6 +52,11 @@ class Instance:
                     f"n = {self.n} but the {what} has {size} elements")
         if self.x0 is not None:
             oracle = translate(oracle, self.x0)
+            table = oracle.dense_table()
+            s = int(table.argmin())
+            if table[s] < 0:
+                raise InvalidInstance(f"x0 lies outside P(f): x0(S) > f(S) "
+                                      f"at S={SubsetMask(s, self.n)}")
         return oracle, Direction(self.direction)
 
 

@@ -73,7 +73,7 @@ def subgradient(f: SubmodularOracle, x) -> BaseVertex:
 
 
 class DenseLovasz:
-    """Vectorized float evaluate/subgradient for a table-backed oracle.
+    """Vectorized float evaluate/subgradient over an oracle's table.
 
     Supports an additive perturbation of every nonempty value (only the first
     marginal changes).  Oracle reads are charged in blocks of n per query.

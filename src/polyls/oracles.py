@@ -6,8 +6,8 @@ generated families).  Every 2^n table, a direction's subset sums included,
 is built by element doubling (see `subset_sums`): the values on masks that
 contain element k come from those that do not, in one array expression per
 k.  Wrappers produce new oracles for lifting to a larger ground set,
-constant perturbation, modular translation, and the integral rescaling used
-by the parametric solvers.
+modular translation, and the integral rescaling used by the parametric
+solvers.
 """
 
 from __future__ import annotations
@@ -28,66 +28,49 @@ TABLE_N_CAP = 20
 
 
 class SubmodularOracle:
-    """Value oracle for an integral submodular function with f(empty) = 0.
+    """Value oracle for an integral submodular function with f(empty) = 0,
+    backed by its dense table of 2^n values.
 
     The ground set has 1 to TABLE_N_CAP elements; larger sizes raise
-    GroundSetTooLarge here, so a dense table is always within reach.  A
-    table is stored once, as one array in the dtype `table_dtype(m_bound)`
-    picks; an `m_bound` below the table's max |f| is a ValueError.
+    GroundSetTooLarge here.  The table is stored once, as one array in the
+    dtype `table_dtype(m_bound)` picks; an `m_bound` below the table's max
+    |f| is a ValueError.
 
-    `calls` counts value-oracle reads.  Vectorized code paths that read a
-    cached dense table account their reads in blocks via `charge`; building
-    the dense table itself charges 2^n once.  CPython's GIL makes the bare
-    increment safe for the concurrent use the library does.
+    `calls` counts value-oracle reads.  Vectorized code paths that read the
+    table account their reads in blocks via `charge`.  CPython's GIL makes
+    the bare increment safe for the concurrent use the library does.
     """
 
-    def __init__(self, n, fn=None, *, m_bound, family_tag="custom", table=None):
+    def __init__(self, n, table, *, m_bound):
         if n < 1:
             raise ValueError("ground set must be nonempty")
         if n > TABLE_N_CAP:
             raise GroundSetTooLarge(f"ground set n={n} > {TABLE_N_CAP}")
-        if fn is None and table is None:
-            raise ValueError("oracle needs an eval function or a dense table")
         self.n = n
         self.m_bound = m_bound
-        self.family_tag = family_tag
         self.calls = 0
-        self._fn = fn
-        self._table = None
-        if table is not None:
-            try:
-                self._table = np.asarray(table, dtype=table_dtype(m_bound))
-            except OverflowError:
-                raise ValueError(f"m_bound {m_bound} is below max |f|") from None
-            if self._table.max() > m_bound or self._table.min() < -m_bound:
-                raise ValueError(f"m_bound {m_bound} is below max |f|")
+        try:
+            self._table = np.asarray(table, dtype=table_dtype(m_bound))
+        except OverflowError:
+            raise ValueError(f"m_bound {m_bound} is below max |f|") from None
+        if self._table.max() > m_bound or self._table.min() < -m_bound:
+            raise ValueError(f"m_bound {m_bound} is below max |f|")
 
     def eval(self, s):
         """f(S) for S given as a SubsetMask or a raw bit mask."""
         mask = operator.index(s)
         self.calls += 1
-        if self._table is not None:
-            return self._table.item(mask)
-        return self._fn(mask)
+        return self._table.item(mask)
 
     def charge(self, k: int):
         self.calls += k
 
-    @property
-    def has_table(self) -> bool:
-        return self._table is not None
-
     def dense_table(self) -> np.ndarray:
-        """All 2^n values as one array, cached; read-only by contract."""
-        if self._table is None:
-            fn = self._fn
-            self.charge(1 << self.n)
-            self._table = np.array([fn(m) for m in range(1 << self.n)],
-                                   dtype=object)
+        """All 2^n values as one array; read-only by contract."""
         return self._table
 
     def __repr__(self):
-        return f"<{type(self).__name__} {self.family_tag} n={self.n} M<={self.m_bound}>"
+        return f"<{type(self).__name__} n={self.n} M<={self.m_bound}>"
 
 
 @dataclass(frozen=True)
@@ -264,8 +247,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         neg = min(spec.values)
         if neg < 0:
             raise NegativeValue(f"table contains {neg}")
-        oracle = SubmodularOracle(n, m_bound=max(spec.values),
-                                  family_tag="explicit", table=spec.values)
+        oracle = SubmodularOracle(n, spec.values, m_bound=max(spec.values))
         witness = submodularity_witness(oracle.dense_table(), n)
         if witness is not None:
             s, i, j = witness
@@ -296,8 +278,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         for k in range(n):
             halves = within.reshape(-1, 2, 1 << k)
             halves[:, 1] += halves[:, 0]
-        return SubmodularOracle(n, m_bound=m_bound, family_tag="coverage",
-                                table=m_bound - within[::-1])
+        return SubmodularOracle(n, m_bound - within[::-1], m_bound=m_bound)
 
     if isinstance(spec, DirectedGraphCut):
         cap = [[0] * n for _ in range(n)]
@@ -314,8 +295,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
             # and uncuts the arcs from S into k
             table[1 << k:2 << k] = (table[:1 << k] + sum(cap[k]) - subset_sums(
                 [cap[i][k] + cap[k][i] for i in range(k)]))
-        return SubmodularOracle(n, m_bound=m_bound, family_tag="digraph-cut",
-                                table=table)
+        return SubmodularOracle(n, table, m_bound=m_bound)
 
     if isinstance(spec, ConcaveCardinalityPlusModular):
         g = spec.concave
@@ -339,8 +319,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         sizes = subset_sums((1,) * n)
         table = (np.array(g, dtype=table_dtype(m_bound))[sizes]
                  + subset_sums(spec.modular))
-        return SubmodularOracle(n, m_bound=m_bound,
-                                family_tag="concave-modular", table=table)
+        return SubmodularOracle(n, table, m_bound=m_bound)
 
     if n < 1:
         raise ValueError("interval family needs n >= 1")
@@ -359,8 +338,7 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         table[1 << k:2 << k] = table[:1 << k] + gain[start[:1 << k]]
         start[1 << k:2 << k] = start[:1 << k]
         start[:1 << k] = k + 1
-    return SubmodularOracle(n, m_bound=m_bound,
-                            family_tag="interval-geometric", table=table)
+    return SubmodularOracle(n, table, m_bound=m_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -380,46 +358,21 @@ def lift(f: SubmodularOracle, c: int) -> SubmodularOracle:
     ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound))
     table = np.concatenate((ft, ft + c))
     table[-1] = ft[-1]  # the full lifted set keeps f(E)
-    return SubmodularOracle(f.n + 1, m_bound=m_bound,
-                            family_tag=f"lift({f.family_tag})", table=table)
-
-
-def perturb(f: SubmodularOracle, eps: Fraction) -> SubmodularOracle:
-    """Add eps to every nonempty value, keeping f(empty) = 0 normalized.
-
-    Lazy and O(1): values are read through f on demand.  The dual route
-    never reads them; it builds its float extension from `base` and `eps`.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("perturbation must be positive")
-
-    def fn(mask: int) -> Fraction:
-        if mask == 0:
-            return Fraction(0)
-        return Fraction(f.eval(mask)) + eps
-
-    out = SubmodularOracle(f.n, fn, m_bound=Fraction(f.m_bound) + eps,
-                           family_tag=f"perturb({f.family_tag})")
-    out.base = f
-    out.eps = eps
-    return out
+    return SubmodularOracle(f.n + 1, table, m_bound=m_bound)
 
 
 def translate(f: SubmodularOracle, x0) -> SubmodularOracle:
     """f'(S) = f(S) - x0(S) for an integral x0 (reduction to a rooted search).
 
-    Feasibility of x0 is the caller's contract; an infeasible x0 surfaces
-    later as a negative intersection.
+    Any integral x0 of length n is accepted; f' >= 0 holds exactly when x0
+    lies in P(f), which `Instance.build` checks.
     """
     x0 = tuple(x0)
     if len(x0) != f.n or any(type(v) is not int for v in x0):
         raise ValueError("x0 must be an integer vector of length n")
     m_bound = f.m_bound + sum(abs(v) for v in x0)
     ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound))
-    return SubmodularOracle(f.n, m_bound=m_bound,
-                            family_tag=f"translate({f.family_tag})",
-                            table=ft - subset_sums(x0))
+    return SubmodularOracle(f.n, ft - subset_sums(x0), m_bound=m_bound)
 
 
 def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
@@ -434,9 +387,7 @@ def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
     m_bound = q * f.m_bound + sum(abs(v) for v in w)
     # the product is formed in a dtype that also holds q, which f = 0 needs
     ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound + q))
-    return SubmodularOracle(f.n, m_bound=m_bound,
-                            family_tag=f"scaled({f.family_tag})",
-                            table=q * ft - subset_sums(w))
+    return SubmodularOracle(f.n, q * ft - subset_sums(w), m_bound=m_bound)
 
 
 def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> SubmodularOracle:

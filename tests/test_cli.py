@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polyls.cli import CSV_HEADER, main
-from polyls.instances import instance_to_json, random_instance
+from polyls.instances import FAMILIES, instance_to_json, random_instance
+
+METHODS = ["newton", "binary", "dualcut", "base", "bruteforce"]
 
 
 def run(capsys, *argv):
@@ -169,6 +174,30 @@ def test_coverage_shape_is_input_error(tmp_path, capsys, sets, weights):
     assert "lambda_star" not in out
 
 
+X0_OUTSIDE = {
+    "outside-full-set": {"direction": [3, 4], "x0": [5, 5]},
+    "outside-singleton": {"direction": [3, -4], "x0": [0, 5]},
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(X0_OUTSIDE))
+def test_x0_outside_polymatroid_is_input_error(tmp_path, capsys, case, method):
+    # x0(S) > f(S) for S = {0, 1} (10 > 3), resp. S = {1} (5 > 2)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+        **X0_OUTSIDE[case],
+    }))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", method)
+    assert code == 1
+    assert "input error: InvalidInstance: x0 lies outside P(f)" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
 def test_declared_n_must_match_table(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
@@ -288,3 +317,98 @@ def test_bench_ladder_sweep(capsys):
     for row in rows[1:]:
         k = int(row[11].split("=")[1])
         assert int(row[8]) <= k  # warm-start bound visible in the CSV
+
+
+# --- end-to-end fuzz of instance JSON through main -------------------------
+
+# stand-ins for any JSON node: wrong shapes, non-integers, huge integers
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**70, 2**70), st.sampled_from([2**63, 10**30, -10**30]),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.dictionaries(st.sampled_from(["n", "family", "values"]),
+                    st.integers(-3, 3), max_size=2))
+_INT = st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70),
+                 st.sampled_from([-1, 0, 2**63, 10**30, -10**30]))
+
+
+def _paths(node, path=()):
+    """Every node of a JSON tree, as the path of keys and indices to it."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_instances(draw):
+    """A valid instance (n <= 3, with or without x0) after up to three
+    mutations: a node replaced by any JSON value, an integer replaced by a
+    negative or huge one, an array cut short or made longer, a key dropped."""
+    n = draw(st.integers(1, 3))
+    inst = random_instance(draw(st.sampled_from(FAMILIES)), n,
+                           draw(st.integers(0, 999)))
+    obj = json.loads(instance_to_json(inst))
+    if draw(st.booleans()):
+        obj["x0"] = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else obj
+        ops = ["replace"]
+        if type(node) is int:
+            ops.append("int")
+        if isinstance(node, list):
+            ops += ["shorten", "lengthen"]
+        if path and isinstance(parent, dict):
+            ops.append("drop")
+        op = draw(st.sampled_from(ops))
+        if op == "drop":
+            del parent[path[-1]]
+            continue
+        if op == "replace":
+            new = draw(_ANY_JSON)
+        elif op == "int":
+            new = draw(_INT)
+        elif op == "shorten":
+            new = node[:draw(st.integers(0, max(len(node) - 1, 0)))]
+        else:
+            new = node + draw(st.lists(_INT, min_size=1, max_size=3))
+        if path:
+            parent[path[-1]] = new
+        else:
+            obj = new
+    return obj
+
+
+def _main_quiet(argv):
+    # capsys is function-scoped, so hypothesis examples capture by hand
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(fuzzed_instances())
+@example({"n": 2, "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+          "direction": [3, 4], "x0": [5, 5]})
+@example({"n": 2, "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+          "direction": [3, -4], "x0": [0, 5]})
+def test_fuzzed_instances_through_main(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(obj))
+    solved = False
+    for method in METHODS:
+        # an exception escaping main fails the test with its traceback
+        code, _, err = _main_quiet(["solve", "--instance", str(path),
+                                    "--method", method])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        solved = solved or code == 0
+    if solved:
+        code, out, _ = _main_quiet(["verify", "--instance", str(path)])
+        assert code == 0, out

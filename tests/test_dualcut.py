@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyls import (Direction, ReducedProblem, bruteforce_linesearch,
-                    cutting_plane_minimize, evaluate, lift_point, make_family,
-                    perturb, solve_dual, solve_dual_base, verify_lifting)
-from polyls.dualcut import _box_min, _phi_oracle, float_resolution, unit_box
+from polyls import (DenseLovasz, Direction, ReducedProblem,
+                    bruteforce_linesearch, cutting_plane_minimize, evaluate,
+                    lift_point, make_family, solve_dual, solve_dual_base,
+                    verify_lifting)
+from polyls.dualcut import (_box_min, _phi_oracle, float_resolution, perturb,
+                            unit_box)
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
 from polyls.newton import upper_bound
@@ -23,8 +25,14 @@ def test_reduced_problem_formulas(two_elem, d34):
     assert prob.pivot == 1 and prob.d_pivot == 4
     assert prob.omega_dim == 1 and prob.d_rest == (3,)
     assert prob.eps == Fraction(1, 49)
-    assert prob.r_box == 2 * 3 * 49
-    assert prob.alpha == Fraction(1, 49) / (2 * 9)
+    assert prob.m_bound == 3
+    # kappa = 4 n M^3 ||d||_1^5 with n = 2, M = 3, ||d||_1 = 7
+    assert prob.cut_cap == int(8 * math.log(4 * 2 * 3**3 * 7**5)) + 100 == 220
+    # the zero function keeps a finite budget: M is clamped to 1
+    zero = ReducedProblem.for_instance(
+        make_family(ExplicitTable((0, 0, 0, 0))), d34)
+    assert zero.m_bound == 0
+    assert zero.cut_cap == int(8 * math.log(4 * 2 * 7**5)) + 100 == 194
 
 
 def test_lift_point(two_elem, d34, d_mixed):
@@ -51,14 +59,13 @@ def test_lift_point_exact_hyperplane():
 def test_phi_values(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
-    val, _ = _phi_oracle(two_elem, prob)(np.array([1.0 / 7.0]))
+    val, _ = _phi_oracle(DenseLovasz(two_elem), prob)(np.array([1.0 / 7.0]))
     assert math.isclose(val, 3.0 / 7.0, rel_tol=1e-12)
-    # at z = 0 the lifted point is a scaled indicator of the pivot
+    # at z = 0 the lifted point is 1_{pivot}/4, where the perturbed extension
+    # reads (f({pivot}) + eps)/4
     eps = Fraction(1, 49)
-    f_eps = perturb(two_elem, eps)
     want = (two_elem.eval(0b10) + eps) / 4
-    assert evaluate(f_eps, lift_point([Fraction(0)], prob)) == want
-    val0, _ = _phi_oracle(f_eps, prob)(np.zeros(1))
+    val0, _ = _phi_oracle(perturb(two_elem, eps), prob)(np.zeros(1))
     assert math.isclose(val0, float(want), rel_tol=1e-12)
 
 
@@ -72,7 +79,7 @@ def test_phi_chain_rule_against_finite_differences():
             2 + checked % 7, 9000 + checked)
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
-        phi_fn = _phi_oracle(f, prob)
+        phi_fn = _phi_oracle(DenseLovasz(f), prob)
         m = prob.omega_dim
         z = rng.uniform(-1.0, 1.0, size=m)
         x = lift_point(z, prob)
@@ -262,19 +269,23 @@ def test_box_bound_matches_vertex_enumeration():
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_perturb_is_lazy():
+def test_perturb(two_elem):
+    with pytest.raises(ValueError):
+        perturb(two_elem, 0)
+    # the perturbed extension reads f(S) + eps at every indicator 1_S of a
+    # nonempty S and 0 at the origin, and building it reads no value
     eps = Fraction(1, 49)
-    for inst in iter_instances(2, seed=57, n_max=7, n_min=2):
+    for inst in iter_instances(3, seed=41, n_max=7, n_min=2):
         f, _ = inst.build()
         before = f.calls
-        g = perturb(f, eps)
-        assert f.calls == before  # no oracle reads at construction
-        assert not g.has_table and g.base is f and g.eps == eps
+        lov = perturb(f, eps)
+        assert f.calls == before
+        assert lov.value_subgrad(np.zeros(f.n))[0] == 0.0
         table = f.dense_table()
-        assert g.eval(0) == 0
         for mask in range(1, 1 << f.n):
-            assert g.eval(mask) == table[mask] + eps
-        assert g.dense_table().tolist() == [0] + [v + eps for v in table.tolist()[1:]]
+            x = np.array([(mask >> i) & 1 for i in range(f.n)], dtype=float)
+            val, _ = lov.value_subgrad(x)
+            assert math.isclose(val, float(table[mask] + eps), rel_tol=1e-12)
 
 
 def test_solve_dual_worked_examples(two_elem, d34, d_mixed):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from polyls.errors import InvalidInstance
 from polyls.instances import (FAMILIES, Instance, generate, instance_from_json,
                               instance_to_json, format_fraction,
                               parse_fraction, random_instance)
+from polyls.oracles import ExplicitTable
 from fractions import Fraction
 
 
@@ -40,6 +42,13 @@ def test_x0_translates_oracle():
     shifted = Instance(inst.n, inst.spec, inst.direction, x0=(0,) * inst.n)
     f, _ = shifted.build()
     assert f.dense_table().tolist() == base_oracle.dense_table().tolist()
+    # an x0 on the boundary of P(f) (tight at {0} and {0, 1}) is accepted;
+    # one past it is an input error naming a violated set
+    two = ExplicitTable((0, 2, 2, 3))
+    f, _ = Instance(2, two, (3, 4), x0=(2, 1)).build()
+    assert f.dense_table().tolist() == [0, 0, 1, 0]
+    with pytest.raises(InvalidInstance, match=r"outside P\(f\).*S=\{0,1\}"):
+        Instance(2, two, (3, 4), x0=(2, 2)).build()
 
 
 def test_direction_always_has_positive_entry():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polyls import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                     Direction, ExplicitTable, IntervalGeometric, SubsetMask,
                     SubmodularOracle, WeightedCoverage, check_oracle,
-                    infinity_norm, lift, make_family, newton_scale, perturb,
+                    infinity_norm, lift, make_family, newton_scale,
                     subgradient, submodularity_witness, translate)
 from polyls.errors import (EmptyNotZero, GroundSetTooLarge, NegativeValue,
                            NonSubmodular)
@@ -166,20 +166,6 @@ def test_lift_stays_submodular_at_recommended_constant():
         check_oracle(lift(f, c))  # exhaustive quadruple test
 
 
-def test_perturb(two_elem):
-    eps = Fraction(1, 49)
-    fe = perturb(two_elem, eps)
-    assert fe.eval(0) == 0
-    assert fe.eval(0b01) == Fraction(99, 49)
-    assert fe.eval(0b11) == 3 + eps
-    # constant shift on nonempty sets preserves submodularity
-    for inst in iter_instances(3, seed=41, n_max=6):
-        f, d = inst.build()
-        g = perturb(f, Fraction(1, d.norm1 ** 2))
-        assert g.eval(0) == 0
-        assert submodularity_witness(g.dense_table(), g.n) is None
-
-
 def test_translate(two_elem):
     same = translate(two_elem, (0, 0))
     assert [same.eval(m) for m in range(4)] == [0, 2, 2, 3]
@@ -220,13 +206,13 @@ def test_infinity_norm(two_elem):
 
 
 def test_m_bound_below_max_abs_value_rejected():
-    SubmodularOracle(2, m_bound=3, table=[0, 2, 2, 3])
+    SubmodularOracle(2, [0, 2, 2, 3], m_bound=3)
     with pytest.raises(ValueError):
-        SubmodularOracle(2, m_bound=2, table=[0, 2, 2, 3])
+        SubmodularOracle(2, [0, 2, 2, 3], m_bound=2)
     with pytest.raises(ValueError):
-        SubmodularOracle(2, m_bound=3, table=[0, -5, 2, 3])
+        SubmodularOracle(2, [0, -5, 2, 3], m_bound=3)
     with pytest.raises(ValueError):  # past int64 under an int64-sized bound
-        SubmodularOracle(2, m_bound=3, table=[0, 2**64, 2**64, 2**64 + 1])
+        SubmodularOracle(2, [0, 2**64, 2**64, 2**64 + 1], m_bound=3)
 
 
 def test_quadruple_check_exact_near_int64_limit():

@@ -36,7 +36,7 @@ def test_bruteforce_cap():
     # the size limit is enforced where oracles are made, so no oracle past it
     # ever reaches the enumerator
     with pytest.raises(GroundSetTooLarge):
-        minimize_bruteforce(SubmodularOracle(21, lambda m: 0, m_bound=0))
+        minimize_bruteforce(SubmodularOracle(21, [0], m_bound=0))
 
 
 def test_minimizer_lattice_closure():
@@ -72,7 +72,7 @@ def test_mnp_modular_single_vertex():
     # modular function: the base polytope is one point, convergence immediate
     w = (-3, 5, -1, 2, 0)
     table = [sum(wi for i, wi in enumerate(w) if m >> i & 1) for m in range(32)]
-    f = SubmodularOracle(5, m_bound=sum(abs(v) for v in w), table=table)
+    f = SubmodularOracle(5, table, m_bound=sum(abs(v) for v in w))
     res = minimize_mnp(f)
     assert res.min_value == -4
     assert res.minimal_minimizer == SubsetMask.from_indices(5, (0, 2))
