@@ -1,9 +1,11 @@
 """Command-line front end: gen / solve / verify / bench.
 
-Exit codes: 0 ok, 1 input error, 2 solver error, 3 verification mismatch.
-LINESEARCH_THREADS > 1 fans `verify` out across instances with a process
-pool (`bench` always runs in one process); output order stays deterministic
-either way.
+Every command runs in this one process, and each experiment is a `bench`
+suite: `cross` (all methods agree), `ladder-sweep` (Newton seeded k ladder
+steps above the optimum), `worst-case` (the geometric interval family
+against directions (D, 3D-1)) and `dual-warmstart` (cold Newton against the
+dual route).  Exit codes: 0 ok, 1 input error, 2 solver error, 3
+verification mismatch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -20,11 +21,11 @@ from fractions import Fraction
 from . import errors
 from .dualcut import solve_dual, solve_dual_base
 from .instances import (FAMILIES, Instance, dump_instance, format_fraction,
-                        generate, instance_from_json, instance_to_json,
-                        load_instance, random_instance)
+                        generate, instance_to_json, load_instance,
+                        random_instance)
 from .newton import (binary_search, bruteforce_linesearch, discrete_newton,
-                     ladder_spacing, upper_bound)
-from .oracles import TABLE_N_CAP
+                     envelope, ladder_spacing, upper_bound)
+from .oracles import TABLE_N_CAP, IntervalGeometric
 
 CSV_SCHEMA = "bench-v1"
 CSV_HEADER = ["instance_id", "family", "n", "method", "lambda_star",
@@ -32,6 +33,7 @@ CSV_HEADER = ["instance_id", "family", "n", "method", "lambda_star",
               "newton_iterations", "wall_time_ns", "status", "extra", "schema"]
 
 BRUTE_N_CAP = 12  # verify includes the brute-force reference up to here
+WORST_CASE_DS = (10, 100, 1000, 10000)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,16 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _threads() -> int:
-    raw = os.environ.get("LINESEARCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _input_error(err: str | Exception) -> int:
+    if isinstance(err, Exception):
+        err = f"{type(err).__name__}: {err}"
+    print(f"input error: {err}", file=sys.stderr)
+    return 1
 
 
 def _solve_one(inst: Instance, method: str):
-    """(result, wall_ns); module-level so a process pool can ship it."""
+    """(result, wall_ns) of one method on one instance."""
     f, d = inst.build()
     t0 = time.perf_counter_ns()
     if method == "newton":
@@ -73,25 +74,6 @@ def _solve_one(inst: Instance, method: str):
     return res, time.perf_counter_ns() - t0
 
 
-def _verify_one(args):
-    """Worker: returns (instance_id, instance_json, {method: lambda string})."""
-    inst_id, text, methods = args
-    inst = instance_from_json(text)
-    values = {}
-    for method in methods:
-        res, _ = _solve_one(inst, method)
-        values[method] = format_fraction(res.lambda_star)
-    return inst_id, text, values
-
-
-def _pool_map(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    import concurrent.futures as cf
-    with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _size_error(n: int | None, count: int = 0) -> str | None:
     """Why `gen` / `verify --random` / `bench` cannot make these instances,
     or None; `bench` has no N."""
@@ -109,30 +91,38 @@ def cmd_gen(args) -> int:
         return 1
     err = _size_error(args.n)
     if err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
+        return _input_error(err)
     inst = generate(args.family, args.n, args.seed)
     if args.out:
-        dump_instance(inst, args.out)
+        try:
+            dump_instance(inst, args.out)
+        except OSError as exc:
+            return _input_error(exc)
     else:
         sys.stdout.write(instance_to_json(inst))
     return 0
 
 
-# instance data that fails eager family validation is bad input, not a
-# solver failure
-_INPUT_ERRORS = (errors.InvalidInstance, errors.NonSubmodular,
-                 errors.EmptyNotZero, errors.NegativeValue,
-                 errors.GroundSetTooLarge, ValueError, KeyError)
+# an unreadable file, malformed JSON and instance data that fails eager
+# family validation are bad input, not solver failures
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, errors.InvalidInstance,
+                 errors.NonSubmodular, errors.EmptyNotZero,
+                 errors.NegativeValue, errors.GroundSetTooLarge, ValueError,
+                 KeyError)
+
+
+def _load(path) -> Instance:
+    """The instance in `path`, built once so bad tables surface up front."""
+    inst = load_instance(path)
+    inst.build()
+    return inst
 
 
 def cmd_solve(args) -> int:
     try:
-        inst = load_instance(args.instance)
-        inst.build()
-    except (OSError, json.JSONDecodeError) + _INPUT_ERRORS as exc:
-        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        inst = _load(args.instance)
+    except _INPUT_ERRORS as exc:
+        return _input_error(exc)
     try:
         res, _ = _solve_one(inst, args.method)
     except errors.PolylsError as exc:
@@ -158,12 +148,9 @@ def cmd_verify(args) -> int:
         return 1
     if args.instance:
         try:
-            inst = load_instance(args.instance)
-            inst.build()  # surface bad tables as input errors up front
-            texts = [(args.instance, instance_to_json(inst))]
-        except (OSError, json.JSONDecodeError) + _INPUT_ERRORS as exc:
-            print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+            insts = [(args.instance, _load(args.instance))]
+        except _INPUT_ERRORS as exc:
+            return _input_error(exc)
     else:
         family, n_s, count_s, seed_s = args.random
         try:
@@ -176,34 +163,30 @@ def cmd_verify(args) -> int:
             return 1
         err = _size_error(n, count)
         if err:
-            print(f"input error: {err}", file=sys.stderr)
-            return 1
-        texts = [(f"{family}-n{n}-s{seed + i}",
-                  instance_to_json(random_instance(family, n, seed + i)))
+            return _input_error(err)
+        insts = [(f"{family}-n{n}-s{seed + i}", random_instance(family, n, seed + i))
                  for i in range(count)]
 
-    jobs = []
-    for inst_id, text in texts:
-        inst = instance_from_json(text)
-        methods = ["newton", "dualcut"]
-        if inst.n <= BRUTE_N_CAP:
-            methods.append("bruteforce")
-        jobs.append((inst_id, text, methods))
-
+    results = []
     try:
-        results = _pool_map(_verify_one, jobs, _threads())
+        for inst_id, inst in insts:
+            methods = ["newton", "dualcut"]
+            if inst.n <= BRUTE_N_CAP:
+                methods.append("bruteforce")
+            values = {m: format_fraction(_solve_one(inst, m)[0].lambda_star)
+                      for m in methods}
+            results.append((inst_id, inst, values))
     except errors.PolylsError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     mismatches = 0
-    for inst_id, text, values in results:
-        uniq = set(values.values())
-        if len(uniq) != 1:
+    for inst_id, inst, values in results:
+        if len(set(values.values())) != 1:
             mismatches += 1
             print(f"MISMATCH {inst_id}: {values}")
             print("reproduction instance:")
-            print(text, end="")
+            print(instance_to_json(inst), end="")
     print(f"{len(results) - mismatches}/{len(results)} agree")
     return 3 if mismatches else 0
 
@@ -218,62 +201,64 @@ def _row(inst_id, fam, n, method, res=None, wall=0, status="ok", extra=""):
             res.newton_iterations, wall, status, extra, CSV_SCHEMA]
 
 
-def _bench_rows_cross(count: int, seed: int):
-    rows = []
+def _suite_instances(count: int, seed: int, n_cycle: int):
+    """The random suites' stream: per family, `count` instances with
+    n = 1 + i % n_cycle at seed + i, as (instance_id, family, n, instance)."""
     for fam in FAMILIES:
         for i in range(count):
-            n = 1 + i % 12
-            inst = random_instance(fam, n, seed + i)
-            inst_id = f"{fam}-n{n}-s{seed + i}"
-            methods = ["newton", "binary", "dualcut"]
-            if n <= BRUTE_N_CAP:
-                methods.append("bruteforce")
-            for method in methods:
-                try:
-                    res, wall = _solve_one(inst, method)
-                    rows.append(_row(inst_id, fam, n, method, res, wall))
-                except errors.PolylsError as exc:
-                    rows.append(_row(inst_id, fam, n, method,
-                                     status=f"error:{type(exc).__name__}"))
+            n = 1 + i % n_cycle
+            yield (f"{fam}-n{n}-s{seed + i}", fam, n,
+                   random_instance(fam, n, seed + i))
+
+
+def _bench_rows_cross(count: int, seed: int):
+    rows = []
+    for inst_id, fam, n, inst in _suite_instances(count, seed, 12):
+        methods = ["newton", "binary", "dualcut"]
+        if n <= BRUTE_N_CAP:
+            methods.append("bruteforce")
+        for method in methods:
+            try:
+                res, wall = _solve_one(inst, method)
+                rows.append(_row(inst_id, fam, n, method, res, wall))
+            except errors.PolylsError as exc:
+                rows.append(_row(inst_id, fam, n, method,
+                                 status=f"error:{type(exc).__name__}"))
     return rows
 
 
 def _bench_rows_ladder(count: int, seed: int):
     # Newton iteration counts when seeded k ladder steps above the optimum
     rows = []
-    for fam in FAMILIES:
-        for i in range(count):
-            n = 1 + i % 10
-            inst = random_instance(fam, n, seed + i)
-            f, d = inst.build()
-            star = bruteforce_linesearch(f, d).lambda_star
-            eps = ladder_spacing(d)
-            inst_id = f"{fam}-n{n}-s{seed + i}"
-            for k in range(1, 6):
-                t0 = time.perf_counter_ns()
-                res = discrete_newton(f, d, star + k * eps - eps / 2)
-                wall = time.perf_counter_ns() - t0
-                rows.append(_row(inst_id, fam, n, "newton", res, wall,
-                                 extra=f"warmstart_k={k}"))
+    for inst_id, fam, n, inst in _suite_instances(count, seed, 10):
+        f, d = inst.build()
+        star = bruteforce_linesearch(f, d).lambda_star
+        eps = ladder_spacing(d)
+        for k in range(1, 6):
+            t0 = time.perf_counter_ns()
+            res = discrete_newton(f, d, star + k * eps - eps / 2)
+            wall = time.perf_counter_ns() - t0
+            rows.append(_row(inst_id, fam, n, "newton", res, wall,
+                             extra=f"warmstart_k={k}"))
     return rows
 
 
 def _bench_rows_worstcase():
-    from .instances import IntervalGeometric
+    # lambda* = 4/D sits just below the envelope's first breakpoint
+    # 12/(3D-1), where the minimizer flips from {0} to {0,1}
     rows = []
-    for big in (10, 100, 1000):
+    for big in WORST_CASE_DS:
         inst = Instance(n=2, spec=IntervalGeometric(2),
                         direction=(big, 3 * big - 1))
         f, d = inst.build()
-        from .newton import envelope
         bp = Fraction(12, 3 * big - 1)
         star = Fraction(4, big)
         below = envelope(f, d, (star + bp) / 2)[1]   # inside (lambda*, breakpoint)
         above = envelope(f, d, bp + (bp - star) / 2)[1]
+        extra = (f"D={big};first_breakpoint={format_fraction(bp)};"
+                 f"minimizer_below={below};minimizer_above={above}")
         for method in ("newton", "dualcut"):
             res, wall = _solve_one(inst, method)
-            extra = (f"D={big};first_breakpoint={format_fraction(bp)};"
-                     f"minimizer_below={below};minimizer_above={above}")
             rows.append(_row(f"interval-D{big}", "interval-geometric", 2,
                              method, res, wall, extra=extra))
     return rows
@@ -281,30 +266,25 @@ def _bench_rows_worstcase():
 
 def _bench_rows_dual_warmstart(count: int, seed: int):
     rows = []
-    for fam in FAMILIES:
-        for i in range(count):
-            n = 1 + i % 12
-            inst = random_instance(fam, n, seed + i)
-            f, d = inst.build()
-            inst_id = f"{fam}-n{n}-s{seed + i}"
-            t0 = time.perf_counter_ns()
-            cold = discrete_newton(f, d)
-            mid = time.perf_counter_ns()
-            warm = solve_dual(f, d)
-            t1 = time.perf_counter_ns()
-            assert cold.lambda_star == warm.lambda_star
-            rows.append(_row(inst_id, fam, n, "newton", cold, mid - t0,
-                             extra="start=upper_bound"))
-            rows.append(_row(inst_id, fam, n, "dualcut", warm, t1 - mid,
-                             extra="start=dual"))
+    for inst_id, fam, n, inst in _suite_instances(count, seed, 12):
+        f, d = inst.build()
+        t0 = time.perf_counter_ns()
+        cold = discrete_newton(f, d)
+        mid = time.perf_counter_ns()
+        warm = solve_dual(f, d)
+        t1 = time.perf_counter_ns()
+        assert cold.lambda_star == warm.lambda_star
+        rows.append(_row(inst_id, fam, n, "newton", cold, mid - t0,
+                         extra="start=upper_bound"))
+        rows.append(_row(inst_id, fam, n, "dualcut", warm, t1 - mid,
+                         extra="start=dual"))
     return rows
 
 
 def cmd_bench(args) -> int:
     err = _size_error(None, args.count)
     if err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
+        return _input_error(err)
     if args.suite == "cross":
         rows = _bench_rows_cross(args.count, args.seed)
     elif args.suite == "ladder-sweep":
@@ -320,11 +300,14 @@ def cmd_bench(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(buf.getvalue())
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    except OSError as exc:
+        return _input_error(exc)
     return 0
 
 
@@ -336,7 +319,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", default="dualcut",
+    p.add_argument("--method", default="newton",
                    choices=["newton", "binary", "dualcut", "base", "bruteforce"])
     p.set_defaults(fn=cmd_solve)
 

@@ -65,11 +65,6 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 

@@ -103,19 +103,6 @@ class DenseLovasz:
         g[order] = diffs
         return value, g
 
-    def min_vertex(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Vertex minimizing <x, v> over the base polytope, with its order."""
-        order = self._order(-x)
-        masks = np.bitwise_or.accumulate(self._bits[order])
-        vals = self.table[masks]
-        diffs = np.empty(self.n)
-        diffs[0] = vals[0] + self.eps
-        diffs[1:] = vals[1:] - vals[:-1]
-        self.oracle.charge(self.n)
-        v = np.empty(self.n)
-        v[order] = diffs
-        return v, tuple(int(i) for i in order)
-
     def exact_vertex(self, order: tuple[int, ...]) -> list:
         """Exact integer marginals along a stored order (no float roundoff)."""
         table = self.oracle.dense_table()

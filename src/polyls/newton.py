@@ -46,8 +46,6 @@ class LineSearchResult:
 class BinarySearchResult:
     value: Fraction
     membership_calls: int
-    lo: Fraction
-    hi: Fraction
 
 
 def dual_point(tight_set: SubsetMask, d: Direction) -> tuple[Fraction, ...]:
@@ -201,4 +199,4 @@ def binary_search(f: SubmodularOracle, d: Direction,
             lo = mid
         else:
             hi = mid
-    return BinarySearchResult(lo, calls, lo, hi)
+    return BinarySearchResult(lo, calls)

@@ -39,7 +39,6 @@ class SfmResult:
     method: str
     oracle_calls: int = 0
     major_cycles: int = 0
-    minor_cycles: int = 0
     norm_history: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -103,23 +102,27 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
     n = f.n
     before = f.calls
 
-    def _fallback(majors, minors, norms):
+    def _fallback(majors, norms):
         res = minimize_bruteforce(f)
         return SfmResult(res.min_value, res.minimal_minimizer,
                          res.maximal_minimizer, certified=True,
                          method="mnp+bruteforce",
                          oracle_calls=f.calls - before,
-                         major_cycles=majors, minor_cycles=minors,
-                         norm_history=norms)
+                         major_cycles=majors, norm_history=norms)
 
     if f.m_bound > _MNP_FLOAT_CAP:
         # float marginals cannot certify an integrality gap < 1 here
-        return _fallback(0, 0, [])
+        return _fallback(0, [])
 
     lov = DenseLovasz(f)
     tol = 1e-10 * max(1.0, n * float(f.m_bound))
 
-    v0, order0 = lov.min_vertex(np.zeros(n))
+    def min_vertex(x):
+        # the greedy vertex minimizing <x, v>, and its order
+        _, v = lov.value_subgrad(-x)
+        return v, tuple(int(i) for i in lov._order(-x))
+
+    v0, order0 = min_vertex(np.zeros(n))
     V = v0.reshape(1, n)
     orders = [order0]
     w = np.array([1.0])
@@ -128,12 +131,11 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
 
     cap = 10 * n ** 3 + 1000
     majors = 0
-    minors = 0
     norms = [float(x @ x)]
     converged = False
     while majors < cap:
         majors += 1
-        q, q_order = lov.min_vertex(x)
+        q, q_order = min_vertex(x)
         gap = float(x @ x - x @ q)
         if gap <= tol:
             converged = True
@@ -145,7 +147,6 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
         seen.add(q_order)
         w = np.append(w, 0.0)
         while True:
-            minors += 1
             try:
                 b, y = _affine_minimizer(V)
             except np.linalg.LinAlgError:
@@ -177,7 +178,7 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
         norms.append(float(x @ x))
 
     if not converged:
-        return _fallback(majors, minors, norms)
+        return _fallback(majors, norms)
 
     # exact certification: rationalize the barycentric weights over exact
     # integer vertices, so x_rat is exactly in the base polytope
@@ -197,15 +198,14 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
     v_max = f.eval(smax)
     best = min(v_min, v_max)
     if Fraction(best) - lower >= 1:
-        return _fallback(majors, minors, norms)
+        return _fallback(majors, norms)
     # best is within 1 of a valid lower bound, hence exact by integrality
     if v_min != best or v_max != best:
         _, smin, smax = _table_min(f.dense_table())
     return SfmResult(best, SubsetMask(smin, n), SubsetMask(smax, n),
                      certified=True, method="mnp",
                      oracle_calls=f.calls - before,
-                     major_cycles=majors, minor_cycles=minors,
-                     norm_history=norms)
+                     major_cycles=majors, norm_history=norms)
 
 
 def minimize(f: SubmodularOracle) -> SfmResult:

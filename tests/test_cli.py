@@ -212,6 +212,14 @@ def test_declared_n_must_match_table(tmp_path, capsys):
         assert "lambda_star" not in out
 
 
+def test_solve_default_method_is_newton(tmp_path, capsys):
+    path = write_two_elem(tmp_path, [3, 4])
+    code, out, _ = run(capsys, "solve", "--instance", path)
+    assert code == 0
+    assert "method = newton" in out
+    assert "lambda_star = 3/7" in out
+
+
 def test_solve_output_is_deterministic(tmp_path, capsys):
     path = write_two_elem(tmp_path, [3, 4])
     outs = set()
@@ -235,6 +243,20 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     assert main(["gen", "--family", "coverage", "--n", "6", "--seed", "9",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "coverage", "--n", "3"],
+    ["bench", "--suite", "worst-case"],
+], ids=["gen", "bench"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "missing-dir" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_gen_unknown_family(capsys):
@@ -269,14 +291,6 @@ def test_verify_needs_exactly_one_source(capsys):
     assert code == 1
 
 
-def test_verify_parallel_workers(capsys, monkeypatch):
-    monkeypatch.setenv("LINESEARCH_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--random", "concave-modular",
-                       "5", "6", "17")
-    assert code == 0
-    assert "6/6 agree" in out
-
-
 def test_bench_cross_csv(capsys):
     code, out, _ = run(capsys, "bench", "--suite", "cross", "--count", "2",
                        "--seed", "3")
@@ -306,7 +320,31 @@ def test_bench_worst_case(tmp_path, capsys):
     lam = {row[0]: row[4] for row in rows[1:]}
     assert lam["interval-D10"] == "2/5"
     assert lam["interval-D1000"] == "1/250"
+    assert lam["interval-D10000"] == "1/2500"
     assert "first_breakpoint=12/299" in rows[3][11]
+    big = [row for row in rows[1:] if row[0] == "interval-D10000"]
+    assert [row[3] for row in big] == ["newton", "dualcut"]
+    for row in big:
+        assert row[11] == ("D=10000;first_breakpoint=12/29999;"
+                           "minimizer_below={0};minimizer_above={0,1}")
+
+
+def test_bench_dual_warmstart(capsys):
+    code, out, _ = run(capsys, "bench", "--suite", "dual-warmstart",
+                       "--count", "1", "--seed", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == CSV_HEADER
+    pairs = {}
+    for row in rows[1:]:
+        assert row[-1] == "bench-v1"
+        pairs.setdefault(row[0], {})[row[3]] = row
+    assert len(rows) == 1 + 2 * len(pairs) and len(pairs) == len(FAMILIES) == 5
+    for pair in pairs.values():
+        cold, warm = pair["newton"], pair["dualcut"]
+        assert cold[4] == warm[4]  # same exact lambda*
+        assert int(warm[8]) <= int(cold[8])  # dual start not worse than cold
+        assert (cold[11], warm[11]) == ("start=upper_bound", "start=dual")
 
 
 def test_bench_ladder_sweep(capsys):

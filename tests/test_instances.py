@@ -5,7 +5,7 @@ import pytest
 from polyls.errors import InvalidInstance
 from polyls.instances import (FAMILIES, Instance, generate, instance_from_json,
                               instance_to_json, format_fraction,
-                              parse_fraction, random_instance)
+                              random_instance)
 from polyls.oracles import ExplicitTable
 from fractions import Fraction
 
@@ -68,5 +68,3 @@ def test_bad_json_rejected():
 def test_fraction_strings():
     assert format_fraction(Fraction(3, 7)) == "3/7"
     assert format_fraction(Fraction(2)) == "2/1"
-    assert parse_fraction("3/7") == Fraction(3, 7)
-    assert parse_fraction("-4") == -4
