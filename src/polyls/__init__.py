@@ -19,7 +19,7 @@ from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                       infinity_norm, lift, make_family, newton_scale,
                       submodularity_witness, translate)
 from .sfm import (MembershipResult, SfmResult, membership, minimize,
-                  minimize_bruteforce, minimize_mnp)
+                  minimize_bruteforce, minimize_minus_modular, minimize_mnp)
 from .subsets import SubsetMask, subset_sums
 
 __version__ = "0.1.0"

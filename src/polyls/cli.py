@@ -86,9 +86,7 @@ def _size_error(n: int | None, count: int = 0) -> str | None:
 
 def cmd_gen(args) -> int:
     if args.family not in FAMILIES:
-        print(f"unknown family {args.family!r}; choose from {FAMILIES}",
-              file=sys.stderr)
-        return 1
+        return _input_error(f"unknown family {args.family!r}; choose from {FAMILIES}")
     err = _size_error(args.n)
     if err:
         return _input_error(err)
@@ -144,8 +142,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     if bool(args.instance) == bool(args.random):
-        print("verify needs exactly one of --instance or --random", file=sys.stderr)
-        return 1
+        return _input_error("verify needs exactly one of --instance or --random")
     if args.instance:
         try:
             insts = [(args.instance, _load(args.instance))]
@@ -156,11 +153,9 @@ def cmd_verify(args) -> int:
         try:
             n, count, seed = int(n_s), int(count_s), int(seed_s)
         except ValueError:
-            print("verify --random needs FAMILY N COUNT SEED", file=sys.stderr)
-            return 1
+            return _input_error("verify --random needs FAMILY N COUNT SEED")
         if family not in FAMILIES:
-            print(f"unknown family {family!r}", file=sys.stderr)
-            return 1
+            return _input_error(f"unknown family {family!r}; choose from {FAMILIES}")
         err = _size_error(n, count)
         if err:
             return _input_error(err)
@@ -294,8 +289,7 @@ def cmd_bench(args) -> int:
     elif args.suite == "dual-warmstart":
         rows = _bench_rows_dual_warmstart(args.count, args.seed)
     else:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 1
+        return _input_error(f"unknown suite {args.suite!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -27,9 +27,8 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
                      InvariantViolation, IterationCapExceeded)
 from .lovasz import DenseLovasz, evaluate
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
-                     discrete_newton, ladder_spacing, upper_bound)
+                     discrete_newton, envelope, ladder_spacing, upper_bound)
 from .oracles import Direction, SubmodularOracle
-from .sfm import membership
 from .subsets import SubsetMask
 
 
@@ -470,9 +469,10 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Line search restricted to the base polytope: lambda d must also meet
     the full-set equality, which pins lambda = f(E)/d(E).
 
-    The value is verified by an exact membership test and, for n >= 2, by
-    running the cutting-plane engine on the hyperplane-only relaxation and
-    checking agreement within the ladder spacing.
+    The value is verified by an exact membership test (the envelope at lambda
+    is nonnegative) and, for n >= 2, by running the cutting-plane engine on
+    the hyperplane-only relaxation and checking agreement within the ladder
+    spacing.
     """
     before = f.calls
     full = SubsetMask.full(f.n)
@@ -485,10 +485,10 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
             "d(E) = 0 and f(E) = 0: every feasible multiple works; "
             "use the polymatroid solver for the maximum")
     lam = Fraction(f_full, d_full)
-    mem = membership(f, [lam * di for di in d.d])
-    if not mem.inside:
+    g, violating = envelope(f, d, lam)
+    if g < 0:
         raise InfeasibleBaseLineSearch(
-            f"lambda d violates x(S) <= f(S) at S={mem.violating_set}")
+            f"lambda d violates x(S) <= f(S) at S={violating}")
 
     engine_iterations = 0
     if f.n >= 2:

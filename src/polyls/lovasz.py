@@ -77,12 +77,16 @@ class DenseLovasz:
 
     Supports an additive perturbation of every nonempty value (only the first
     marginal changes).  Oracle reads are charged in blocks of n per query.
+    The float table is the oracle's cached `float_table`, shared by every
+    extension of the oracle; a table past float64 range is an OverflowError.
     """
 
     def __init__(self, oracle: SubmodularOracle, eps: float = 0.0):
         self.oracle = oracle
         self.n = oracle.n
-        self.table = oracle.dense_table().astype(np.float64)
+        self.table = oracle.float_table
+        if self.table is None:
+            raise OverflowError("table entry too large to convert to float")
         self.eps = float(eps)
         self._bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
 

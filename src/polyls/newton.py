@@ -1,9 +1,10 @@
 """Exact parametric line search: discrete Newton, bisection, ladder utilities.
 
 The intersection lambda* = min{f(S)/d(S) : d(S) > 0} is found exactly in
-rational arithmetic.  Every envelope evaluation goes through an integral
-rescaled oracle, so the submodular minimizer stays in integers no matter how
-ugly the rational iterate is.
+rational arithmetic.  Every envelope evaluation and every bisection decision
+at lambda = p/q is one call of `sfm.minimize_minus_modular`, the exact
+minimum of the integral function q*f - p*d, so the decision stays in integers
+no matter how ugly the rational iterate is.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadStart, InvariantViolation
-from .oracles import Direction, SubmodularOracle, newton_scale
-from .sfm import membership, minimize
+from .oracles import Direction, SubmodularOracle
+from .sfm import minimize_minus_modular
 from .subsets import SubsetMask
+
+# perfbench/tracer.py wraps these names in this module, so they stay bound
+# here although the solvers no longer call them
+from .oracles import newton_scale  # noqa: F401
+from .sfm import membership, minimize  # noqa: F401
 
 
 @dataclass
@@ -83,11 +89,11 @@ def ladder_spacing(d: Direction) -> Fraction:
 
 def envelope(f: SubmodularOracle, d: Direction,
              lam: Fraction) -> tuple[Fraction, SubsetMask]:
-    """g(lambda) = min_S f(S) - lambda d(S), with a minimizing set."""
+    """g(lambda) = min_S f(S) - lambda d(S), with its minimal minimizer."""
     lam = Fraction(lam)
-    scaled = newton_scale(f, d, lam)
-    res = minimize(scaled)
-    return Fraction(res.min_value, lam.denominator), res.minimal_minimizer
+    q = lam.denominator
+    value, minimal, _ = minimize_minus_modular(f, q, lam.numerator, d)
+    return Fraction(value, q), SubsetMask(minimal, f.n)
 
 
 def bruteforce_linesearch(f: SubmodularOracle, d: Direction) -> LineSearchResult:
@@ -174,8 +180,9 @@ def binary_search(f: SubmodularOracle, d: Direction,
                   eps: Fraction = Fraction(1, 100)) -> BinarySearchResult:
     """Feasibility bisection: returns lam with lam <= lambda* <= lam + eps.
 
-    Runs exactly ceil(log2((hi - lo)/eps)) membership tests.  The right end
-    is closed: when lambda* sits exactly on the initial upper bound and the
+    Runs exactly ceil(log2((hi - lo)/eps)) membership tests: mid d lies in
+    P(f) iff min_S q f(S) - p d(S) >= 0 for mid = p/q.  The right end is
+    closed: when lambda* sits exactly on the initial upper bound and the
     range is a power-of-two multiple of eps, lambda* = lam + eps is attained.
     """
     eps = Fraction(eps)
@@ -195,7 +202,7 @@ def binary_search(f: SubmodularOracle, d: Direction,
     for _ in range(steps):
         mid = (lo + hi) / 2
         calls += 1
-        if membership(f, [mid * di for di in d.d]).inside:
+        if minimize_minus_modular(f, mid.denominator, mid.numerator, d)[0] >= 0:
             lo = mid
         else:
             hi = mid

@@ -6,8 +6,8 @@ generated families).  Every 2^n table, a direction's subset sums included,
 is built by element doubling (see `subset_sums`): the values on masks that
 contain element k come from those that do not, in one array expression per
 k.  Wrappers produce new oracles for lifting to a larger ground set,
-modular translation, and the integral rescaling used by the parametric
-solvers.
+modular translation, and integral rescaling; the parametric solvers do not
+rescale, they minimize q*f - p*d in place (`sfm.minimize_minus_modular`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyNotZero, GroundSetTooLarge, NegativeValue, NonSubmodular
-from .subsets import SubsetMask, subset_sums, table_dtype
+from .subsets import SubsetMask, float_image, subset_sums, table_dtype
 
 # The one declared size limit: every oracle and direction has n <= this, so
 # every function has a dense table of 2^n values.
@@ -69,6 +69,12 @@ class SubmodularOracle:
         """All 2^n values as one array; read-only by contract."""
         return self._table
 
+    @cached_property
+    def float_table(self) -> np.ndarray | None:
+        """The table rounded to float64 (see `float_image`), built on first
+        use and shared by every later float pass; None past float64 range."""
+        return float_image(self._table)
+
     def __repr__(self):
         return f"<{type(self).__name__} n={self.n} M<={self.m_bound}>"
 
@@ -101,6 +107,11 @@ class Direction:
     def sums(self) -> np.ndarray:
         """d(S) for every bit mask S, as one table."""
         return subset_sums(self.d)
+
+    @cached_property
+    def float_sums(self) -> np.ndarray | None:
+        """`sums` rounded to float64, or None past float64 range."""
+        return float_image(self.sums)
 
     def of(self, s) -> int:
         """d(S) = sum of entries over the subset."""
@@ -378,8 +389,8 @@ def translate(f: SubmodularOracle, x0) -> SubmodularOracle:
 def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
     """h(S) = q*f(S) - w(S) for integer q >= 1 and an integer vector w.
 
-    This is the integral carrier for every rational envelope evaluation and
-    membership test: h stays submodular and integer-valued.
+    This is the integral carrier of `sfm.membership` for a general rational
+    point: h stays submodular and integer-valued.
     """
     if q < 1:
         raise ValueError("scale must be a positive integer")
@@ -391,7 +402,10 @@ def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
 
 
 def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> SubmodularOracle:
-    """Integral oracle h = q*f - p*d for lam = p/q, so min h = q * envelope(lam)."""
+    """Integral oracle h = q*f - p*d for lam = p/q, so min h = q * envelope(lam).
+
+    `sfm.minimize_minus_modular(f, q, p, d)` finds min h without building h.
+    """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     return scale_minus_modular(f, q, [p * di for di in d.d])

@@ -1,8 +1,11 @@
 """Submodular function minimization: exact enumeration and Fujishige-Wolfe.
 
-Every oracle has n <= TABLE_N_CAP, so `minimize` (the one path every solver
-takes) enumerates the dense table.  The minimum-norm-point solver
-`minimize_mnp` is a library call kept as an independent cross-check.  It
+Every oracle has n <= TABLE_N_CAP, so minimization enumerates the dense
+table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
+and a direction d; `minimize_minus_modular` does that straight from f's table
+and d's cached subset sums, exactly, with a float filter in front of the
+big-integer pass.  `minimize` enumerates any oracle.  The minimum-norm-point
+solver `minimize_mnp` is a library call kept as an independent cross-check.  It
 runs in floats but never decides alone: the candidate sets it extracts are
 re-evaluated through the integer oracle and a rational convex combination of
 exact greedy vertices provides a lower bound, so a duality gap below 1
@@ -15,16 +18,17 @@ Chakrabarty-Jain-Kothari, arXiv:1411.0095.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .lovasz import DenseLovasz
-from .oracles import SubmodularOracle, scale_minus_modular
-from .subsets import SubsetMask
+from .oracles import Direction, SubmodularOracle, scale_minus_modular
+from .subsets import SubsetMask, table_dtype
 
 _W_TINY = 1e-12          # barycentric weights below this are dropped
 _MNP_FLOAT_CAP = 1 << 50  # float marginals are unreliable past this magnitude
@@ -53,16 +57,144 @@ class MembershipResult:
     margin: Fraction  # min_S (f(S) - y(S)); negative outside
 
 
-def _table_min(table):
-    """(min value, AND of minimizers, OR of minimizers) over a dense table.
+def _table_min(table, masks=None):
+    """(min value, AND of minimizers, OR of minimizers) over a dense table,
+    or over the sets `masks` when `table` holds only their values.
 
     By submodularity the minimizers form a lattice, so the AND/OR reductions
     are themselves minimizers: the unique minimal and maximal ones.
     """
     best = table.item(int(table.argmin()))
     where = np.flatnonzero(table == best)
+    if masks is not None:
+        where = masks[where]
     return (best, int(np.bitwise_and.reduce(where)),
             int(np.bitwise_or.reduce(where)))
+
+
+_FILTER_SCALE = 2.0 ** -50  # 8u with u = 2^-53, the float64 unit roundoff
+
+
+class _Scratch(threading.local):
+    """One thread's three work buffers, grown to the largest n asked for,
+    and the typed views of them handed out so far."""
+
+    def __init__(self):
+        self.size = 0
+        self.views = {}
+
+
+_scratch = _Scratch()
+
+
+def _work(n: int, dtype) -> list[np.ndarray]:
+    """Three arrays of 2^n entries of the 8-byte `dtype`, views of this
+    thread's scratch buffers.
+
+    The kernel's 2^n passes write into these instead of fresh arrays.  At
+    n = 14 a fresh array is 128 KiB, which malloc maps, or grows the heap
+    for, anew on each call; its pages then fault on first write (about 15
+    faults per kernel call in a Newton solve), so the call's time would
+    follow the host's page-fault cost.
+    """
+    views = _scratch.views.get((n, dtype))
+    if views is None:
+        size = 8 << n
+        if _scratch.size < size:
+            _scratch.bufs = [np.empty(size, np.uint8) for _ in range(3)]
+            _scratch.size = size
+            _scratch.views.clear()
+        views = [b[:size].view(dtype) for b in _scratch.bufs]
+        _scratch.views[n, dtype] = views
+    return views
+
+
+def _float_candidates(f: SubmodularOracle, q: int, p: int,
+                      d: Direction) -> np.ndarray | None:
+    """The sets that may minimize q*f - p*d, by one float64 pass, or None
+    when the floats cannot bound the error (see `minimize_minus_modular`)."""
+    table, sums = f.float_table, d.float_sums
+    if table is None or sums is None:
+        return None
+    try:
+        qf, pf = float(q), float(p)
+    except OverflowError:
+        return None
+    hf, err, b = _work(f.n, np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(table, qf, out=hf)
+        np.abs(hf, out=err)
+        np.multiply(sums, pf, out=b)
+        hf -= b
+        err += np.abs(b, out=b)
+        err *= _FILTER_SCALE
+    if not err.max() < math.inf:
+        return None
+    top = np.add(hf, err, out=b).min()
+    hf -= err
+    return np.flatnonzero(hf <= top)
+
+
+def minimize_minus_modular(f: SubmodularOracle, q: int, p: int,
+                           d: Direction) -> tuple[int, int, int]:
+    """min over S of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p, as
+    (min value, minimal minimizer, maximal minimizer), the two as bit masks.
+
+    h is never built as an oracle: the values come from f's table and d's
+    cached subset sums `d.sums`.  When q*M + |p|*||d||_1 + q lies below the
+    int64 bound of `table_dtype` (M = f.m_bound; the q term because q*f is
+    formed even where f = 0) and `d.sums` is int64, this is one exact int64
+    pass.  Otherwise one float64 pass over the float images `f.float_table`
+    and `d.float_sums` keeps as candidates the sets S with
+    hf(S) - e(S) <= min_T (hf(T) + e(T)), and exact Python ints decide among
+    them.  There is no size threshold: at worst every set is a candidate,
+    which costs one exact pass.  The int64 and float64 passes write into
+    this thread's scratch buffers (`_work`), not into fresh 2^n arrays.
+
+    The filter bound.  Let u = 2^-53.  Rounding to float64 gives
+    F = f(S)(1 + d1), D = d(S)(1 + d2), qf = q(1 + d3) and pf = p(1 + d4),
+    and each float operation adds one more factor (1 + d), all |d_k| <= u.
+    So the products are a = q f(S)(1 + t) and b = p d(S)(1 + t') with
+    |t|, |t'| <= g3 = 3u/(1 - 3u), and hf = (a - b)(1 + d5).  Hence
+
+        |hf - h(S)| <= g3 (q|f(S)| + |p||d(S)|) + u(|a| + |b|)
+                     <= (g3/(1 - g3) + u)(|a| + |b|) < 4.1u (|a| + |b|),
+
+    and the computed e(S) = fl(2^-50 fl(|a| + |b|)) >= 8u(1 - u)(|a| + |b|)
+    exceeds it.  In terms of the exact values,
+    e(S) <= 8.1u (q|f(S)| + |p| sum_{i in S} |d_i|): the
+    c n 2^-53 (q|f(S)| + |p| sum_{i in S} |d_i|) form with c n = 8.1, no
+    factor n because `d.float_sums` rounds each exact sum d(S) once instead
+    of adding n rounded entries.
+
+    Every minimizer S* then has hf(S*) - e(S*) <= h(S*) <= h(T) <=
+    hf(T) + e(T) for every T, and rounding is monotone, so the float test
+    keeps every minimizer: the exact minimum over the candidates is min h,
+    and its minimizers there are all of h's.  An entry past float64 range
+    (an image is None), a q or p past it, or a non-finite e(S) (an overflow
+    to inf) leaves the floats nothing to bound, and the exact pass runs over
+    all 2^n sets.  f.calls is not charged: no value is read through the
+    oracle.
+    """
+    table, sums = f.dense_table(), d.sums
+    masks = None
+    if (table_dtype(q * f.m_bound + abs(p) * d.norm1 + q) is np.int64
+            and sums.dtype == np.int64):
+        # the table is int64 too, since M < 2^60
+        h, tmp, _ = _work(f.n, np.int64)
+        np.multiply(table, q, out=h)
+        h -= np.multiply(sums, p, out=tmp)
+    else:
+        masks = _float_candidates(f, q, p, d)
+        if masks is not None:
+            table, sums = table[masks], sums[masks]
+        h = q * table.astype(object) - p * sums.astype(object)
+    best, and_mask, or_mask = _table_min(h, masks)
+    for m in (and_mask, or_mask):
+        if q * f.dense_table().item(m) - p * d.sums.item(m) != best:
+            raise InvariantViolation(
+                "minimizers not closed under union/intersection")
+    return best, and_mask, or_mask
 
 
 def minimize_bruteforce(f: SubmodularOracle) -> SfmResult:
@@ -222,7 +354,7 @@ def membership(f: SubmodularOracle, y) -> MembershipResult:
     y = [Fraction(v) for v in y]
     if len(y) != f.n:
         raise ValueError("point length does not match ground set")
-    q = lcm(*[v.denominator for v in y]) if y else 1
+    q = math.lcm(*[v.denominator for v in y]) if y else 1
     w = [int(v * q) for v in y]
     scaled = scale_minus_modular(f, q, w)
     res = minimize(scaled)

@@ -86,3 +86,14 @@ def subset_sums(values) -> np.ndarray:
     for i, v in enumerate(values):
         out[1 << i:2 << i] = out[:1 << i] + v
     return out
+
+
+def float_image(table: np.ndarray) -> np.ndarray | None:
+    """`table` with every entry rounded to the nearest float64, read-only, or
+    None when an entry lies past the float64 range."""
+    try:
+        out = table.astype(np.float64)
+    except OverflowError:
+        return None
+    out.flags.writeable = False
+    return out

@@ -260,8 +260,24 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
 
 
 def test_gen_unknown_family(capsys):
-    code, _, err = run(capsys, "gen", "--family", "martian", "--n", "3")
+    code, out, err = run(capsys, "gen", "--family", "martian", "--n", "3")
     assert code == 1
+    assert err.startswith("input error: unknown family 'martian'; choose from ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--random", "martian", "3", "1", "1"],
+     "unknown family 'martian'; choose from "),
+    (["verify", "--random", "coverage", "x", "1", "1"],
+     "verify --random needs FAMILY N COUNT SEED"),
+    (["bench", "--suite", "nope"], "unknown suite 'nope'"),
+], ids=["verify-family", "verify-number", "bench-suite"])
+def test_bad_choice_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("input error: " + message)
+    assert out == ""
 
 
 def test_gen_solve_pipeline(tmp_path, capsys):
@@ -287,8 +303,9 @@ def test_verify_instance(tmp_path, capsys):
 
 
 def test_verify_needs_exactly_one_source(capsys):
-    code, _, _ = run(capsys, "verify")
+    code, _, err = run(capsys, "verify")
     assert code == 1
+    assert err == "input error: verify needs exactly one of --instance or --random\n"
 
 
 def test_bench_cross_csv(capsys):

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyls import (Direction, ExplicitTable, IntervalGeometric, binary_search,
                     bruteforce_linesearch, discrete_newton, envelope,
                     ladder_spacing, make_family, membership, solve_dual,
-                    upper_bound)
-from polyls.errors import BadStart
+                    solve_dual_base, upper_bound)
+from polyls import newton
+from polyls.errors import BadStart, InfeasibleBaseLineSearch
+from polyls.instances import random_instance
+from polyls.oracles import SubmodularOracle
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
 
@@ -189,3 +193,53 @@ def test_zero_function_envelope_at_tiny_lambda():
     f = make_family(ExplicitTable((0, 0, 0, 0)))
     assert envelope(f, Direction((1, 1)), Fraction(1, 2**70)) == \
         (Fraction(-1, 2**69), SubsetMask.full(2))
+
+
+def _both_dtypes(seed):
+    """Random (f, d) pairs with int64 tables and with exact big-int tables
+    (interval-geometric at n >= 8, and family tables shifted past 2^60)."""
+    for inst in iter_instances(6, seed=seed, n_max=10):
+        f, d = inst.build()
+        yield f, d
+        big = f.dense_table().astype(object) << 61
+        yield SubmodularOracle(f.n, big, m_bound=f.m_bound << 61), d
+    for n in (8, 9):
+        yield random_instance("interval-geometric", n, seed + n).build()
+
+
+def test_bisection_decisions_match_membership(monkeypatch):
+    decisions = []
+    kernel = newton.minimize_minus_modular
+
+    def spy(f, q, p, d):
+        out = kernel(f, q, p, d)
+        decisions.append((Fraction(p, q), out[0] >= 0))
+        return out
+
+    monkeypatch.setattr(newton, "minimize_minus_modular", spy)
+    dtypes = set()
+    for f, d in _both_dtypes(7300):
+        dtypes.add(f.dense_table().dtype)
+        decisions.clear()
+        res = binary_search(f, d, eps=ladder_spacing(d))
+        assert len(decisions) == res.membership_calls
+        for mid, inside in decisions:
+            assert membership(f, [mid * di for di in d.d]).inside == inside
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_base_route_names_the_membership_violating_set():
+    outside = 0
+    for f, d in _both_dtypes(7400):
+        full = SubsetMask.full(f.n)
+        if d.of(full) == 0:
+            continue
+        lam = Fraction(f.eval(full), d.of(full))
+        mem = membership(f, [lam * di for di in d.d])
+        if mem.inside:
+            continue
+        outside += 1
+        with pytest.raises(InfeasibleBaseLineSearch) as err:
+            solve_dual_base(f, d)
+        assert str(err.value).endswith(f"at S={mem.violating_set}")
+    assert outside > 10
