@@ -116,6 +116,23 @@ def _load(path) -> Instance:
     return inst
 
 
+def _decimal(q: Fraction) -> str:
+    """repr(float(q)) for q >= 0; past the float range, which `float`
+    cannot reach, 17 significant digits in the same e+ notation."""
+    try:
+        return repr(float(q))
+    except OverflowError:
+        pass
+    e = len(str(q.numerator // q.denominator)) - 1
+    digits = str(round(q / 10 ** (e - 16)))
+    if len(digits) > 17:  # rounded up to the next power of ten
+        e += 1
+        digits = digits[:17]
+    digits = digits.rstrip("0")
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{mantissa}e+{e}"
+
+
 def cmd_solve(args) -> int:
     try:
         inst = _load(args.instance)
@@ -130,7 +147,7 @@ def cmd_solve(args) -> int:
     print(f"instance = {args.instance} (family={inst.spec.family} n={inst.n})")
     print(f"method = {res.method}")
     print(f"lambda_star = {format_fraction(res.lambda_star)}")
-    print(f"lambda_star_decimal = {float(res.lambda_star)!r}")
+    print(f"lambda_star_decimal = {_decimal(res.lambda_star)}")
     print(f"tight_set = {res.tight_set}")
     print(f"dual_optimum = [{', '.join(format_fraction(v) for v in res.dual_optimum)}]")
     print(f"oracle_calls = {res.oracle_calls}")

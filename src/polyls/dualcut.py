@@ -1,4 +1,4 @@
-"""Dual route to the exact intersection: cutting planes + ladder rounding.
+"""Dual route to the exact intersection: cutting planes + chain rounding.
 
 The line search over the polymatroid is dual to minimizing the Lovász
 extension over the slice {x >= 0, d.x = 1}.  Eliminating one positive pivot
@@ -9,10 +9,16 @@ log-barrier rows, so every query is an objective cut, and each query is the
 analytic center of the localizer in epigraph form, found by a few Newton
 steps from the previous center.  A convex combination of the cuts,
 weighted by the centering duals and minimized exactly over the domain,
-certifies a lower bound.  The approximate point is snapped to an exactly
-feasible rational point, whose extension value upper bounds the
-intersection, and a couple of exact Newton steps land on the answer.
-Correctness never depends on the float phase - it only buys a warm start.
+certifies a lower bound on lambda*.
+
+Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
+S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
+level-set rounding of the extension.  The best chain vertex 1_S/d(S) is the
+engine's upper bound, so the bracket closes on lambda* itself, and once it
+is below half the ladder spacing the best chain ratio is lambda*.  Newton
+starts from that ratio, computed in integers, and exact envelope steps
+confirm it.  Correctness never depends on the float phase - it only buys a
+warm start.
 """
 
 from __future__ import annotations
@@ -25,11 +31,15 @@ import numpy as np
 
 from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
                      InvariantViolation, IterationCapExceeded)
-from .lovasz import DenseLovasz, evaluate
+from .lovasz import DenseLovasz
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, envelope, ladder_spacing, upper_bound)
 from .oracles import Direction, SubmodularOracle
 from .subsets import SubsetMask
+
+# perfbench/tracer.py wraps `evaluate` and `perturb` in this module, so they
+# stay bound here although no solver calls them
+from .lovasz import evaluate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -96,23 +106,51 @@ def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
     return DenseLovasz(f, eps=float(eps))
 
 
-def _phi_oracle(lov: DenseLovasz, prob: ReducedProblem):
-    """Float (value, subgradient) closure of an extension over the reduced
-    domain."""
-    n = lov.n
-    pivot = prob.pivot
-    rest_idx = np.array([i for i in range(n) if i != pivot], dtype=np.intp)
-    d_rest = np.array(prob.d_rest, dtype=np.float64)
-    dp = float(prob.d_pivot)
+class _PhiOracle:
+    """Float objective of an extension over the reduced domain, rounded on
+    its greedy chains.
 
-    def fn(z: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.empty(n)
+    phi(z) -> (value, subgradient, candidate).  The query's chain
+    S_1 < ... < S_n is the one `value_subgrad` reads; every S_k with
+    d(S_k) > 0 gives a ratio f(S_k)/d(S_k) >= lambda*, read in floats from
+    the float table and `Direction.float_sums`.  candidate is
+    (ratio, vertex) when the chain's best ratio is below that of every
+    earlier query, with vertex the reduced coordinates of 1_S/d(S)
+    (z_i = 1/d(S) for i in S minus the pivot), and None otherwise; the vertex
+    is built only then.  best and best_mask are the last candidate's ratio
+    and set mask (inf and None before the first).
+    """
+
+    def __init__(self, lov: DenseLovasz, prob: ReducedProblem):
+        n = lov.n
+        self.lov = lov
+        self.pivot = prob.pivot
+        self.rest_idx = np.array([i for i in range(n) if i != prob.pivot],
+                                 dtype=np.intp)
+        self.d_rest = np.array(prob.d_rest, dtype=np.float64)
+        self.dp = float(prob.d_pivot)
+        self.d_ratio = self.d_rest / self.dp
+        self.dsums = prob.direction.float_sums
+        self.best = math.inf
+        self.best_mask = None
+
+    def __call__(self, z: np.ndarray):
+        lov, rest_idx, pivot = self.lov, self.rest_idx, self.pivot
+        x = np.empty(lov.n)
         x[rest_idx] = z
-        x[pivot] = (1.0 - d_rest @ z) / dp
-        val, v = lov.value_subgrad(x)
-        return val, v[rest_idx] - (d_rest / dp) * v[pivot]
-
-    return fn
+        x[pivot] = (1.0 - self.d_rest @ z) / self.dp
+        val, v, chain = lov.value_subgrad(x)
+        grad = v[rest_idx] - self.d_ratio * v[pivot]
+        den = self.dsums[chain]
+        ratios = np.divide(lov.table[chain], den, out=np.full(lov.n, math.inf),
+                           where=den > 0)
+        k = int(ratios.argmin())
+        if not ratios[k] < self.best:
+            return val, grad, None
+        self.best = best = float(ratios[k])
+        self.best_mask = mask = int(chain[k])
+        vertex = np.where(mask >> rest_idx & 1, 1.0 / den[k], 0.0)
+        return val, grad, (best, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +206,14 @@ def _box_min(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a) -> float:
     q(mu) is a lower bound by weak duality, so a rounded kink only loosens
     the bound.  O(m^2): every kink is evaluated in one array expression.
     """
-    mu = np.zeros(1)
-    if a is not None:
-        nz = a != 0
-        kinks = -c[nz] / a[nz]
-        mu = np.concatenate((mu, kinks[kinks > 0]))
-        coef = c + mu[:, None] * a
-    else:
-        coef = c[None, :]
+    if a is None:
+        return float(np.minimum(c * lo, c * hi).sum())
+    # mu = 0 and one entry per a_i: its kink, or 0 again where a_i = 0 or
+    # the kink is negative
+    mu = np.zeros(len(c) + 1)
+    np.divide(-c, a, out=mu[1:], where=a != 0)
+    np.maximum(mu, 0.0, out=mu)
+    coef = c + mu[:, None] * a
     return float((np.minimum(coef * lo, coef * hi).sum(axis=1) - mu).max())
 
 
@@ -189,7 +227,8 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
 
     Newton's method from a strictly feasible y.  While the Newton decrement
     lambda^2 is above _CENTER_TOL, a backtracking line search on the barrier
-    starts at the largest step that keeps every slack positive; below it,
+    starts at 99% of the largest step that keeps every slack positive (so
+    every trial step keeps them positive); below it,
     lambda <= 1/2 and the full step stays inside the Dikin ellipsoid of this
     self-concordant barrier, so it is taken and the point returned.
     Returns (y, s, H, steps), with s > 0 the slacks and H the last Newton
@@ -221,10 +260,9 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
         t = 0.99 / max(float((As / s).max()), 0.99)
         while True:
             s1 = s - t * As
-            if s1.min() > 0.0:
-                val1 = -float(omega @ np.log(s1))
-                if val1 <= val - 0.01 * t * dec:
-                    break
+            val1 = -float(omega @ np.log(s1))
+            if val1 <= val - 0.01 * t * dec:
+                break
             t *= 0.5
             if t < 1e-10:
                 return None
@@ -233,9 +271,15 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
     return None
 
 
-def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
-           resolution) -> CutEngineState:
+def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
+           floor=-math.inf) -> CutEngineState:
     """Minimize a convex phi over Z = {lo <= z <= hi, a.z <= 1} by ACCPM.
+
+    phi(z) -> (value, subgradient, candidate), with candidate None or a
+    pair (c, point) of a point of Z where phi is at most c; the best
+    candidate is the engine's upper bound best, and phi(z_init) must offer
+    one.  floor is a lower bound on phi over Z known in advance; the engine's
+    lower bound lb starts there.
 
     Epigraph form over y = (z, t): the box and the hyperplane are barrier
     rows, one row t <= best holds the best value found, and every query z_j
@@ -253,18 +297,18 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
     true place at later centers.
 
     phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
-    best - lb <= target_gap; stalled at once, with 0 cuts, when the target
-    is below the float resolution of phi, and later when neither best nor
+    best - lb <= target_gap, with 0 cuts when z_init's candidate is already
+    that close to floor; stalled at once, with 0 cuts, when the target is
+    below the float resolution of phi, and later when neither best nor
     lb moves for a window of cuts or a centering fails; past `cap` cuts it
     raises IterationCapExceeded carrying the state.
     """
     m = len(lo)
     z0 = np.asarray(z_init, dtype=np.float64).copy()
-    v0, g0 = phi(z0)
+    v0, g0, c0 = phi(z0)
     scale = max(1.0, abs(float(v0)))
-    best = float(v0) / scale
-    best_point = z0
-    lb = -math.inf
+    best, best_point = c0[0] / scale, c0[1]
+    lb = floor / scale
     it = newton = 0
     converged = stalled = False
 
@@ -274,13 +318,14 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
                               stalled, 0, it, newton)
 
     if m == 0:
-        lb = best
+        lb = best  # Z is the point z_init
+    tgt = target_gap / scale
+    if best - lb <= tgt:
         converged = True
         return state()
     if resolution >= target_gap:
         stalled = True
         return state()
-    tgt = target_gap / scale
 
     # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= -lo_i,
     # z_i <= hi_i, then a.z <= 1, then t <= best, then one row per cut
@@ -315,10 +360,9 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
     def bound(w):
         # w >= 0 on the cut rows: their sum is t >= (w.A_z z - w.b) / W with
         # W = -w.A_t, a convex combination of the cuts' minorants of phi
-        rows = A[n_fixed:k]
-        W = -float(w @ rows[:, m])
-        c = (w @ rows[:, :m]) / W
-        return _box_min(c, lo, hi, a) - float(w @ b_true[n_fixed:k]) / W
+        wA = w @ A[n_fixed:k]
+        W = -float(wA[m])
+        return _box_min(wA[:m] / W, lo, hi, a) - float(w @ b_true[n_fixed:k]) / W
 
     def shift(y, H):
         # a row the center y does not clear by _SHIFT Dikin widths
@@ -333,9 +377,9 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
                              np.maximum(b_true[rows], Ar @ y + _SHIFT * width))
 
     add_cut(z0, float(v0), g0)
-    lb = bound(np.ones(1))
-    # z_init is strictly inside Z; the t row and the first cut both pass
-    # through (z_init, best), so they start shifted
+    lb = max(lb, bound(np.ones(1)))
+    # z_init is strictly inside Z; the first cut and the t row start
+    # shifted to clear (z_init, best)
     y = np.append(z0, best)
     b[t_row] = math.inf
     omega = np.ones(len(b))
@@ -360,12 +404,11 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap,
         if best - lb <= tgt:
             break
         z = np.clip(y[:m], lo, hi)
-        v, g = phi(z)
+        v, g, c = phi(z)
         v = float(v)
         it += 1
-        if (a is None or float(a @ z) <= 1.0) and v / scale < best:
-            best = v / scale
-            best_point = z
+        if c is not None and c[0] / scale < best:
+            best, best_point = c[0] / scale, c[1]
             b_true[t_row] = best
         add_cut(z, v, g)
         shift(y, H)
@@ -383,13 +426,13 @@ def unit_box(prob: ReducedProblem) -> np.ndarray:
     """Upper corner u of the search box 0 <= z <= u.
 
     u_i = 1, or u_i = 1/d_i when no entry of d is negative (u_i = 1 where
-    d_i = 0).  The box holds the minimizer of the perturbed objective: f >= 0,
-    so f + eps is positive on every nonempty set and the extension is
-    positive along every ray of the slice {x >= 0, d.x = 1}; it is linear
-    between the slice's vertices 1_S/d(S), so its minimum sits at one, and
-    d(S) is a positive integer.  Every coordinate of such a vertex is
-    1/d(S) <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative, since
-    then d(S) >= d_i for every i in S.
+    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
+    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
+    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
+    since then d(S) >= d_i for every i in S.  The extension reads
+    f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
+    greedy chain anywhere on the slice (f >= 0), so its minimum over the
+    domain is exactly lambda*.
     """
     all_nonneg = all(v >= 0 for v in prob.d_rest)
     return np.array([1.0 / di if all_nonneg and di > 0 else 1.0
@@ -400,66 +443,66 @@ def cutting_plane_minimize(phi, prob: ReducedProblem,
                            target_gap) -> CutEngineState:
     """Minimize the reduced objective over the dual domain to a certified gap.
 
-    phi: callable z -> (float value, float subgradient).  The domain is
-    {0 <= z <= unit_box(prob), d_rest.z <= 1}, which holds the minimizer of
-    the perturbed objective.  The cap is of order m ln(kappa) cuts.  On a
-    stall the state is returned with certified_gap above target (callers
-    restore exactness by rounding).
+    phi: a `_PhiOracle`.  The domain is
+    {0 <= z <= unit_box(prob), d_rest.z <= 1}, whose minimum is lambda*, so
+    the engine brackets lambda* between its lower bound and the best chain
+    ratio.  The cap is of order m ln(kappa) cuts.  On a stall the state is
+    returned with certified_gap above target (callers restore exactness by
+    rounding).
     """
     m = prob.omega_dim
     norm1 = prob.direction.norm1
     # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
     a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
+    # f >= 0, so the extension is >= 0 wherever x >= 0: lambda* >= 0
     return _accpm(phi, np.zeros(m), unit_box(prob), a,
                   np.full(m, 1.0 / (2.0 * norm1)), float(target_gap),
                   prob.cut_cap,
-                  float_resolution(prob.direction.n, prob.m_bound))
+                  float_resolution(prob.direction.n, prob.m_bound), floor=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
 
 
-def _snap(f: SubmodularOracle, prob: ReducedProblem, z_float) -> Fraction:
-    """Round the engine's point to an exactly feasible rational and evaluate.
-
-    Negative coordinates are clamped; if the remaining mass overshoots the
-    hyperplane the point is rescaled so the pivot coordinate is zero.  The
-    result is dual-feasible, so its extension value upper bounds lambda*.
-    """
-    z = []
-    for v in z_float:
-        v = float(v)
-        z.append(Fraction(v) if math.isfinite(v) and v > 0 else Fraction(0))
-    s = sum(di * zi for di, zi in zip(prob.d_rest, z))
-    if s > 1:
-        z = [zi / s for zi in z]
-    return evaluate(f, lift_point(z, prob))
+def _floats_fit(f: SubmodularOracle, d: Direction) -> bool:
+    """Whether f's table and d's subset sums have float64 images."""
+    return f.float_table is not None and d.float_sums is not None
 
 
 def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
-    """Full pipeline: perturb, cut to ~ladder accuracy, snap, Newton-round.
+    """Full pipeline: cut to half a ladder step, round on the best chain,
+    Newton-confirm.
 
-    Every n takes this one path; at n = 1 the reduced domain is a point, so
-    the engine returns at once and the snap lands on the upper bound.
-    Returns the exact intersection; the engine phase only warms up Newton, so
-    a stalled or capped engine degrades iteration counts, not correctness.
+    The engine stops once the best chain ratio is within eps/2 of its lower
+    bound on lambda*, eps = 1/||d||_1^2 the ladder spacing; distinct ratios
+    differ by at least eps, so the best chain ratio is then lambda* and
+    Newton confirms it in zero steps.  Newton starts from the exact ratio of
+    the best chain set, or from the singleton upper bound where that is
+    lower.  Every n takes this one path; at n = 1 the reduced domain is a
+    point and the engine returns at once.  Without float images of f and d
+    the engine cannot run, and Newton starts from the upper bound.  Returns
+    the exact intersection; the engine phase only warms up Newton, so a
+    stalled or capped engine degrades iteration counts, not correctness.
     """
     before = f.calls
     u = upper_bound(f, d)
     prob = ReducedProblem.for_instance(f, d)
-    phi = _phi_oracle(perturb(f, prob.eps), prob)
-    try:
-        state = cutting_plane_minimize(phi, prob, float(prob.eps / 4))
-    except IterationCapExceeded as exc:
-        state = exc.state  # rounding below restores exactness regardless
-
-    lam0 = min(_snap(f, prob, state.best_point), u)
+    state, cuts, lam0 = None, 0, u
+    if _floats_fit(f, d):
+        phi = _PhiOracle(DenseLovasz(f), prob)
+        try:
+            state = cutting_plane_minimize(phi, prob, float(prob.eps / 2))
+        except IterationCapExceeded as exc:
+            state = exc.state  # rounding below restores exactness regardless
+        cuts = state.iterations
+        mask = phi.best_mask
+        lam0 = min(Fraction(f.eval(mask), d.of(mask)), u)
     res = discrete_newton(f, d, lam0)
     return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
                             "dualcut",
                             newton_iterations=res.newton_iterations,
-                            engine_iterations=state.iterations,
+                            engine_iterations=cuts,
                             oracle_calls=f.calls - before,
                             sfm_calls=res.sfm_calls,
                             trace={"engine": state, "newton": res.trace})
@@ -470,9 +513,9 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     the full-set equality, which pins lambda = f(E)/d(E).
 
     The value is verified by an exact membership test (the envelope at lambda
-    is nonnegative) and, for n >= 2, by running the cutting-plane engine on
-    the hyperplane-only relaxation and checking agreement within the ladder
-    spacing.
+    is nonnegative) and, for n >= 2 where f and d have float images, by
+    running the cutting-plane engine on the hyperplane-only relaxation and
+    checking agreement within the ladder spacing.
     """
     before = f.calls
     full = SubsetMask.full(f.n)
@@ -491,14 +534,21 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
             f"lambda d violates x(S) <= f(S) at S={violating}")
 
     engine_iterations = 0
-    if f.n >= 2:
+    if f.n >= 2 and _floats_fit(f, d):
         prob = ReducedProblem.for_instance(f, d)
         m = prob.omega_dim
         bound = 1.0 + abs(1.0 / d_full)
         eps = float(prob.eps)
+        query = _PhiOracle(DenseLovasz(f), prob)
+
+        def phi(z):
+            # the relaxation drops x >= 0, so chain vertices do not bound its
+            # minimum; every query is the candidate instead
+            v, g, _ = query(z)
+            return v, g, (v, z)
+
         try:
-            state = _accpm(_phi_oracle(DenseLovasz(f), prob),
-                           np.full(m, -bound), np.full(m, bound), None,
+            state = _accpm(phi, np.full(m, -bound), np.full(m, bound), None,
                            np.full(m, 1.0 / d_full), eps / 4, prob.cut_cap,
                            float_resolution(f.n, f.m_bound))
         except IterationCapExceeded as exc:

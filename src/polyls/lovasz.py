@@ -94,7 +94,9 @@ class DenseLovasz:
         # descending x, ties by ascending index (matches greedy_order)
         return np.argsort(-x, kind="stable")
 
-    def value_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(value, subgradient, chain) at x; chain holds the masks of the
+        greedy prefix sets S_1 .. S_n, the sets whose values the query read."""
         order = self._order(x)
         masks = np.bitwise_or.accumulate(self._bits[order])
         vals = self.table[masks]
@@ -105,7 +107,7 @@ class DenseLovasz:
         value = float(x[order] @ diffs)
         g = np.empty(self.n)
         g[order] = diffs
-        return value, g
+        return value, g, masks
 
     def exact_vertex(self, order: tuple[int, ...]) -> list:
         """Exact integer marginals along a stored order (no float roundoff)."""

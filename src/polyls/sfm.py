@@ -251,7 +251,7 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
 
     def min_vertex(x):
         # the greedy vertex minimizing <x, v>, and its order
-        _, v = lov.value_subgrad(-x)
+        _, v, _ = lov.value_subgrad(-x)
         return v, tuple(int(i) for i in lov._order(-x))
 
     v0, order0 = min_vertex(np.zeros(n))

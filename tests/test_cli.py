@@ -34,6 +34,7 @@ def test_solve_dualcut_output(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--instance", path, "--method", "dualcut")
     assert code == 0
     assert "lambda_star = 3/7" in out
+    assert "lambda_star_decimal = 0.42857142857142855\n" in out
     assert "dual_optimum = [1/7, 1/7]" in out
 
 
@@ -51,6 +52,26 @@ def test_other_methods_agree(tmp_path, capsys, method):
     code, out, _ = run(capsys, "solve", "--instance", path, "--method", method)
     assert code == 0
     assert "lambda_star = 3/7" in out
+
+
+# f({0}) = f({1}) = f({0, 1}) = 2^1100, past the float range
+BIG_INSTANCE = {"n": 2, "function": {"family": "explicit",
+                                     "values": [0, 2**1100, 2**1100, 2**1100]},
+                "direction": [1, 2]}
+
+
+@pytest.mark.parametrize("method", ["newton", "dualcut", "binary", "base"])
+def test_entries_past_float_range_solve_exactly(tmp_path, capsys, method):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_INSTANCE))
+    code, out, err = run(capsys, "solve", "--instance", str(path),
+                         "--method", method)
+    assert code == 0, err
+    assert f"lambda_star = {2**1100}/3\n" in out
+    assert "lambda_star_decimal = 4.5276617634979528e+330\n" in out
+    assert "tight_set = {0,1}\n" in out
+    code, out, _ = run(capsys, "verify", "--instance", str(path))
+    assert code == 0 and "1/1 agree" in out
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):
@@ -453,6 +474,7 @@ def _main_quiet(argv):
           "direction": [3, 4], "x0": [5, 5]})
 @example({"n": 2, "function": {"family": "explicit", "values": [0, 2, 2, 3]},
           "direction": [3, -4], "x0": [0, 5]})
+@example(BIG_INSTANCE)
 def test_fuzzed_instances_through_main(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("fuzz") / "inst.json"
     path.write_text(json.dumps(obj))

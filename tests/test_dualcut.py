@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from polyls import (DenseLovasz, Direction, ReducedProblem,
-                    bruteforce_linesearch, cutting_plane_minimize, evaluate,
-                    lift_point, make_family, solve_dual, solve_dual_base,
-                    verify_lifting)
-from polyls.dualcut import (_box_min, _phi_oracle, float_resolution, perturb,
-                            unit_box)
+                    bruteforce_linesearch, cutting_plane_minimize, dualcut,
+                    evaluate, lift_point, make_family, solve_dual,
+                    solve_dual_base, verify_lifting)
+from polyls.dualcut import (_box_min, _PhiOracle, float_resolution,
+                            perturb, unit_box)
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
 from polyls.newton import upper_bound
@@ -59,14 +60,62 @@ def test_lift_point_exact_hyperplane():
 def test_phi_values(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
-    val, _ = _phi_oracle(DenseLovasz(two_elem), prob)(np.array([1.0 / 7.0]))
+    fn = _PhiOracle(DenseLovasz(two_elem), prob)
+    assert fn.best_mask is None
+    # at z = 0 the lifted point is 1_{pivot}/4, where the extension reads
+    # f({pivot})/4; its chain {1} < {0, 1} has ratios 2/4 and 3/7, so it
+    # offers the vertex 1_{0,1}/7, whose reduced coordinate is z = 1/7
+    val0, _, (ratio, vertex) = fn(np.zeros(1))
+    assert math.isclose(val0, two_elem.eval(0b10) / 4, rel_tol=1e-12)
+    assert math.isclose(ratio, 3.0 / 7.0, rel_tol=1e-12)
+    assert vertex.tolist() == [1.0 / 7.0]
+    assert fn.best_mask == 0b11
+    # at z = 1/7 the chain {0} < {0, 1} holds nothing better: no candidate
+    val, _, cand = fn(np.array([1.0 / 7.0]))
     assert math.isclose(val, 3.0 / 7.0, rel_tol=1e-12)
-    # at z = 0 the lifted point is 1_{pivot}/4, where the perturbed extension
-    # reads (f({pivot}) + eps)/4
-    eps = Fraction(1, 49)
-    want = (two_elem.eval(0b10) + eps) / 4
-    val0, _ = _phi_oracle(perturb(two_elem, eps), prob)(np.zeros(1))
-    assert math.isclose(val0, float(want), rel_tol=1e-12)
+    assert cand is None and fn.best_mask == 0b11
+
+
+def test_chain_candidates_are_vertices_below_their_query():
+    # the level-set rounding: on the slice, x >= 0, the extension is at
+    # least the best ratio of the query's chain, and that ratio's vertex
+    # 1_S/d(S) lies in the search domain
+    rng = np.random.default_rng(31)
+    offered = 0
+    for inst in iter_instances(4, seed=6200, n_max=10):
+        f, d = inst.build()
+        prob = ReducedProblem.for_instance(f, d)
+        star = bruteforce_linesearch(f, d).lambda_star
+        fn = _PhiOracle(DenseLovasz(f), prob)
+        hi = unit_box(prob)
+        best = math.inf
+        for _ in range(6):
+            z = rng.uniform(0.0, 1.0, size=prob.omega_dim) * hi
+            scale = float(np.dot(prob.d_rest, z))
+            if scale > 1:
+                z /= scale * 1.01
+            val, _, cand = fn(z)
+            if cand is None:
+                assert val >= best * (1 - 1e-12)
+                continue
+            offered += 1
+            ratio, vertex = cand
+            mask = fn.best_mask
+            den = d.of(mask)
+            assert den > 0
+            exact = Fraction(f.eval(mask), den)
+            assert exact >= star
+            assert math.isclose(ratio, float(exact), rel_tol=1e-12)
+            assert val >= ratio * (1 - 1e-12) - 1e-12
+            assert ratio < best
+            best = ratio
+            x = [Fraction(1, den) if mask >> i & 1 else Fraction(0)
+                 for i in range(f.n)]
+            want = x[:prob.pivot] + x[prob.pivot + 1:]
+            assert vertex.tolist() == [float(v) for v in want]
+            assert ((0 <= vertex) & (vertex <= hi)).all()
+            assert sum(di * vi for di, vi in zip(prob.d_rest, want)) <= 1
+    assert offered >= 20
 
 
 def test_phi_chain_rule_against_finite_differences():
@@ -79,7 +128,7 @@ def test_phi_chain_rule_against_finite_differences():
             2 + checked % 7, 9000 + checked)
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
-        phi_fn = _phi_oracle(DenseLovasz(f), prob)
+        phi_fn = _PhiOracle(DenseLovasz(f), prob)
         m = prob.omega_dim
         z = rng.uniform(-1.0, 1.0, size=m)
         x = lift_point(z, prob)
@@ -87,7 +136,7 @@ def test_phi_chain_rule_against_finite_differences():
         if gaps.size and gaps.min() < 1e-3:
             checked += 1  # skip tie-prone points but keep the schedule moving
             continue
-        val, g = phi_fn(z)
+        val, g, _ = phi_fn(z)
         assert math.isclose(val, float(evaluate(f, x)), rel_tol=1e-9, abs_tol=1e-9)
         for i in range(m):
             zp, zm = z.copy(), z.copy()
@@ -100,44 +149,52 @@ def test_phi_chain_rule_against_finite_differences():
 
 def test_engine_converges_on_two_element_example(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
-    f_eps = perturb(two_elem, prob.eps)
-    # the reduced objective has slopes >= 1/2 around its kink at 1/7, so a
-    # 1e-7 certified gap pins the point to within 1e-6
-    state = cutting_plane_minimize(_phi_oracle(f_eps, prob), prob, 1e-7)
+    # the minimum 3/7 sits at the vertex 1_{0,1}/7, z = 1/7
+    state = cutting_plane_minimize(_PhiOracle(DenseLovasz(two_elem), prob),
+                                   prob, 1e-7)
     assert state.converged
-    assert abs(state.best_point[0] - 1.0 / 7.0) < 1e-6
+    assert state.best_point.tolist() == [1.0 / 7.0]
+    assert math.isclose(state.best_value, 3.0 / 7.0, rel_tol=1e-12)
     assert state.certified_gap <= 1e-7
+    assert state.lower_bound <= 3.0 / 7.0 + 1e-12
 
 
 def test_engine_zero_dimensional():
     f = make_family(ExplicitTable((0, 5)))
     d = Direction((2,))
     prob = ReducedProblem.for_instance(f, d)
-    state = cutting_plane_minimize(_phi_oracle(perturb(f, prob.eps), prob),
+    state = cutting_plane_minimize(_PhiOracle(DenseLovasz(f), prob),
                                    prob, 0.1)
     assert state.converged and state.iterations == 0
     assert state.best_point.shape == (0,)
+    assert state.best_value == state.lower_bound == 2.5
 
 
-def _perturbed_optimum(f, d, eps):
-    """Exact min over d(S) > 0 of (f(S) + eps)/d(S), and every set attaining it."""
-    table = f.dense_table().tolist()
-    ratios = {m: Fraction(table[m] + eps, 1) / d.of(m)
-              for m in range(1, 1 << f.n) if d.of(m) > 0}
-    star = min(ratios.values())
-    return star, [m for m, r in ratios.items() if r == star]
+def test_engine_closes_on_the_zero_floor():
+    # f({0}) = 0: lambda* = 0, and the chain of z_init already holds {0},
+    # so the floor lambda* >= 0 closes the bracket before any cut
+    f = make_family(ExplicitTable((0, 0, 2, 2)))
+    d = Direction((1, 1))
+    prob = ReducedProblem.for_instance(f, d)
+    fn = _PhiOracle(DenseLovasz(f), prob)
+    state = cutting_plane_minimize(fn, prob, float(prob.eps / 2))
+    assert state.converged and state.iterations == 0
+    assert state.best_value == state.lower_bound == 0.0
+    assert fn.best_mask == 0b01
+    res = solve_dual(f, d)
+    assert res.lambda_star == 0 and res.newton_iterations == 0
 
 
 def _run_engine(f, d):
+    """(problem, phi, state) of the engine at solve_dual's target."""
     prob = ReducedProblem.for_instance(f, d)
-    f_eps = perturb(f, prob.eps)
-    return prob, cutting_plane_minimize(_phi_oracle(f_eps, prob), prob,
-                                        float(prob.eps) / 4)
+    fn = _PhiOracle(DenseLovasz(f), prob)
+    return prob, fn, cutting_plane_minimize(fn, prob, float(prob.eps) / 2)
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
     prob = ReducedProblem.for_instance(two_elem, d34)
-    fn = _phi_oracle(perturb(two_elem, prob.eps), prob)
+    fn = _PhiOracle(DenseLovasz(two_elem), prob)
     monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
     with pytest.raises(IterationCapExceeded) as exc:
         cutting_plane_minimize(fn, prob, 1e-12)
@@ -152,18 +209,18 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
 def test_engine_certifies_against_bruteforce_dual(monkeypatch):
     for inst in iter_instances(3, seed=233, n_max=8, n_min=2):
         f, d = inst.build()
-        prob, state = _run_engine(f, d)
-        target = float(prob.eps) / 4
+        prob, _, state = _run_engine(f, d)
+        target = float(prob.eps) / 2
         assert state.converged and state.certified_gap <= target
-        # engine brackets the true perturbed optimum
-        star_eps, _ = _perturbed_optimum(f, d, prob.eps)
-        slack = 1e-7 * max(1.0, abs(float(star_eps)))
-        assert state.best_value >= float(star_eps) - slack
-        assert state.lower_bound <= float(star_eps) + slack
+        # engine brackets lambda*, the minimum over the domain
+        star = float(bruteforce_linesearch(f, d).lambda_star)
+        slack = 1e-7 * max(1.0, abs(star))
+        assert state.best_value >= star - slack
+        assert state.lower_bound <= star + slack
         # feasibility of the reported point
         assert (state.best_point >= 0).all()
         assert (state.best_point <= unit_box(prob)).all()
-        assert float(np.dot(prob.d_rest, state.best_point)) <= 1
+        assert float(np.dot(prob.d_rest, state.best_point)) <= 1 + 1e-12
         assert state.feasibility_cuts == 0
         assert state.objective_cuts == state.iterations
         # the engine is deterministic, so capping it after j cuts shows its
@@ -183,7 +240,7 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
             assert s1.best_value <= s0.best_value
 
 
-def test_converged_engine_brackets_perturbed_optimum():
+def test_converged_engine_brackets_lambda_star():
     # an engine that evaluates phi outside z >= 0 reports converged with a
     # wrong bracket on these two
     cases = [(make_family(IntervalGeometric(6)), Direction((8, -9, -5, 0, 0, 0))),
@@ -191,39 +248,65 @@ def test_converged_engine_brackets_perturbed_optimum():
     cases += [inst.build() for inst in iter_instances(7, seed=4321, n_max=8, n_min=2)]
     converged = 0
     for f, d in cases:
-        prob, state = _run_engine(f, d)
+        _, fn, state = _run_engine(f, d)
         if not state.converged:
             continue
         converged += 1
-        star_eps, _ = _perturbed_optimum(f, d, prob.eps)
-        slack = 1e-7 * max(1.0, abs(float(star_eps)))
-        assert state.lower_bound <= float(star_eps) + slack
-        assert float(star_eps) <= state.best_value + slack
+        star = bruteforce_linesearch(f, d).lambda_star
+        slack = 1e-7 * max(1.0, abs(float(star)))
+        assert state.lower_bound <= float(star) + slack
+        assert float(star) <= state.best_value + slack
+        # the half-ladder certificate: the best chain set is tight
+        mask = fn.best_mask
+        assert Fraction(f.eval(mask), d.of(mask)) == star
     assert converged >= 30
 
 
 def test_resolution_exit_stalls_without_cuts():
     f = make_family(IntervalGeometric(14))  # M around 10^63
     d = Direction((3, -2, 5, 1, -4, 2, 2, 7, -1, 6, 1, -3, 4, 2))
-    prob, state = _run_engine(f, d)
-    assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 4
+    prob, _, state = _run_engine(f, d)
+    assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 2
     assert state.stalled and not state.converged
     assert state.iterations == state.objective_cuts == 0
     assert state.newton_steps == 0
     assert solve_dual(f, d).lambda_star == bruteforce_linesearch(f, d).lambda_star
 
 
-def test_unit_box_holds_perturbed_minimizer():
+def test_entries_past_float_range_skip_the_engine():
+    # no float image of the table: solve_dual starts Newton at the upper
+    # bound and solve_dual_base keeps only its exact membership test
+    big = 2 ** 1100
+    f = make_family(ExplicitTable((0, big, big, big)))
+    assert f.float_table is None
+    d = Direction((1, 2))
+    res = solve_dual(f, d)
+    assert res.lambda_star == Fraction(big, 3)
+    assert res.tight_set == SubsetMask.full(2)
+    assert res.engine_iterations == 0 and res.trace["engine"] is None
+    base = solve_dual_base(f, d)
+    assert base.lambda_star == Fraction(big, 3) and base.engine_iterations == 0
+    # a direction past float range has no float subset sums either
+    huge = Direction((big, 1))
+    assert huge.float_sums is None
+    f = make_family(ExplicitTable((0, 2, 2, 3)))
+    assert solve_dual(f, huge).lambda_star == bruteforce_linesearch(f, huge).lambda_star
+
+
+def test_unit_box_holds_every_vertex():
+    # every vertex 1_S/d(S) with d(S) > 0, so the domain's minimum is lambda*
     for inst in iter_instances(6, seed=808, n_max=8, n_min=2):
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
         hi = unit_box(prob)
-        _, minimizers = _perturbed_optimum(f, d, prob.eps)
-        for mask in minimizers:
+        for mask in range(1, 1 << f.n):
+            if d.of(mask) <= 0:
+                continue
             x = [Fraction(1, d.of(mask)) if mask >> i & 1 else Fraction(0)
                  for i in range(f.n)]
             z = x[:prob.pivot] + x[prob.pivot + 1:]
             assert all(0 <= zi <= ui * (1 + 1e-12) for zi, ui in zip(z, hi))
+            assert sum(di * zi for di, zi in zip(prob.d_rest, z)) <= 1
 
 
 def _lp_min_by_vertices(c, lo, hi, a):
@@ -284,7 +367,7 @@ def test_perturb(two_elem):
         table = f.dense_table()
         for mask in range(1, 1 << f.n):
             x = np.array([(mask >> i) & 1 for i in range(f.n)], dtype=float)
-            val, _ = lov.value_subgrad(x)
+            val, _, _ = lov.value_subgrad(x)
             assert math.isclose(val, float(table[mask] + eps), rel_tol=1e-12)
 
 
@@ -350,19 +433,74 @@ def test_perturbation_preserves_ratio_order():
         assert star <= star_eps <= star + 2 * eps
 
 
-def test_snap_always_dual_feasible():
-    # whatever garbage the float phase hands over, the snapped rational point
-    # must evaluate at or above lambda*
-    from polyls.dualcut import _snap
-    rng = np.random.default_rng(21)
-    for inst in iter_instances(2, seed=4141, n_max=9, n_min=2):
+def _traced_dual(monkeypatch):
+    """Run solve_dual recording every chain its queries read and the start
+    it hands to Newton."""
+    record = {"chains": [], "starts": []}
+    newton = dualcut.discrete_newton
+    value_subgrad = DenseLovasz.value_subgrad
+
+    def newton_spy(f, d, lam0):
+        record["starts"].append(lam0)
+        return newton(f, d, lam0)
+
+    def value_subgrad_spy(self, x):
+        out = value_subgrad(self, x)
+        record["chains"].append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(dualcut, "discrete_newton", newton_spy)
+    monkeypatch.setattr(DenseLovasz, "value_subgrad", value_subgrad_spy)
+    return record
+
+
+def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
+    record = _traced_dual(monkeypatch)
+    for inst in iter_instances(16, seed=4141, n_max=10):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
+        record["chains"].clear()
+        record["starts"].clear()
+        res = solve_dual(f, d)
+        (lam0,) = record["starts"]
+        assert type(lam0) is Fraction
         star = bruteforce_linesearch(f, d).lambda_star
-        for scale in (1e-3, 1.0, 50.0):
-            z = rng.normal(scale=scale, size=prob.omega_dim)
-            assert _snap(f, prob, z) >= star
-        assert _snap(f, prob, np.full(prob.omega_dim, np.nan)) >= star
+        u = upper_bound(f, d)
+        assert star == res.lambda_star <= lam0 <= u
+        ratios = {Fraction(f.eval(S), d.of(S))
+                  for chain in record["chains"] for S in chain if d.of(S) > 0}
+        assert lam0 in ratios | {u}
+        # the best chain, up to the floats that chose it
+        assert lam0 - min(ratios) <= 1e-12 * lam0
+
+
+def test_converged_engine_needs_no_newton_step():
+    # with the bracket below half the ladder spacing, the best chain ratio is
+    # lambda* and Newton only confirms it
+    converged = 0
+    for inst in iter_instances(20, seed=5150, n_max=10):
+        f, d = inst.build()
+        res = solve_dual(f, d)
+        state = res.trace["engine"]
+        assert res.engine_iterations == state.iterations
+        if state.converged:
+            converged += 1
+            assert res.newton_iterations == 0
+    assert converged >= 60
+
+
+def test_solve_dual_leaves_no_reference_cycles(two_elem, d34):
+    # a cycle would keep each solve's tables alive until the cyclic
+    # collector runs, so memory would grow with the number of solves
+    cases = [inst.build() for inst in iter_instances(2, seed=73, n_max=10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for f, d in cases:
+            solve_dual(f, d)
+        solve_dual_base(two_elem, d34)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dual_optimum_bounded(two_elem):

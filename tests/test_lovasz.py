@@ -136,12 +136,14 @@ def test_dense_lovasz_matches_generic():
         fast_eps = DenseLovasz(f, eps=0.125)
         for _ in range(4):
             x = rng.normal(size=f.n)
-            val, g = fast.value_subgrad(x)
+            val, g, chain = fast.value_subgrad(x)
             ref = evaluate(f, [float(v) for v in x])
             gref = subgradient(f, [float(v) for v in x]).v
             assert math.isclose(val, ref, rel_tol=1e-12, abs_tol=1e-9)
             assert np.allclose(g, gref)
+            order = greedy_order([float(v) for v in x])
+            assert chain.tolist() == [S.bits for S in order.prefix_sets[1:]]
             # perturbed variant adds eps times the max coordinate
-            val_eps, _ = fast_eps.value_subgrad(x)
+            val_eps, _, _ = fast_eps.value_subgrad(x)
             assert math.isclose(val_eps, ref + 0.125 * float(x.max()),
                                 rel_tol=1e-12, abs_tol=1e-9)
