@@ -10,9 +10,9 @@ from . import errors
 from .dualcut import (CutEngineState, ReducedProblem, cutting_plane_minimize,
                       lift_point, solve_dual, solve_dual_base, verify_lifting)
 from .lovasz import BaseVertex, DenseLovasz, GreedyOrder, evaluate, greedy_order, subgradient
-from .newton import (BinarySearchResult, LineSearchResult, NewtonTrace,
-                     binary_search, bruteforce_linesearch, discrete_newton,
-                     dual_point, envelope, ladder_spacing, upper_bound)
+from .newton import (BinarySearchResult, LineSearchResult, binary_search,
+                     bruteforce_linesearch, discrete_newton, dual_point,
+                     envelope, ladder_spacing, upper_bound)
 from .oracles import (ConcaveCardinalityPlusModular, DirectedGraphCut,
                       Direction, ExplicitTable, IntervalGeometric,
                       SubmodularOracle, WeightedCoverage, check_oracle,

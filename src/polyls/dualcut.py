@@ -196,25 +196,25 @@ def float_resolution(n: int, m_bound) -> float:
         return math.inf
 
 
-def _box_min(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a) -> float:
-    """min c.z over {lo <= z <= hi, a.z <= 1}; a is None for the box alone.
+def _box_min(c: np.ndarray, hi: np.ndarray, a) -> float:
+    """min c.z over {0 <= z <= hi, a.z <= 1}; a is None for the box alone.
 
     The Lagrangian dual in the hyperplane's multiplier mu >= 0 is
-    q(mu) = -mu + sum_i min((c_i + mu a_i) lo_i, (c_i + mu a_i) hi_i): concave,
-    piecewise linear, with kinks at mu = -c_i/a_i.  Its maximum over
-    mu >= 0 lies at 0 or at a positive kink and equals the LP minimum.  Each
-    q(mu) is a lower bound by weak duality, so a rounded kink only loosens
-    the bound.  O(m^2): every kink is evaluated in one array expression.
+    q(mu) = -mu + sum_i min(0, c_i + mu a_i) hi_i: concave, piecewise
+    linear, with kinks at mu = -c_i/a_i.  Its maximum over mu >= 0 lies at
+    0 or at a positive kink and equals the LP minimum.  Each q(mu) is a
+    lower bound by weak duality, so a rounded kink only loosens the bound.
+    O(m^2): every kink is evaluated in one array expression.
     """
     if a is None:
-        return float(np.minimum(c * lo, c * hi).sum())
+        return float((np.minimum(c, 0.0) * hi).sum())
     # mu = 0 and one entry per a_i: its kink, or 0 again where a_i = 0 or
     # the kink is negative
     mu = np.zeros(len(c) + 1)
     np.divide(-c, a, out=mu[1:], where=a != 0)
     np.maximum(mu, 0.0, out=mu)
     coef = c + mu[:, None] * a
-    return float((np.minimum(coef * lo, coef * hi).sum(axis=1) - mu).max())
+    return float(((np.minimum(coef, 0.0) * hi).sum(axis=1) - mu).max())
 
 
 _NEWTON_CAP = 100
@@ -271,15 +271,33 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
     return None
 
 
-def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
-           floor=-math.inf) -> CutEngineState:
-    """Minimize a convex phi over Z = {lo <= z <= hi, a.z <= 1} by ACCPM.
+def unit_box(prob: ReducedProblem) -> np.ndarray:
+    """Upper corner u of the search box 0 <= z <= u.
 
-    phi(z) -> (value, subgradient, candidate), with candidate None or a
-    pair (c, point) of a point of Z where phi is at most c; the best
-    candidate is the engine's upper bound best, and phi(z_init) must offer
-    one.  floor is a lower bound on phi over Z known in advance; the engine's
-    lower bound lb starts there.
+    u_i = 1, or u_i = 1/d_i when no entry of d is negative (u_i = 1 where
+    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
+    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
+    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
+    since then d(S) >= d_i for every i in S.  The extension reads
+    f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
+    greedy chain anywhere on the slice (f >= 0), so its minimum over the
+    domain is exactly lambda*.
+    """
+    all_nonneg = all(v >= 0 for v in prob.d_rest)
+    return np.array([1.0 / di if all_nonneg and di > 0 else 1.0
+                     for di in prob.d_rest])
+
+
+def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
+                           target_gap) -> CutEngineState:
+    """Minimize the reduced objective over the dual domain by ACCPM, to a
+    certified gap.
+
+    The domain is Z = {0 <= z <= u, d_rest.z <= 1} with u = unit_box(prob);
+    its minimum is lambda*, so the engine brackets lambda* between its lower
+    bound lb, which starts at 0 (f >= 0), and best, the best chain ratio
+    phi has offered.  The first query is z_init = 1/(2 ||d||_1) in every
+    coordinate, strictly inside Z.
 
     Epigraph form over y = (z, t): the box and the hyperplane are barrier
     rows, one row t <= best holds the best value found, and every query z_j
@@ -297,18 +315,24 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
     true place at later centers.
 
     phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
-    best - lb <= target_gap, with 0 cuts when z_init's candidate is already
-    that close to floor; stalled at once, with 0 cuts, when the target is
-    below the float resolution of phi, and later when neither best nor
-    lb moves for a window of cuts or a centering fails; past `cap` cuts it
-    raises IterationCapExceeded carrying the state.
+    best - lb <= target_gap, with 0 cuts when z_init's chain already closes
+    the bracket on 0; stalled at once, with 0 cuts, when the target is
+    below the float resolution of phi, and later when neither best nor lb
+    moves for a window of cuts or a centering fails (callers restore
+    exactness by rounding); past `prob.cut_cap` cuts, of order m ln(kappa),
+    it raises IterationCapExceeded carrying the state.
     """
-    m = len(lo)
-    z0 = np.asarray(z_init, dtype=np.float64).copy()
+    m = prob.omega_dim
+    hi = unit_box(prob)
+    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
+    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
+    target_gap = float(target_gap)
+    cap = prob.cut_cap
+    z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
     v0, g0, c0 = phi(z0)
     scale = max(1.0, abs(float(v0)))
     best, best_point = c0[0] / scale, c0[1]
-    lb = floor / scale
+    lb = 0.0
     it = newton = 0
     converged = stalled = False
 
@@ -323,17 +347,16 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
     if best - lb <= tgt:
         converged = True
         return state()
-    if resolution >= target_gap:
+    if float_resolution(prob.direction.n, prob.m_bound) >= target_gap:
         stalled = True
         return state()
 
-    # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= -lo_i,
-    # z_i <= hi_i, then a.z <= 1, then t <= best, then one row per cut
+    # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= 0,
+    # z_i <= u_i, then a.z <= 1, then t <= best, then one row per cut
     n_fixed = 2 * m + (a is not None) + 1
     A = np.zeros((n_fixed + cap + 1, m + 1))
     b = np.zeros(n_fixed + cap + 1)
     A[0:m, :m] = -np.eye(m)
-    b[0:m] = -lo
     A[m:2 * m, :m] = np.eye(m)
     b[m:2 * m] = hi
     if a is not None:
@@ -362,7 +385,7 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
         # W = -w.A_t, a convex combination of the cuts' minorants of phi
         wA = w @ A[n_fixed:k]
         W = -float(wA[m])
-        return _box_min(wA[:m] / W, lo, hi, a) - float(w @ b_true[n_fixed:k]) / W
+        return _box_min(wA[:m] / W, hi, a) - float(w @ b_true[n_fixed:k]) / W
 
     def shift(y, H):
         # a row the center y does not clear by _SHIFT Dikin widths
@@ -403,7 +426,7 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
         lb = max(lb, bound(1.0 / s[n_fixed:]))
         if best - lb <= tgt:
             break
-        z = np.clip(y[:m], lo, hi)
+        z = np.clip(y[:m], 0.0, hi)
         v, g, c = phi(z)
         v = float(v)
         it += 1
@@ -422,52 +445,8 @@ def _accpm(phi, lo, hi, a, z_init, target_gap, cap, resolution,
     return state()
 
 
-def unit_box(prob: ReducedProblem) -> np.ndarray:
-    """Upper corner u of the search box 0 <= z <= u.
-
-    u_i = 1, or u_i = 1/d_i when no entry of d is negative (u_i = 1 where
-    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
-    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
-    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
-    since then d(S) >= d_i for every i in S.  The extension reads
-    f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
-    greedy chain anywhere on the slice (f >= 0), so its minimum over the
-    domain is exactly lambda*.
-    """
-    all_nonneg = all(v >= 0 for v in prob.d_rest)
-    return np.array([1.0 / di if all_nonneg and di > 0 else 1.0
-                     for di in prob.d_rest])
-
-
-def cutting_plane_minimize(phi, prob: ReducedProblem,
-                           target_gap) -> CutEngineState:
-    """Minimize the reduced objective over the dual domain to a certified gap.
-
-    phi: a `_PhiOracle`.  The domain is
-    {0 <= z <= unit_box(prob), d_rest.z <= 1}, whose minimum is lambda*, so
-    the engine brackets lambda* between its lower bound and the best chain
-    ratio.  The cap is of order m ln(kappa) cuts.  On a stall the state is
-    returned with certified_gap above target (callers restore exactness by
-    rounding).
-    """
-    m = prob.omega_dim
-    norm1 = prob.direction.norm1
-    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
-    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
-    # f >= 0, so the extension is >= 0 wherever x >= 0: lambda* >= 0
-    return _accpm(phi, np.zeros(m), unit_box(prob), a,
-                  np.full(m, 1.0 / (2.0 * norm1)), float(target_gap),
-                  prob.cut_cap,
-                  float_resolution(prob.direction.n, prob.m_bound), floor=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
-
-
-def _floats_fit(f: SubmodularOracle, d: Direction) -> bool:
-    """Whether f's table and d's subset sums have float64 images."""
-    return f.float_table is not None and d.float_sums is not None
 
 
 def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
@@ -484,12 +463,14 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     the engine cannot run, and Newton starts from the upper bound.  Returns
     the exact intersection; the engine phase only warms up Newton, so a
     stalled or capped engine degrades iteration counts, not correctness.
+    The result's trace is the engine's `CutEngineState`, or None when the
+    engine did not run.
     """
     before = f.calls
     u = upper_bound(f, d)
     prob = ReducedProblem.for_instance(f, d)
     state, cuts, lam0 = None, 0, u
-    if _floats_fit(f, d):
+    if f.float_table is not None and d.float_sums is not None:
         phi = _PhiOracle(DenseLovasz(f), prob)
         try:
             state = cutting_plane_minimize(phi, prob, float(prob.eps / 2))
@@ -505,17 +486,16 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
                             engine_iterations=cuts,
                             oracle_calls=f.calls - before,
                             sfm_calls=res.sfm_calls,
-                            trace={"engine": state, "newton": res.trace})
+                            trace=state)
 
 
 def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Line search restricted to the base polytope: lambda d must also meet
     the full-set equality, which pins lambda = f(E)/d(E).
 
-    The value is verified by an exact membership test (the envelope at lambda
-    is nonnegative) and, for n >= 2 where f and d have float images, by
-    running the cutting-plane engine on the hyperplane-only relaxation and
-    checking agreement within the ladder spacing.
+    One exact envelope kernel call decides it: lambda d lies in P(f) iff the
+    envelope at lambda is nonnegative.  No float phase runs, so
+    `engine_iterations` is 0.
     """
     before = f.calls
     full = SubsetMask.full(f.n)
@@ -532,37 +512,7 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     if g < 0:
         raise InfeasibleBaseLineSearch(
             f"lambda d violates x(S) <= f(S) at S={violating}")
-
-    engine_iterations = 0
-    if f.n >= 2 and _floats_fit(f, d):
-        prob = ReducedProblem.for_instance(f, d)
-        m = prob.omega_dim
-        bound = 1.0 + abs(1.0 / d_full)
-        eps = float(prob.eps)
-        query = _PhiOracle(DenseLovasz(f), prob)
-
-        def phi(z):
-            # the relaxation drops x >= 0, so chain vertices do not bound its
-            # minimum; every query is the candidate instead
-            v, g, _ = query(z)
-            return v, g, (v, z)
-
-        try:
-            state = _accpm(phi, np.full(m, -bound), np.full(m, bound), None,
-                           np.full(m, 1.0 / d_full), eps / 4, prob.cut_cap,
-                           float_resolution(f.n, f.m_bound))
-        except IterationCapExceeded as exc:
-            state = exc.state
-        engine_iterations = state.iterations
-        if abs(state.best_value - float(lam)) > eps + 1e-6 * max(1.0, abs(float(lam))):
-            raise InvariantViolation(
-                f"hyperplane relaxation disagrees: engine {state.best_value} "
-                f"vs exact {lam}")
-
-    out = _result(f, d, lam, full, "base",
-                  oracle_calls=f.calls - before,
-                  engine_iterations=engine_iterations)
-    return out
+    return _result(f, d, lam, full, "base", oracle_calls=f.calls - before)
 
 
 def verify_lifting(f: SubmodularOracle, d: Direction, c: int) -> bool:

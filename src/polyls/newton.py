@@ -9,30 +9,22 @@ no matter how ugly the rational iterate is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import BadStart, InvariantViolation
 from .oracles import Direction, SubmodularOracle
 from .sfm import minimize_minus_modular
 from .subsets import SubsetMask
 
+if TYPE_CHECKING:
+    from .dualcut import CutEngineState
+
 # perfbench/tracer.py wraps these names in this module, so they stay bound
 # here although the solvers no longer call them
 from .oracles import newton_scale  # noqa: F401
 from .sfm import membership, minimize  # noqa: F401
-
-
-@dataclass
-class NewtonTrace:
-    """Visited iterates (lambda_i, envelope minimizer S_i, g(lambda_i))."""
-
-    iterates: list[tuple[Fraction, SubsetMask, Fraction]] = field(default_factory=list)
-    sfm_calls: int = 0
-
-    @property
-    def iterations(self) -> int:
-        return max(0, len(self.iterates) - 1)
 
 
 @dataclass
@@ -45,7 +37,8 @@ class LineSearchResult:
     engine_iterations: int = 0
     oracle_calls: int = 0
     sfm_calls: int = 0
-    trace: object = None
+    # the dual route's engine state; None on every other route
+    trace: CutEngineState | None = None
 
 
 @dataclass
@@ -126,18 +119,15 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     if lambda0 is None:
         lambda0 = upper_bound(f, d)
     lam = Fraction(lambda0)
-    trace = NewtonTrace()
     spacing = ladder_spacing(d)
 
     g, s = envelope(f, d, lam)
-    trace.sfm_calls += 1
     if g > 0:
         raise BadStart(f"envelope positive at start: lambda0={lam} < lambda*")
     if g == 0:
         # already feasible; confirm lambda0 is the intersection by stepping
         # just past it, where any envelope minimizer must be a tight set
         g_up, s_up = envelope(f, d, lam + spacing)
-        trace.sfm_calls += 1
         if g_up == 0:
             raise BadStart(f"still feasible above lambda0={lam}: started below lambda*")
         if d.of(s_up) <= 0:
@@ -146,17 +136,14 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
         if lam_cand != lam:
             raise BadStart(
                 f"lambda0={lam} is feasible but lambda*={lam_cand}: started below lambda*")
-        trace.iterates.append((lam, s_up, Fraction(0)))
         return _result(f, d, lam, s_up, "newton",
                        newton_iterations=0, oracle_calls=f.calls - before,
-                       sfm_calls=trace.sfm_calls, trace=trace)
+                       sfm_calls=2)
 
     cap = (1 << f.n) + 50
+    steps = 0
     tight = None
-    while True:
-        trace.iterates.append((lam, s, g))
-        if g == 0:
-            break
+    while g != 0:
         if d.of(s) <= 0:
             raise InvariantViolation("negative envelope with d(S) <= 0: f >= 0 broken")
         nxt = Fraction(f.eval(s), d.of(s))
@@ -165,14 +152,14 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
         tight = s
         lam = nxt
         g, s = envelope(f, d, lam)
-        trace.sfm_calls += 1
-        if len(trace.iterates) > cap:
+        steps += 1
+        if steps > cap:
             raise InvariantViolation("Newton exceeded the ladder size: oracle broken")
 
     return _result(f, d, lam, tight, "newton",
-                   newton_iterations=trace.iterations,
+                   newton_iterations=steps,
                    oracle_calls=f.calls - before,
-                   sfm_calls=trace.sfm_calls, trace=trace)
+                   sfm_calls=steps + 1)
 
 
 def binary_search(f: SubmodularOracle, d: Direction,

@@ -233,8 +233,8 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
     """Build the table-backed oracle for a family spec.
 
     The ground-set size is checked against TABLE_N_CAP before any table is
-    built.  Explicit tables are validated eagerly (normalization,
-    nonnegativity, submodularity).  Every generated table is built like
+    built.  Explicit tables are validated eagerly: nonnegativity, then
+    `check_oracle` (normalization, submodularity).  Every generated table is built like
     `subset_sums`, by element doubling: one array expression per element k
     fills the masks that contain k from those that do not, exact in the
     dtype of the family's `m_bound`.  The test suite checks each family's
@@ -253,17 +253,11 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
     if isinstance(spec, ExplicitTable):
         if any(type(v) is not int for v in spec.values):
             raise ValueError("explicit table values must be int")
-        if spec.values[0] != 0:
-            raise EmptyNotZero(f"f(empty) = {spec.values[0]}")
         neg = min(spec.values)
         if neg < 0:
             raise NegativeValue(f"table contains {neg}")
         oracle = SubmodularOracle(n, spec.values, m_bound=max(spec.values))
-        witness = submodularity_witness(oracle.dense_table(), n)
-        if witness is not None:
-            s, i, j = witness
-            raise NonSubmodular(
-                f"quadruple violated at S={SubsetMask(s, n)}, i={i}, j={j}")
+        check_oracle(oracle)
         return oracle
 
     if isinstance(spec, WeightedCoverage):

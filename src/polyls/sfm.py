@@ -341,7 +341,13 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
 
 
 def minimize(f: SubmodularOracle) -> SfmResult:
-    """Exact submodular minimization: the solvers' one path, by enumeration."""
+    """Exact submodular minimization of any oracle by enumeration.
+
+    No solver calls it: every solver minimizes through
+    `minimize_minus_modular`.  It stays for `membership`, which the tests
+    use as an independent membership check, and for the tracer in
+    `perfbench/`, which wraps it.
+    """
     return minimize_bruteforce(f)
 
 

@@ -283,7 +283,7 @@ def test_entries_past_float_range_skip_the_engine():
     res = solve_dual(f, d)
     assert res.lambda_star == Fraction(big, 3)
     assert res.tight_set == SubsetMask.full(2)
-    assert res.engine_iterations == 0 and res.trace["engine"] is None
+    assert res.engine_iterations == 0 and res.trace is None
     base = solve_dual_base(f, d)
     assert base.lambda_star == Fraction(big, 3) and base.engine_iterations == 0
     # a direction past float range has no float subset sums either
@@ -309,13 +309,13 @@ def test_unit_box_holds_every_vertex():
             assert sum(di * zi for di, zi in zip(prob.d_rest, z)) <= 1
 
 
-def _lp_min_by_vertices(c, lo, hi, a):
-    """min c.z over {lo <= z <= hi, a.z <= 1} by enumerating its vertices:
+def _lp_min_by_vertices(c, hi, a):
+    """min c.z over {0 <= z <= hi, a.z <= 1} by enumerating its vertices:
     every coordinate at a bound, or all but one at a bound and a.z = 1."""
     m = len(c)
     best = math.inf
     for corner in itertools.product((0, 1), repeat=m):
-        z = np.where(np.array(corner) == 1, hi, lo)
+        z = np.where(np.array(corner) == 1, hi, 0.0)
         if a is None or a @ z <= 1 + 1e-12:
             best = min(best, float(c @ z))
         if a is None:
@@ -325,7 +325,7 @@ def _lp_min_by_vertices(c, lo, hi, a):
                 continue
             rest = a @ z - a[i] * z[i]
             zi = (1 - rest) / a[i]
-            if lo[i] - 1e-12 <= zi <= hi[i] + 1e-12:
+            if -1e-12 <= zi <= hi[i] + 1e-12:
                 w = z.copy()
                 w[i] = zi
                 best = min(best, float(c @ w))
@@ -341,14 +341,13 @@ def test_box_bound_matches_vertex_enumeration():
             c = rng.integers(-2, 3, size=m).astype(float)  # ties and zeros
         a = rng.integers(-9, 10, size=m).astype(float)
         if trial % 5 == 0:
-            lo, hi, a = -np.ones(m) * 1.5, np.ones(m) * 1.5, None
+            hi, a = np.ones(m) * 1.5, None
         else:
-            lo = np.zeros(m)
             hi = np.where(a > 0, 1 / np.maximum(a, 1), 1.0) if trial % 2 else np.ones(m)
             if not a.any():
                 a = None
-        want = _lp_min_by_vertices(c, lo, hi, a)
-        got = _box_min(c, lo, hi, a)
+        want = _lp_min_by_vertices(c, hi, a)
+        got = _box_min(c, hi, a)
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -480,7 +479,7 @@ def test_converged_engine_needs_no_newton_step():
     for inst in iter_instances(20, seed=5150, n_max=10):
         f, d = inst.build()
         res = solve_dual(f, d)
-        state = res.trace["engine"]
+        state = res.trace
         assert res.engine_iterations == state.iterations
         if state.converged:
             converged += 1
@@ -537,8 +536,34 @@ def test_solve_dual_base_random_agreement():
             with pytest.raises(InfeasibleBaseLineSearch):
                 solve_dual_base(f, d)
             continue
-        res = solve_dual_base(f, d)  # includes the engine agreement check
+        res = solve_dual_base(f, d)
         assert res.lambda_star == lam
+
+
+def test_solve_dual_base_decides_without_floats(monkeypatch):
+    # one exact kernel call decides the base route: no float extension is
+    # built and no cut is made, also where f and d have float images
+    built = []
+    init = DenseLovasz.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
+    solved = 0
+    for inst in iter_instances(6, seed=5530, n_max=10, n_min=2):
+        f, d = inst.build()
+        assert f.float_table is not None and d.float_sums is not None
+        try:
+            res = solve_dual_base(f, d)
+        except InfeasibleBaseLineSearch:
+            continue
+        solved += 1
+        assert res.engine_iterations == 0 and res.trace is None
+        full = SubsetMask.full(f.n)
+        assert res.lambda_star == Fraction(f.eval(full), d.of(full))
+    assert built == [] and solved >= 5
 
 
 def test_verify_lifting(two_elem, d34, d_mixed):
@@ -554,6 +579,5 @@ def test_verify_lifting_random_and_small_constant():
         assert verify_lifting(f, d, c)
         if infinity_norm(f) * d.norm1 > 1 and not verify_lifting(f, d, 1):
             falsified += 1
-    # c = 1 below the threshold is allowed to fail; when it never does the
-    # check is vacuous, which is fine
-    assert falsified >= 0
+    # c = 1 below the threshold may fail, and on this corpus it does
+    assert falsified >= 1

@@ -71,16 +71,31 @@ def test_newton_matches_bruteforce_exactly():
             bruteforce_linesearch(f, d).lambda_star
 
 
-def test_newton_trace_structure():
+def test_newton_trace_structure(monkeypatch):
+    # the iterates are the envelope calls up to the first zero value; a
+    # later call only confirms a start that was already optimal
+    calls = []
+    real = newton.envelope
+
+    def envelope_spy(f, d, lam):
+        out = real(f, d, lam)
+        calls.append((lam, out[1], out[0]))
+        return out
+
+    monkeypatch.setattr(newton, "envelope", envelope_spy)
     for inst in iter_instances(3, seed=4100, n_max=10):
         f, d = inst.build()
+        calls.clear()
         res = discrete_newton(f, d)
-        tr = res.trace
-        lams = [it[0] for it in tr.iterates]
+        assert res.sfm_calls == len(calls)
+        last = next(i for i, it in enumerate(calls) if it[2] == 0)
+        iterates = calls[:last + 1]
+        assert res.newton_iterations == len(iterates) - 1
+        lams = [it[0] for it in iterates]
         assert all(a > b for a, b in zip(lams, lams[1:]))
-        assert tr.iterates[-1][2] == 0
+        assert iterates[-1][2] == 0
         # every iterate after the first is a ladder point of its predecessor
-        for (lam_a, s_a, g_a), (lam_b, _, _) in zip(tr.iterates, tr.iterates[1:]):
+        for (lam_a, s_a, g_a), (lam_b, _, _) in zip(iterates, iterates[1:]):
             assert lam_b == Fraction(f.eval(s_a), d.of(s_a))
 
 
