@@ -9,7 +9,8 @@ together with a tight set and a dual witness.
 from . import errors
 from .dualcut import (CutEngineState, ReducedProblem, cutting_plane_minimize,
                       lift_point, solve_dual, solve_dual_base, verify_lifting)
-from .lovasz import BaseVertex, DenseLovasz, GreedyOrder, evaluate, greedy_order, subgradient
+from .lovasz import (DenseLovasz, evaluate, greedy_order, greedy_vertex,
+                     subgradient)
 from .newton import (BinarySearchResult, LineSearchResult, binary_search,
                      bruteforce_linesearch, discrete_newton, dual_point,
                      envelope, ladder_spacing, upper_bound)

@@ -1,11 +1,11 @@
 """Command-line front end: gen / solve / verify / bench.
 
 Every command runs in this one process, and each experiment is a `bench`
-suite: `cross` (all methods agree), `ladder-sweep` (Newton seeded k ladder
-steps above the optimum), `worst-case` (the geometric interval family
-against directions (D, 3D-1)) and `dual-warmstart` (cold Newton against the
-dual route).  Exit codes: 0 ok, 1 input error, 2 solver error, 3
-verification mismatch.
+suite: `cross` (all methods agree; its `newton` and `dualcut` rows compare
+cold Newton with the dual warm start), `ladder-sweep` (Newton seeded k
+ladder steps above the optimum) and `worst-case` (the geometric interval
+family against directions (D, 3D-1)).  Exit codes: 0 ok, 1 input error,
+2 solver error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -276,23 +276,6 @@ def _bench_rows_worstcase():
     return rows
 
 
-def _bench_rows_dual_warmstart(count: int, seed: int):
-    rows = []
-    for inst_id, fam, n, inst in _suite_instances(count, seed, 12):
-        f, d = inst.build()
-        t0 = time.perf_counter_ns()
-        cold = discrete_newton(f, d)
-        mid = time.perf_counter_ns()
-        warm = solve_dual(f, d)
-        t1 = time.perf_counter_ns()
-        assert cold.lambda_star == warm.lambda_star
-        rows.append(_row(inst_id, fam, n, "newton", cold, mid - t0,
-                         extra="start=upper_bound"))
-        rows.append(_row(inst_id, fam, n, "dualcut", warm, t1 - mid,
-                         extra="start=dual"))
-    return rows
-
-
 def cmd_bench(args) -> int:
     err = _size_error(None, args.count)
     if err:
@@ -303,8 +286,6 @@ def cmd_bench(args) -> int:
         rows = _bench_rows_ladder(args.count, args.seed)
     elif args.suite == "worst-case":
         rows = _bench_rows_worstcase()
-    elif args.suite == "dual-warmstart":
-        rows = _bench_rows_dual_warmstart(args.count, args.seed)
     else:
         return _input_error(f"unknown suite {args.suite!r}")
     buf = io.StringIO()
@@ -341,7 +322,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="emit a CSV of per-method counters")
     p.add_argument("--suite", required=True,
-                   help="cross | ladder-sweep | worst-case | dual-warmstart")
+                   help="cross | ladder-sweep | worst-case")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")

@@ -30,11 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
-                     InvariantViolation, IterationCapExceeded)
+                     IterationCapExceeded)
 from .lovasz import DenseLovasz
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      discrete_newton, envelope, ladder_spacing, upper_bound)
-from .oracles import Direction, SubmodularOracle
+from .oracles import Direction, SubmodularOracle, lift, translate
 from .subsets import SubsetMask
 
 # perfbench/tracer.py wraps `evaluate` and `perturb` in this module, so they
@@ -59,9 +59,8 @@ class ReducedProblem:
 
     @classmethod
     def for_instance(cls, f: SubmodularOracle, d: Direction) -> "ReducedProblem":
+        # Direction guarantees a positive entry, so d_pivot > 0
         pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
-        if d.d[pivot] <= 0:
-            raise InvariantViolation("direction lost its positive entry")
         return cls(pivot=pivot,
                    omega_dim=d.n - 1,
                    d_rest=tuple(v for i, v in enumerate(d.d) if i != pivot),
@@ -110,15 +109,13 @@ class _PhiOracle:
     """Float objective of an extension over the reduced domain, rounded on
     its greedy chains.
 
-    phi(z) -> (value, subgradient, candidate).  The query's chain
-    S_1 < ... < S_n is the one `value_subgrad` reads; every S_k with
-    d(S_k) > 0 gives a ratio f(S_k)/d(S_k) >= lambda*, read in floats from
-    the float table and `Direction.float_sums`.  candidate is
-    (ratio, vertex) when the chain's best ratio is below that of every
-    earlier query, with vertex the reduced coordinates of 1_S/d(S)
-    (z_i = 1/d(S) for i in S minus the pivot), and None otherwise; the vertex
-    is built only then.  best and best_mask are the last candidate's ratio
-    and set mask (inf and None before the first).
+    phi(z) -> (value, subgradient).  The query's chain S_1 < ... < S_n is
+    the one `value_subgrad` reads; every S_k with d(S_k) > 0 gives a ratio
+    f(S_k)/d(S_k) >= lambda*, read in floats from the float table and
+    `Direction.float_sums`.  best and best_mask are the smallest such ratio
+    over every query so far and the mask of its set (inf and None before
+    the first query whose chain holds a set with d(S) > 0); the extension
+    reads best at the vertex 1_S/d(S) of that set.
     """
 
     def __init__(self, lov: DenseLovasz, prob: ReducedProblem):
@@ -145,12 +142,10 @@ class _PhiOracle:
         ratios = np.divide(lov.table[chain], den, out=np.full(lov.n, math.inf),
                            where=den > 0)
         k = int(ratios.argmin())
-        if not ratios[k] < self.best:
-            return val, grad, None
-        self.best = best = float(ratios[k])
-        self.best_mask = mask = int(chain[k])
-        vertex = np.where(mask >> rest_idx & 1, 1.0 / den[k], 0.0)
-        return val, grad, (best, vertex)
+        if ratios[k] < self.best:
+            self.best = float(ratios[k])
+            self.best_mask = int(chain[k])
+        return val, grad
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +156,14 @@ class _PhiOracle:
 class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
 
-    The box and the hyperplane are barrier rows, never cuts, so every query
-    is an objective cut: `iterations == objective_cuts` and
-    `feasibility_cuts` is always 0.  `newton_steps` counts the centering
-    steps of all queries together.
+    best_value is the best chain ratio the engine took from its `_PhiOracle`,
+    whose `best_mask` names the set; the point where the extension reads it
+    is that set's vertex 1_S/d(S).  The box and the hyperplane are barrier
+    rows, never cuts, so every query is an objective cut:
+    `iterations == objective_cuts` and `feasibility_cuts` is always 0.
+    `newton_steps` counts the centering steps of all queries together.
     """
 
-    best_point: np.ndarray
     best_value: float
     lower_bound: float
     certified_gap: float
@@ -296,8 +292,9 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
     The domain is Z = {0 <= z <= u, d_rest.z <= 1} with u = unit_box(prob);
     its minimum is lambda*, so the engine brackets lambda* between its lower
     bound lb, which starts at 0 (f >= 0), and best, the best chain ratio
-    phi has offered.  The first query is z_init = 1/(2 ||d||_1) in every
-    coordinate, strictly inside Z.
+    `phi.best` of every query so far (`phi.best_mask` names its set).  The
+    first query is z_init = 1/(2 ||d||_1) in every coordinate, strictly
+    inside Z.
 
     Epigraph form over y = (z, t): the box and the hyperplane are barrier
     rows, one row t <= best holds the best value found, and every query z_j
@@ -329,15 +326,15 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
     target_gap = float(target_gap)
     cap = prob.cut_cap
     z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
-    v0, g0, c0 = phi(z0)
+    v0, g0 = phi(z0)
     scale = max(1.0, abs(float(v0)))
-    best, best_point = c0[0] / scale, c0[1]
+    best = phi.best / scale
     lb = 0.0
     it = newton = 0
     converged = stalled = False
 
     def state() -> CutEngineState:
-        return CutEngineState(best_point.copy(), best * scale, lb * scale,
+        return CutEngineState(best * scale, lb * scale,
                               max(0.0, best - lb) * scale, it, converged,
                               stalled, 0, it, newton)
 
@@ -427,11 +424,11 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
         if best - lb <= tgt:
             break
         z = np.clip(y[:m], 0.0, hi)
-        v, g, c = phi(z)
+        v, g = phi(z)
         v = float(v)
         it += 1
-        if c is not None and c[0] / scale < best:
-            best, best_point = c[0] / scale, c[1]
+        if phi.best / scale < best:
+            best = phi.best / scale
             b_true[t_row] = best
         add_cut(z, v, g)
         shift(y, H)
@@ -495,7 +492,7 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
 
     One exact envelope kernel call decides it: lambda d lies in P(f) iff the
     envelope at lambda is nonnegative.  No float phase runs, so
-    `engine_iterations` is 0.
+    `engine_iterations` is 0 and `sfm_calls` is 1.
     """
     before = f.calls
     full = SubsetMask.full(f.n)
@@ -512,50 +509,29 @@ def solve_dual_base(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     if g < 0:
         raise InfeasibleBaseLineSearch(
             f"lambda d violates x(S) <= f(S) at S={violating}")
-    return _result(f, d, lam, full, "base", oracle_calls=f.calls - before)
+    return _result(f, d, lam, full, "base", oracle_calls=f.calls - before,
+                   sfm_calls=1)
 
 
 def verify_lifting(f: SubmodularOracle, d: Direction, c: int) -> bool:
     """Check by enumeration that lifting with constant c preserves the optimum.
 
     Left side: max lambda_1 with lambda_1 (d, 0) + lambda_2 e_{n+1} in the
-    lifted base polytope, where the base equality forces
-    lambda_2 = f(E) - lambda_1 d(E).  Right side: the polymatroid intersection.
-    Equality is guaranteed for c > max|f| * ||d||_1 and may fail below.
+    base polytope of `lift(f, c)`, where the base equality forces
+    lambda_2 = f(E) - lambda_1 d(E).  Translating the lifted function by
+    f(E) e_{n+1} turns that into the line search of g along
+    dg = (d, -d(E)): lambda_1 is feasible iff lambda_1 dg lies in P(g).  The
+    smallest ratio g(S)/dg(S) over dg(S) > 0 is the largest candidate, and
+    it is the answer iff the envelope of g is nonnegative there (no
+    constraint with dg(S) <= 0 cuts it off).  Right side: the polymatroid
+    intersection.  Equality is guaranteed for c > max|f| * ||d||_1 and may
+    fail below; c <= 0 is a ValueError, as in `lift`.
     """
     if f.n > 10:
         raise GroundSetTooLarge("lifting verification is capped at n = 10")
-    right = bruteforce_linesearch(f, d).lambda_star
-
-    table = f.dense_table().tolist()
-    dsums = d.sums.tolist()
-    full = (1 << f.n) - 1
-    f_full = table[full]
-    d_full = dsums[full]
-    hi = None
-    lo = None
-    for mask in range(1 << f.n):
-        for with_new in (False, True):
-            if with_new and mask == full:
-                continue  # the full lifted set holds with equality by construction
-            if with_new:
-                a = dsums[mask] - d_full
-                b = table[mask] + c - f_full
-            else:
-                a = dsums[mask]
-                b = table[mask]
-            if a > 0:
-                r = Fraction(b, a)
-                if hi is None or r < hi:
-                    hi = r
-            elif a < 0:
-                r = Fraction(b, a)
-                if lo is None or r > lo:
-                    lo = r
-            elif b < 0:
-                return False  # 0 * lambda <= b infeasible: no lifted solution
-    if hi is None:
-        return False
-    if lo is not None and lo > hi:
-        return False
-    return hi == right
+    full = SubsetMask.full(f.n)
+    g = translate(lift(f, c), (0,) * f.n + (f.eval(full),))
+    dg = Direction(d.d + (-d.of(full),))
+    left = bruteforce_linesearch(g, dg).lambda_star
+    return (envelope(g, dg, left)[0] >= 0
+            and left == bruteforce_linesearch(f, d).lambda_star)

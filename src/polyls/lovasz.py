@@ -1,6 +1,11 @@
 """Lovász extension via the greedy algorithm: values and subgradients.
 
-Works generically over exact numbers (int / Fraction) and floats; the sort
+The extension at x is read off the greedy chain of x: sort x descending into
+a permutation, and the marginal gains f(S_k) - f(S_{k-1}) along its prefix
+sets S_k form the greedy vertex of the base polytope that maximizes v.x, so
+the value is x.v (Bach, *Learning with Submodular Functions*, FnT ML 2013,
+section 3).  `greedy_vertex` is the one exact loop that reads those
+marginals.  x may hold exact numbers (int / Fraction) or floats; the sort
 breaks ties by ascending element index so results are deterministic.
 `DenseLovasz` is the vectorized float path used inside the cutting-plane and
 minimum-norm-point loops.
@@ -8,68 +13,46 @@ minimum-norm-point loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .oracles import SubmodularOracle
-from .subsets import SubsetMask
 
 
-@dataclass(frozen=True)
-class GreedyOrder:
-    """Sorting permutation of a point and its chain of prefix sets S_0 .. S_n."""
-
-    perm: tuple[int, ...]
-    prefix_sets: tuple[SubsetMask, ...]
-
-
-@dataclass(frozen=True)
-class BaseVertex:
-    """A greedy vertex of the base polytope (marginal gains along an order)."""
-
-    v: tuple
-
-
-def greedy_order(x) -> GreedyOrder:
+def greedy_order(x) -> tuple[int, ...]:
     """Indices of x in descending value order; equal values keep ascending index."""
     xs = list(x)
-    n = len(xs)
     # sorted() is stable, and reverse=True preserves the original (ascending
     # index) order among equal keys
-    perm = tuple(sorted(range(n), key=xs.__getitem__, reverse=True))
-    prefixes = [SubsetMask.empty(n)]
-    bits = 0
-    for i in perm:
-        bits |= 1 << i
-        prefixes.append(SubsetMask(bits, n))
-    return GreedyOrder(perm, tuple(prefixes))
+    return tuple(sorted(range(len(xs)), key=xs.__getitem__, reverse=True))
+
+
+def greedy_vertex(f: SubmodularOracle, perm) -> list:
+    """Exact marginal gains v_e = f(S_k) - f(S_{k-1}) along the prefix sets
+    S_k of the permutation perm; n oracle calls."""
+    v = [0] * f.n
+    mask = prev = 0
+    for e in perm:
+        mask |= 1 << e
+        cur = f.eval(mask)
+        v[e] = cur - prev
+        prev = cur
+    return v
 
 
 def evaluate(f: SubmodularOracle, x):
     """Extension value sum_i x_{pi_i} (f(S_i) - f(S_{i-1})); n oracle calls."""
     xs = list(x)
-    order = greedy_order(xs)
+    perm = greedy_order(xs)
+    v = greedy_vertex(f, perm)
     total = 0
-    prev = 0
-    for i, e in enumerate(order.perm):
-        cur = f.eval(order.prefix_sets[i + 1])
-        total = total + xs[e] * (cur - prev)
-        prev = cur
+    for e in perm:
+        total = total + xs[e] * v[e]
     return total
 
 
-def subgradient(f: SubmodularOracle, x) -> BaseVertex:
+def subgradient(f: SubmodularOracle, x) -> tuple:
     """Marginal-gain vertex maximizing v.x over the base polytope; n oracle calls."""
-    xs = list(x)
-    order = greedy_order(xs)
-    v = [0] * len(xs)
-    prev = 0
-    for i, e in enumerate(order.perm):
-        cur = f.eval(order.prefix_sets[i + 1])
-        v[e] = cur - prev
-        prev = cur
-    return BaseVertex(tuple(v))
+    return tuple(greedy_vertex(f, greedy_order(x)))
 
 
 class DenseLovasz:
@@ -108,17 +91,3 @@ class DenseLovasz:
         g = np.empty(self.n)
         g[order] = diffs
         return value, g, masks
-
-    def exact_vertex(self, order: tuple[int, ...]) -> list:
-        """Exact integer marginals along a stored order (no float roundoff)."""
-        table = self.oracle.dense_table()
-        v = [0] * self.n
-        mask = 0
-        prev = 0
-        for e in order:
-            mask |= 1 << e
-            cur = table.item(mask)
-            v[e] = cur - prev
-            prev = cur
-        self.oracle.charge(self.n)
-        return v

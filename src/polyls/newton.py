@@ -121,9 +121,8 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     lam = Fraction(lambda0)
     spacing = ladder_spacing(d)
 
+    # S = empty reads 0, so the envelope is never positive
     g, s = envelope(f, d, lam)
-    if g > 0:
-        raise BadStart(f"envelope positive at start: lambda0={lam} < lambda*")
     if g == 0:
         # already feasible; confirm lambda0 is the intersection by stepping
         # just past it, where any envelope minimizer must be a tight set

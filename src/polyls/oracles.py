@@ -34,7 +34,8 @@ class SubmodularOracle:
     The ground set has 1 to TABLE_N_CAP elements; larger sizes raise
     GroundSetTooLarge here.  The table is stored once, as one array in the
     dtype `table_dtype(m_bound)` picks; an `m_bound` below the table's max
-    |f| is a ValueError.
+    |f| is a ValueError, and f(empty) != 0 raises EmptyNotZero, so every
+    oracle is normalized.
 
     `calls` counts value-oracle reads.  Vectorized code paths that read the
     table account their reads in blocks via `charge`.  CPython's GIL makes
@@ -55,6 +56,8 @@ class SubmodularOracle:
             raise ValueError(f"m_bound {m_bound} is below max |f|") from None
         if self._table.max() > m_bound or self._table.min() < -m_bound:
             raise ValueError(f"m_bound {m_bound} is below max |f|")
+        if self._table[0] != 0:
+            raise EmptyNotZero(f"f(empty) = {self._table[0]}")
 
     def eval(self, s):
         """f(S) for S given as a SubsetMask or a raw bit mask."""
@@ -209,10 +212,9 @@ def submodularity_witness(table, n):
 
 
 def check_oracle(oracle: SubmodularOracle):
-    """Exhaustively validate f(empty) = 0 and submodularity."""
+    """Exhaustively validate submodularity (every oracle is normalized by
+    construction)."""
     table = oracle.dense_table()
-    if table[0] != 0:
-        raise EmptyNotZero(f"f(empty) = {table[0]}")
     witness = submodularity_witness(table, oracle.n)
     if witness is not None:
         s, i, j = witness
@@ -234,10 +236,11 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
 
     The ground-set size is checked against TABLE_N_CAP before any table is
     built.  Explicit tables are validated eagerly: nonnegativity, then
-    `check_oracle` (normalization, submodularity).  Every generated table is built like
-    `subset_sums`, by element doubling: one array expression per element k
-    fills the masks that contain k from those that do not, exact in the
-    dtype of the family's `m_bound`.  The test suite checks each family's
+    normalization (the oracle's constructor), then submodularity
+    (`check_oracle`).  Every generated table is built like `subset_sums`, by
+    element doubling: one array expression per element k fills the masks
+    that contain k from those that do not, exact in the dtype of the
+    family's `m_bound`.  The test suite checks each family's
     table against its definition.
     """
     if isinstance(spec, ExplicitTable):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvariantViolation
-from .lovasz import DenseLovasz
+from .lovasz import DenseLovasz, greedy_vertex
 from .oracles import Direction, SubmodularOracle, scale_minus_modular
 from .subsets import SubsetMask, table_dtype
 
@@ -320,7 +320,7 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
         w_rat = [Fraction(1)] + [Fraction(0)] * (len(w_rat) - 1)
         total = Fraction(1)
     w_rat = [wj / total for wj in w_rat]
-    exact_vs = [lov.exact_vertex(o) for o in orders]
+    exact_vs = [greedy_vertex(f, o) for o in orders]
     x_rat = [sum(wj * vj[i] for wj, vj in zip(w_rat, exact_vs)) for i in range(n)]
     lower = sum(min(xi, 0) for xi in x_rat)
 

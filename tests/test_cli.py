@@ -339,9 +339,14 @@ def test_bench_cross_csv(capsys):
     by_inst = {}
     for row in rows[1:]:
         assert row[-1] == "bench-v1"
-        by_inst.setdefault(row[0], set()).add(row[4])
-    # identical exact rationals across methods for every instance
-    assert all(len(vals) == 1 for vals in by_inst.values())
+        by_inst.setdefault(row[0], {})[row[3]] = row
+    assert len(by_inst) == 2 * len(FAMILIES)
+    for methods in by_inst.values():
+        # identical exact rationals across methods for every instance
+        assert len({row[4] for row in methods.values()}) == 1
+        # the dual warm start takes no more Newton steps than the cold start
+        cold, warm = methods["newton"], methods["dualcut"]
+        assert int(warm[8]) <= int(cold[8])
 
 
 def test_bench_empty_suite(capsys):
@@ -365,24 +370,6 @@ def test_bench_worst_case(tmp_path, capsys):
     for row in big:
         assert row[11] == ("D=10000;first_breakpoint=12/29999;"
                            "minimizer_below={0};minimizer_above={0,1}")
-
-
-def test_bench_dual_warmstart(capsys):
-    code, out, _ = run(capsys, "bench", "--suite", "dual-warmstart",
-                       "--count", "1", "--seed", "1")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == CSV_HEADER
-    pairs = {}
-    for row in rows[1:]:
-        assert row[-1] == "bench-v1"
-        pairs.setdefault(row[0], {})[row[3]] = row
-    assert len(rows) == 1 + 2 * len(pairs) and len(pairs) == len(FAMILIES) == 5
-    for pair in pairs.values():
-        cold, warm = pair["newton"], pair["dualcut"]
-        assert cold[4] == warm[4]  # same exact lambda*
-        assert int(warm[8]) <= int(cold[8])  # dual start not worse than cold
-        assert (cold[11], warm[11]) == ("start=upper_bound", "start=dual")
 
 
 def test_bench_ladder_sweep(capsys):

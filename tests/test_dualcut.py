@@ -15,7 +15,7 @@ from polyls.dualcut import (_box_min, _PhiOracle, float_resolution,
                             perturb, unit_box)
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
-from polyls.newton import upper_bound
+from polyls.newton import minimize_minus_modular, upper_bound
 from polyls.oracles import ExplicitTable, IntervalGeometric, infinity_norm
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
@@ -61,25 +61,26 @@ def test_phi_values(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
     fn = _PhiOracle(DenseLovasz(two_elem), prob)
-    assert fn.best_mask is None
+    assert fn.best == math.inf and fn.best_mask is None
     # at z = 0 the lifted point is 1_{pivot}/4, where the extension reads
-    # f({pivot})/4; its chain {1} < {0, 1} has ratios 2/4 and 3/7, so it
-    # offers the vertex 1_{0,1}/7, whose reduced coordinate is z = 1/7
-    val0, _, (ratio, vertex) = fn(np.zeros(1))
+    # f({pivot})/4; its chain {1} < {0, 1} has ratios 2/4 and 3/7, so the
+    # best set is {0, 1}, whose vertex 1_{0,1}/7 has reduced coordinate 1/7
+    val0, _ = fn(np.zeros(1))
     assert math.isclose(val0, two_elem.eval(0b10) / 4, rel_tol=1e-12)
-    assert math.isclose(ratio, 3.0 / 7.0, rel_tol=1e-12)
-    assert vertex.tolist() == [1.0 / 7.0]
+    assert math.isclose(fn.best, 3.0 / 7.0, rel_tol=1e-12)
     assert fn.best_mask == 0b11
-    # at z = 1/7 the chain {0} < {0, 1} holds nothing better: no candidate
-    val, _, cand = fn(np.array([1.0 / 7.0]))
+    best = fn.best
+    # at z = 1/7 the chain {0} < {0, 1} holds nothing better: best stays
+    val, _ = fn(np.array([1.0 / 7.0]))
     assert math.isclose(val, 3.0 / 7.0, rel_tol=1e-12)
-    assert cand is None and fn.best_mask == 0b11
+    assert fn.best == best and fn.best_mask == 0b11
 
 
 def test_chain_candidates_are_vertices_below_their_query():
     # the level-set rounding: on the slice, x >= 0, the extension is at
-    # least the best ratio of the query's chain, and that ratio's vertex
-    # 1_S/d(S) lies in the search domain
+    # least the best ratio of the query's chain, that ratio is the exact
+    # f(S)/d(S) of best_mask, and the vertex 1_S/d(S), where the extension
+    # reads it, lies in the search domain
     rng = np.random.default_rng(31)
     offered = 0
     for inst in iter_instances(4, seed=6200, n_max=10):
@@ -94,12 +95,12 @@ def test_chain_candidates_are_vertices_below_their_query():
             scale = float(np.dot(prob.d_rest, z))
             if scale > 1:
                 z /= scale * 1.01
-            val, _, cand = fn(z)
-            if cand is None:
+            val, _ = fn(z)
+            if fn.best == best:
                 assert val >= best * (1 - 1e-12)
                 continue
             offered += 1
-            ratio, vertex = cand
+            ratio = fn.best
             mask = fn.best_mask
             den = d.of(mask)
             assert den > 0
@@ -111,8 +112,9 @@ def test_chain_candidates_are_vertices_below_their_query():
             best = ratio
             x = [Fraction(1, den) if mask >> i & 1 else Fraction(0)
                  for i in range(f.n)]
+            assert evaluate(f, x) == exact
             want = x[:prob.pivot] + x[prob.pivot + 1:]
-            assert vertex.tolist() == [float(v) for v in want]
+            vertex = np.array([float(v) for v in want])
             assert ((0 <= vertex) & (vertex <= hi)).all()
             assert sum(di * vi for di, vi in zip(prob.d_rest, want)) <= 1
     assert offered >= 20
@@ -136,7 +138,7 @@ def test_phi_chain_rule_against_finite_differences():
         if gaps.size and gaps.min() < 1e-3:
             checked += 1  # skip tie-prone points but keep the schedule moving
             continue
-        val, g, _ = phi_fn(z)
+        val, g = phi_fn(z)
         assert math.isclose(val, float(evaluate(f, x)), rel_tol=1e-9, abs_tol=1e-9)
         for i in range(m):
             zp, zm = z.copy(), z.copy()
@@ -150,10 +152,10 @@ def test_phi_chain_rule_against_finite_differences():
 def test_engine_converges_on_two_element_example(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     # the minimum 3/7 sits at the vertex 1_{0,1}/7, z = 1/7
-    state = cutting_plane_minimize(_PhiOracle(DenseLovasz(two_elem), prob),
-                                   prob, 1e-7)
+    fn = _PhiOracle(DenseLovasz(two_elem), prob)
+    state = cutting_plane_minimize(fn, prob, 1e-7)
     assert state.converged
-    assert state.best_point.tolist() == [1.0 / 7.0]
+    assert fn.best_mask == 0b11
     assert math.isclose(state.best_value, 3.0 / 7.0, rel_tol=1e-12)
     assert state.certified_gap <= 1e-7
     assert state.lower_bound <= 3.0 / 7.0 + 1e-12
@@ -163,10 +165,10 @@ def test_engine_zero_dimensional():
     f = make_family(ExplicitTable((0, 5)))
     d = Direction((2,))
     prob = ReducedProblem.for_instance(f, d)
-    state = cutting_plane_minimize(_PhiOracle(DenseLovasz(f), prob),
-                                   prob, 0.1)
+    fn = _PhiOracle(DenseLovasz(f), prob)
+    state = cutting_plane_minimize(fn, prob, 0.1)
     assert state.converged and state.iterations == 0
-    assert state.best_point.shape == (0,)
+    assert fn.best_mask == 0b1
     assert state.best_value == state.lower_bound == 2.5
 
 
@@ -203,13 +205,15 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
     assert not state.converged and not state.stalled
     assert math.isfinite(state.best_value)
     assert state.lower_bound <= state.best_value
-    assert state.best_point.shape == (1,)
+    mask = fn.best_mask
+    assert math.isclose(state.best_value,
+                        two_elem.eval(mask) / d34.of(mask), rel_tol=1e-12)
 
 
 def test_engine_certifies_against_bruteforce_dual(monkeypatch):
     for inst in iter_instances(3, seed=233, n_max=8, n_min=2):
         f, d = inst.build()
-        prob, _, state = _run_engine(f, d)
+        prob, fn, state = _run_engine(f, d)
         target = float(prob.eps) / 2
         assert state.converged and state.certified_gap <= target
         # engine brackets lambda*, the minimum over the domain
@@ -217,10 +221,12 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
         slack = 1e-7 * max(1.0, abs(star))
         assert state.best_value >= star - slack
         assert state.lower_bound <= star + slack
-        # feasibility of the reported point
-        assert (state.best_point >= 0).all()
-        assert (state.best_point <= unit_box(prob)).all()
-        assert float(np.dot(prob.d_rest, state.best_point)) <= 1 + 1e-12
+        # best_value is the exact ratio of the best chain set, read in floats
+        mask = fn.best_mask
+        assert d.of(mask) > 0
+        assert math.isclose(state.best_value,
+                            float(Fraction(f.eval(mask), d.of(mask))),
+                            rel_tol=1e-12)
         assert state.feasibility_cuts == 0
         assert state.objective_cuts == state.iterations
         # the engine is deterministic, so capping it after j cuts shows its
@@ -566,9 +572,34 @@ def test_solve_dual_base_decides_without_floats(monkeypatch):
     assert built == [] and solved >= 5
 
 
+def test_solve_dual_base_counts_its_kernel_call(monkeypatch):
+    # the base route's envelope membership test is one kernel call, and it
+    # reports it like every other route
+    calls = []
+
+    def kernel_spy(*args):
+        calls.append(args)
+        return minimize_minus_modular(*args)
+
+    monkeypatch.setattr("polyls.newton.minimize_minus_modular", kernel_spy)
+    solved = 0
+    for inst in iter_instances(4, seed=5100, n_max=8):
+        f, d = inst.build()
+        calls.clear()
+        try:
+            res = solve_dual_base(f, d)
+        except InfeasibleBaseLineSearch:
+            continue
+        solved += 1
+        assert res.sfm_calls == len(calls) == 1
+    assert solved >= 3
+
+
 def test_verify_lifting(two_elem, d34, d_mixed):
     assert verify_lifting(two_elem, d34, 3 * 7 + 1)
     assert verify_lifting(two_elem, d_mixed, 3 * 2 + 1)
+    with pytest.raises(ValueError):  # lift is defined for c > 0 only
+        verify_lifting(two_elem, d34, 0)
 
 
 def test_verify_lifting_random_and_small_constant():

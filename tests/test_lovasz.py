@@ -9,27 +9,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyls import (DenseLovasz, ExplicitTable, SubmodularOracle, evaluate,
-                    greedy_order, make_family, subgradient)
-from polyls.subsets import SubsetMask
+                    greedy_order, greedy_vertex, make_family, subgradient)
 from conftest import iter_instances
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=40)
 
 
-def test_greedy_order_tie_break():
-    order = greedy_order((0.5, 0.5))
-    assert order.perm == (0, 1)
-    assert order.prefix_sets[0] == SubsetMask.empty(2)
-    assert order.prefix_sets[1] == SubsetMask(0b01, 2)
-
-    order = greedy_order((Fraction(1, 7), Fraction(1, 7)))
-    assert order.perm == (0, 1)
+def test_greedy_order_tie_break(two_elem):
+    assert greedy_order((0.5, 0.5)) == (0, 1)
+    assert greedy_order((Fraction(1, 7), Fraction(1, 7))) == (0, 1)
+    # the chain {0} < {0, 1}: element 0 gains f({0}), element 1 the rest
+    assert greedy_vertex(two_elem, greedy_order((0.5, 0.5))) == [2, 1]
+    assert greedy_vertex(two_elem, (1, 0)) == [1, 2]
 
 
 @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12, unique=True))
 def test_greedy_order_sorts_descending(xs):
-    perm = greedy_order(xs).perm
+    perm = greedy_order(xs)
     assert sorted(xs, reverse=True) == [xs[i] for i in perm]
 
 
@@ -38,15 +35,15 @@ def test_dense_order_matches_greedy_order_with_ties(xs):
     # few distinct values, so most draws have ties (and -0.0 next to 0.0)
     x = np.array(xs, dtype=np.float64) * 0.5
     lov = DenseLovasz(make_family(ExplicitTable((0,) * (1 << len(xs)))))
-    assert tuple(lov._order(x).tolist()) == greedy_order(x.tolist()).perm
-    assert tuple(lov._order(-x).tolist()) == greedy_order((-x).tolist()).perm
+    assert tuple(lov._order(x).tolist()) == greedy_order(x.tolist())
+    assert tuple(lov._order(-x).tolist()) == greedy_order((-x).tolist())
 
 
 def test_worked_values(two_elem):
     assert evaluate(two_elem, (Fraction(1, 7), Fraction(1, 7))) == Fraction(3, 7)
     assert evaluate(two_elem, (1, 0)) == 2
-    assert subgradient(two_elem, (1, 0)).v == (2, 1)
-    assert subgradient(two_elem, (0, 1)).v == (1, 2)
+    assert subgradient(two_elem, (1, 0)) == (2, 1)
+    assert subgradient(two_elem, (0, 1)) == (1, 2)
 
 
 def test_corner_agreement():
@@ -80,7 +77,7 @@ def test_subgradient_supports_and_convexity():
         for _ in range(5):
             x = [Fraction(rng.randint(-40, 40), 8) for _ in range(f.n)]
             y = [Fraction(rng.randint(-40, 40), 8) for _ in range(f.n)]
-            v = subgradient(f, x).v
+            v = subgradient(f, x)
             fx = evaluate(f, x)
             assert sum(vi * xi for vi, xi in zip(v, x)) == fx
             assert evaluate(f, y) >= fx + sum(vi * (yi - xi)
@@ -92,7 +89,7 @@ def test_subgradient_in_base_polytope():
     for inst in iter_instances(2, seed=77, n_max=8):
         f, _ = inst.build()
         x = [Fraction(rng.randint(-30, 30), 4) for _ in range(f.n)]
-        v = subgradient(f, x).v
+        v = subgradient(f, x)
         full = (1 << f.n) - 1
         assert sum(v) == f.eval(full)
         for mask in range(1 << f.n):
@@ -126,6 +123,8 @@ def test_cost_is_exactly_n_oracle_calls():
     assert f.calls == 3
     subgradient(f, (1.0, 2.0, 3.0))
     assert f.calls == 6
+    greedy_vertex(f, (1, 0, 2))
+    assert f.calls == 9
 
 
 def test_dense_lovasz_matches_generic():
@@ -138,11 +137,12 @@ def test_dense_lovasz_matches_generic():
             x = rng.normal(size=f.n)
             val, g, chain = fast.value_subgrad(x)
             ref = evaluate(f, [float(v) for v in x])
-            gref = subgradient(f, [float(v) for v in x]).v
+            gref = subgradient(f, [float(v) for v in x])
             assert math.isclose(val, ref, rel_tol=1e-12, abs_tol=1e-9)
             assert np.allclose(g, gref)
-            order = greedy_order([float(v) for v in x])
-            assert chain.tolist() == [S.bits for S in order.prefix_sets[1:]]
+            perm = greedy_order([float(v) for v in x])
+            masks = itertools.accumulate(1 << e for e in perm)
+            assert chain.tolist() == list(masks)
             # perturbed variant adds eps times the max coordinate
             val_eps, _, _ = fast_eps.value_subgrad(x)
             assert math.isclose(val_eps, ref + 0.125 * float(x.max()),

@@ -174,7 +174,7 @@ def test_translate(two_elem):
     # translating by a base-polytope vertex keeps f' >= 0 everywhere
     for inst in iter_instances(3, seed=99, n_max=10):
         f, d = inst.build()
-        x0 = subgradient(f, list(range(f.n))).v
+        x0 = subgradient(f, list(range(f.n)))
         shifted = translate(f, x0)
         assert min(shifted.dense_table()) >= 0
 
@@ -213,6 +213,12 @@ def test_m_bound_below_max_abs_value_rejected():
         SubmodularOracle(2, [0, -5, 2, 3], m_bound=3)
     with pytest.raises(ValueError):  # past int64 under an int64-sized bound
         SubmodularOracle(2, [0, 2**64, 2**64, 2**64 + 1], m_bound=3)
+
+
+def test_oracle_rejects_nonzero_empty_value():
+    # normalization is checked once, when any oracle is built
+    with pytest.raises(EmptyNotZero):
+        SubmodularOracle(2, [1, 2, 2, 3], m_bound=3)
 
 
 def test_quadruple_check_exact_near_int64_limit():
