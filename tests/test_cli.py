@@ -349,6 +349,25 @@ def test_bench_cross_csv(capsys):
         assert int(warm[8]) <= int(cold[8])
 
 
+def test_bench_dual_warmstart(capsys):
+    # the cold/warm Newton pairs are the newton and dualcut rows of cross
+    code, out, _ = run(capsys, "bench", "--suite", "cross",
+                       "--count", "1", "--seed", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == CSV_HEADER
+    pairs = {}
+    for row in rows[1:]:
+        assert row[-1] == "bench-v1"
+        if row[3] in ("newton", "dualcut"):
+            pairs.setdefault(row[0], {})[row[3]] = row
+    assert len(pairs) == len(FAMILIES) == 5
+    for pair in pairs.values():
+        cold, warm = pair["newton"], pair["dualcut"]
+        assert cold[4] == warm[4]  # same exact lambda*
+        assert int(warm[8]) <= int(cold[8])  # dual start not worse than cold
+
+
 def test_bench_empty_suite(capsys):
     code, out, _ = run(capsys, "bench", "--suite", "cross", "--count", "0")
     assert code == 0
