@@ -13,12 +13,14 @@ certifies a lower bound on lambda*.
 
 Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
 S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
-level-set rounding of the extension.  The best chain vertex 1_S/d(S) is the
-engine's upper bound, so the bracket closes on lambda* itself, and once it
-is below half the ladder spacing the best chain ratio is lambda*.  Newton
-starts from that ratio, computed in integers, and exact envelope steps
-confirm it.  Correctness never depends on the float phase - it only buys a
-warm start.
+level-set rounding of the extension.  The singleton vertices 1_{e}/d_e are
+such points too, so the engine's bracket starts at [0, u] with u the
+singleton bound, and it closes with no query when u = 0.  The best vertex
+1_S/d(S) seen so far is the engine's upper bound, so the bracket closes on
+lambda* itself, and once it is below half the ladder spacing the best ratio
+is lambda*.  Newton starts from that ratio, computed in integers, and exact
+envelope steps confirm it.  Correctness never depends on the float phase -
+it only buys a warm start.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
                      IterationCapExceeded)
 from .lovasz import DenseLovasz
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
-                     discrete_newton, envelope, ladder_spacing, upper_bound)
+                     _singleton_bound, discrete_newton, envelope,
+                     ladder_spacing)
 from .oracles import Direction, SubmodularOracle, lift, translate
 from .subsets import SubsetMask
 
@@ -113,12 +116,15 @@ class _PhiOracle:
     the one `value_subgrad` reads; every S_k with d(S_k) > 0 gives a ratio
     f(S_k)/d(S_k) >= lambda*, read in floats from the float table and
     `Direction.float_sums`.  best and best_mask are the smallest such ratio
-    over every query so far and the mask of its set (inf and None before
-    the first query whose chain holds a set with d(S) > 0); the extension
-    reads best at the vertex 1_S/d(S) of that set.
+    seen so far and the mask of its set.  They start at the seed: the
+    singleton bound u = min f({e})/d_e as a float and its singleton's mask
+    (`newton._singleton_bound`), a vertex ratio like any chain's.  So
+    best_mask is never None and best never exceeds float(u); the extension
+    reads best at the vertex 1_S/d(S) of best_mask.
     """
 
-    def __init__(self, lov: DenseLovasz, prob: ReducedProblem):
+    def __init__(self, lov: DenseLovasz, prob: ReducedProblem,
+                 best: Fraction, best_mask: int):
         n = lov.n
         self.lov = lov
         self.pivot = prob.pivot
@@ -128,8 +134,8 @@ class _PhiOracle:
         self.dp = float(prob.d_pivot)
         self.d_ratio = self.d_rest / self.dp
         self.dsums = prob.direction.float_sums
-        self.best = math.inf
-        self.best_mask = None
+        self.best = float(best)
+        self.best_mask = best_mask
 
     def __call__(self, z: np.ndarray):
         lov, rest_idx, pivot = self.lov, self.rest_idx, self.pivot
@@ -156,11 +162,14 @@ class _PhiOracle:
 class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
 
-    best_value is the best chain ratio the engine took from its `_PhiOracle`,
-    whose `best_mask` names the set; the point where the extension reads it
-    is that set's vertex 1_S/d(S).  The box and the hyperplane are barrier
-    rows, never cuts, so every query is an objective cut:
-    `iterations == objective_cuts` and `feasibility_cuts` is always 0.
+    best_value is the best vertex ratio the engine took from its
+    `_PhiOracle`, whose `best_mask` names the set; the point where the
+    extension reads it is that set's vertex 1_S/d(S).  The oracle's seed is
+    the singleton bound u, so best_value never exceeds float(u), and a run
+    whose seed closes the bracket has made no query at all.  The box and
+    the hyperplane are barrier rows, never cuts, so every query is an
+    objective cut: `iterations == objective_cuts` and `feasibility_cuts` is
+    always 0.
     `newton_steps` counts the centering steps of all queries together.
     """
 
@@ -291,10 +300,11 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
 
     The domain is Z = {0 <= z <= u, d_rest.z <= 1} with u = unit_box(prob);
     its minimum is lambda*, so the engine brackets lambda* between its lower
-    bound lb, which starts at 0 (f >= 0), and best, the best chain ratio
-    `phi.best` of every query so far (`phi.best_mask` names its set).  The
-    first query is z_init = 1/(2 ||d||_1) in every coordinate, strictly
-    inside Z.
+    bound lb, which starts at 0 (f >= 0), and best, the best vertex ratio
+    `phi.best` (`phi.best_mask` names its set): the oracle's seed, the
+    singleton bound u, until a query's chain beats it.  So the bracket
+    starts at [0, u].  The first query is z_init = 1/(2 ||d||_1) in every
+    coordinate, strictly inside Z.
 
     Epigraph form over y = (z, t): the box and the hyperplane are barrier
     rows, one row t <= best holds the best value found, and every query z_j
@@ -312,24 +322,18 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
     true place at later centers.
 
     phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
-    best - lb <= target_gap, with 0 cuts when z_init's chain already closes
-    the bracket on 0; stalled at once, with 0 cuts, when the target is
+    best - lb <= target_gap: with no query when the seed already closes the
+    bracket (u = 0, or n = 1, where Z is the one singleton's vertex), and
+    with 0 cuts when z_init's chain closes it on 0 (a lambda* = 0 that no
+    singleton shows); stalled at once, with 0 cuts, when the target is
     below the float resolution of phi, and later when neither best nor lb
     moves for a window of cuts or a centering fails (callers restore
     exactness by rounding); past `prob.cut_cap` cuts, of order m ln(kappa),
     it raises IterationCapExceeded carrying the state.
     """
     m = prob.omega_dim
-    hi = unit_box(prob)
-    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
-    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
     target_gap = float(target_gap)
-    cap = prob.cut_cap
-    z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
-    v0, g0 = phi(z0)
-    scale = max(1.0, abs(float(v0)))
-    best = phi.best / scale
-    lb = 0.0
+    scale, best, lb = 1.0, phi.best, 0.0
     it = newton = 0
     converged = stalled = False
 
@@ -339,7 +343,19 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
                               stalled, 0, it, newton)
 
     if m == 0:
-        lb = best  # Z is the point z_init
+        lb = best  # Z is the point z_init, the vertex of the one singleton
+    if best - lb <= target_gap:
+        converged = True
+        return state()
+
+    hi = unit_box(prob)
+    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
+    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
+    cap = prob.cut_cap
+    z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
+    v0, g0 = phi(z0)
+    scale = max(1.0, abs(float(v0)))
+    best = phi.best / scale
     tgt = target_gap / scale
     if best - lb <= tgt:
         converged = True
@@ -450,32 +466,35 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Full pipeline: cut to half a ladder step, round on the best chain,
     Newton-confirm.
 
-    The engine stops once the best chain ratio is within eps/2 of its lower
+    The engine stops once the best vertex ratio is within eps/2 of its lower
     bound on lambda*, eps = 1/||d||_1^2 the ladder spacing; distinct ratios
-    differ by at least eps, so the best chain ratio is then lambda* and
-    Newton confirms it in zero steps.  Newton starts from the exact ratio of
-    the best chain set, or from the singleton upper bound where that is
-    lower.  Every n takes this one path; at n = 1 the reduced domain is a
-    point and the engine returns at once.  Without float images of f and d
-    the engine cannot run, and Newton starts from the upper bound.  Returns
-    the exact intersection; the engine phase only warms up Newton, so a
-    stalled or capped engine degrades iteration counts, not correctness.
+    differ by at least eps, so the best ratio is then lambda* and Newton
+    confirms it in zero steps.  One singleton scan gives the upper bound u
+    and its singleton, the engine's seed, so the bracket starts at [0, u]
+    and closes with no query when u = 0.  Newton starts from the exact
+    ratio of the engine's best set: the seed singleton's u, unless a chain
+    set beat it in floats.  Every n takes this one path; at n = 1 the
+    reduced domain is the one singleton's vertex and the engine returns at
+    once.  Without float images of f and d the engine cannot run, and
+    Newton starts from u.  Returns the exact intersection; the engine phase
+    only warms up Newton, so a stalled or capped engine degrades iteration
+    counts, not correctness.
     The result's trace is the engine's `CutEngineState`, or None when the
     engine did not run.
     """
     before = f.calls
-    u = upper_bound(f, d)
+    u, u_mask = _singleton_bound(f, d)
     prob = ReducedProblem.for_instance(f, d)
     state, cuts, lam0 = None, 0, u
     if f.float_table is not None and d.float_sums is not None:
-        phi = _PhiOracle(DenseLovasz(f), prob)
+        phi = _PhiOracle(DenseLovasz(f), prob, u, u_mask)
         try:
             state = cutting_plane_minimize(phi, prob, float(prob.eps / 2))
         except IterationCapExceeded as exc:
             state = exc.state  # rounding below restores exactness regardless
         cuts = state.iterations
         mask = phi.best_mask
-        lam0 = min(Fraction(f.eval(mask), d.of(mask)), u)
+        lam0 = Fraction(f.eval(mask), d.of(mask))
     res = discrete_newton(f, d, lam0)
     return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
                             "dualcut",

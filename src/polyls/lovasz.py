@@ -28,7 +28,11 @@ def greedy_order(x) -> tuple[int, ...]:
 
 def greedy_vertex(f: SubmodularOracle, perm) -> list:
     """Exact marginal gains v_e = f(S_k) - f(S_{k-1}) along the prefix sets
-    S_k of the permutation perm; n oracle calls."""
+    S_k of the permutation perm; n oracle calls.  A perm without n entries
+    (so `evaluate` or `subgradient` at an x without n entries) is a
+    ValueError."""
+    if len(perm) != f.n:
+        raise ValueError(f"{len(perm)} entries for a ground set of n = {f.n}")
     v = [0] * f.n
     mask = prev = 0
     for e in perm:

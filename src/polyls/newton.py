@@ -64,15 +64,22 @@ def _result(f, d, lam, tight, method, **kw) -> LineSearchResult:
     return LineSearchResult(lam, tight, dual_point(tight, d), method, **kw)
 
 
-def upper_bound(f: SubmodularOracle, d: Direction) -> Fraction:
-    """min over singletons e with d_e > 0 of f({e})/d_e; always >= lambda*."""
-    best = None
+def _singleton_bound(f: SubmodularOracle, d: Direction) -> tuple[Fraction, int]:
+    """(u, mask): u = min over singletons e with d_e > 0 of f({e})/d_e, and
+    the mask 1 << e of the first singleton attaining it; one read per such e.
+    Direction guarantees some d_e > 0."""
+    best = mask = None
     for e, de in enumerate(d.d):
         if de > 0:
             r = Fraction(f.eval(1 << e), de)
             if best is None or r < best:
-                best = r
-    return best
+                best, mask = r, 1 << e
+    return best, mask
+
+
+def upper_bound(f: SubmodularOracle, d: Direction) -> Fraction:
+    """min over singletons e with d_e > 0 of f({e})/d_e; always >= lambda*."""
+    return _singleton_bound(f, d)[0]
 
 
 def ladder_spacing(d: Direction) -> Fraction:

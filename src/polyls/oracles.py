@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -237,7 +238,13 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
     The ground-set size is checked against TABLE_N_CAP before any table is
     built.  Explicit tables are validated eagerly: nonnegativity, then
     normalization (the oracle's constructor), then submodularity
-    (`check_oracle`).  Every generated table is built like `subset_sums`, by
+    (`check_oracle`).  A concave-modular spec is checked for its length,
+    then for non-increasing increments (NonSubmodular), then for f >= 0
+    with f(empty) = concave[0] among the values (NegativeValue), and last
+    for normalization by the oracle's constructor (EmptyNotZero).  So a
+    spec with a nonzero concave[0] and rising increments reports
+    NonSubmodular, and one with concave[0] < 0 reports NegativeValue.
+    Every generated table is built like `subset_sums`, by
     element doubling: one array expression per element k fills the masks
     that contain k from those that do not, exact in the dtype of the
     family's `m_bound`.  The test suite checks each family's
@@ -309,18 +316,14 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
         g = spec.concave
         if len(g) != n + 1:
             raise ValueError(f"concave sequence needs n+1 = {n + 1} entries")
-        if g[0] != 0:
-            raise EmptyNotZero(f"concave[0] = {g[0]}")
         incs = [g[k + 1] - g[k] for k in range(n)]
         if any(incs[k + 1] > incs[k] for k in range(n - 1)):
             raise NonSubmodular("cardinality increments must be non-increasing")
         # f >= 0 iff for every k the k smallest modular entries cannot drag
-        # g(k) below zero
-        ranked = sorted(spec.modular)
-        prefix = 0
-        for k in range(1, n + 1):
-            prefix += ranked[k - 1]
-            if g[k] + prefix < 0:
+        # g(k) below zero; k = 0 is f(empty) = g(0) itself
+        lows = accumulate(sorted(spec.modular), initial=0)
+        for k, (gk, low) in enumerate(zip(g, lows)):
+            if gk + low < 0:
                 raise NegativeValue(
                     f"f would be negative on some {k}-element set")
         m_bound = max(g) + sum(w for w in spec.modular if w > 0)

@@ -15,7 +15,8 @@ from polyls.dualcut import (_box_min, _PhiOracle, float_resolution,
                             perturb, unit_box)
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
-from polyls.newton import minimize_minus_modular, upper_bound
+from polyls.newton import (_singleton_bound, discrete_newton,
+                           minimize_minus_modular, upper_bound)
 from polyls.oracles import ExplicitTable, IntervalGeometric, infinity_norm
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
@@ -57,11 +58,18 @@ def test_lift_point_exact_hyperplane():
         assert sum(di * xi for di, xi in zip(d.d, x)) == 1
 
 
+def _phi(f, d, prob):
+    """The engine's objective, seeded with the singleton bound as in
+    solve_dual."""
+    return _PhiOracle(DenseLovasz(f), prob, *_singleton_bound(f, d))
+
+
 def test_phi_values(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
-    fn = _PhiOracle(DenseLovasz(two_elem), prob)
-    assert fn.best == math.inf and fn.best_mask is None
+    # the seed: u = min(2/3, 2/4), read off the singleton {1}
+    fn = _phi(two_elem, d34, prob)
+    assert fn.best == 0.5 and fn.best_mask == 0b10
     # at z = 0 the lifted point is 1_{pivot}/4, where the extension reads
     # f({pivot})/4; its chain {1} < {0, 1} has ratios 2/4 and 3/7, so the
     # best set is {0, 1}, whose vertex 1_{0,1}/7 has reduced coordinate 1/7
@@ -87,18 +95,19 @@ def test_chain_candidates_are_vertices_below_their_query():
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
         star = bruteforce_linesearch(f, d).lambda_star
-        fn = _PhiOracle(DenseLovasz(f), prob)
+        fn = _phi(f, d, prob)
         hi = unit_box(prob)
-        best = math.inf
         for _ in range(6):
             z = rng.uniform(0.0, 1.0, size=prob.omega_dim) * hi
             scale = float(np.dot(prob.d_rest, z))
             if scale > 1:
                 z /= scale * 1.01
+            # read this query's chain alone: the seed and earlier queries
+            # would hide every chain that does not beat them
+            fn.best = math.inf
             val, _ = fn(z)
-            if fn.best == best:
-                assert val >= best * (1 - 1e-12)
-                continue
+            if fn.best == math.inf:
+                continue  # no set of the chain has d(S) > 0
             offered += 1
             ratio = fn.best
             mask = fn.best_mask
@@ -108,8 +117,6 @@ def test_chain_candidates_are_vertices_below_their_query():
             assert exact >= star
             assert math.isclose(ratio, float(exact), rel_tol=1e-12)
             assert val >= ratio * (1 - 1e-12) - 1e-12
-            assert ratio < best
-            best = ratio
             x = [Fraction(1, den) if mask >> i & 1 else Fraction(0)
                  for i in range(f.n)]
             assert evaluate(f, x) == exact
@@ -130,7 +137,7 @@ def test_phi_chain_rule_against_finite_differences():
             2 + checked % 7, 9000 + checked)
         f, d = inst.build()
         prob = ReducedProblem.for_instance(f, d)
-        phi_fn = _PhiOracle(DenseLovasz(f), prob)
+        phi_fn = _phi(f, d, prob)
         m = prob.omega_dim
         z = rng.uniform(-1.0, 1.0, size=m)
         x = lift_point(z, prob)
@@ -152,7 +159,7 @@ def test_phi_chain_rule_against_finite_differences():
 def test_engine_converges_on_two_element_example(two_elem, d34):
     prob = ReducedProblem.for_instance(two_elem, d34)
     # the minimum 3/7 sits at the vertex 1_{0,1}/7, z = 1/7
-    fn = _PhiOracle(DenseLovasz(two_elem), prob)
+    fn = _phi(two_elem, d34, prob)
     state = cutting_plane_minimize(fn, prob, 1e-7)
     assert state.converged
     assert fn.best_mask == 0b11
@@ -162,41 +169,58 @@ def test_engine_converges_on_two_element_example(two_elem, d34):
 
 
 def test_engine_zero_dimensional():
+    # Z is the vertex of the one singleton, where phi reads the seed: the
+    # bracket is closed before any query
     f = make_family(ExplicitTable((0, 5)))
     d = Direction((2,))
     prob = ReducedProblem.for_instance(f, d)
-    fn = _PhiOracle(DenseLovasz(f), prob)
+    fn = _phi(f, d, prob)
+    before = f.calls
     state = cutting_plane_minimize(fn, prob, 0.1)
     assert state.converged and state.iterations == 0
+    assert f.calls == before
     assert fn.best_mask == 0b1
     assert state.best_value == state.lower_bound == 2.5
 
 
 def test_engine_closes_on_the_zero_floor():
-    # f({0}) = 0: lambda* = 0, and the chain of z_init already holds {0},
-    # so the floor lambda* >= 0 closes the bracket before any cut
+    # f({0}) = 0: the seed u = 0 meets the floor lambda* >= 0, so the
+    # bracket is closed before the first query
     f = make_family(ExplicitTable((0, 0, 2, 2)))
     d = Direction((1, 1))
     prob = ReducedProblem.for_instance(f, d)
-    fn = _PhiOracle(DenseLovasz(f), prob)
+    fn = _phi(f, d, prob)
+    before = f.calls
     state = cutting_plane_minimize(fn, prob, float(prob.eps / 2))
     assert state.converged and state.iterations == 0
+    assert f.calls == before
     assert state.best_value == state.lower_bound == 0.0
     assert fn.best_mask == 0b01
     res = solve_dual(f, d)
     assert res.lambda_star == 0 and res.newton_iterations == 0
+    # a 2-cycle cut: every singleton reads 1 and lambda* = 0 sits on E, the
+    # last set of z_init's chain, which closes the bracket after one query
+    f = make_family(ExplicitTable((0, 1, 1, 0)))
+    prob = ReducedProblem.for_instance(f, d)
+    fn = _phi(f, d, prob)
+    before = f.calls
+    state = cutting_plane_minimize(fn, prob, float(prob.eps / 2))
+    assert state.converged and state.iterations == 0
+    assert f.calls == before + f.n
+    assert state.best_value == state.lower_bound == 0.0
+    assert fn.best_mask == 0b11
 
 
 def _run_engine(f, d):
     """(problem, phi, state) of the engine at solve_dual's target."""
     prob = ReducedProblem.for_instance(f, d)
-    fn = _PhiOracle(DenseLovasz(f), prob)
+    fn = _phi(f, d, prob)
     return prob, fn, cutting_plane_minimize(fn, prob, float(prob.eps) / 2)
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
     prob = ReducedProblem.for_instance(two_elem, d34)
-    fn = _PhiOracle(DenseLovasz(two_elem), prob)
+    fn = _phi(two_elem, d34, prob)
     monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
     with pytest.raises(IterationCapExceeded) as exc:
         cutting_plane_minimize(fn, prob, 1e-12)
@@ -471,11 +495,45 @@ def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
         star = bruteforce_linesearch(f, d).lambda_star
         u = upper_bound(f, d)
         assert star == res.lambda_star <= lam0 <= u
+        # the engine's seed u is a vertex ratio like the chains'; a bracket
+        # closed by the seed reads no chain at all
         ratios = {Fraction(f.eval(S), d.of(S))
                   for chain in record["chains"] for S in chain if d.of(S) > 0}
-        assert lam0 in ratios | {u}
-        # the best chain, up to the floats that chose it
+        ratios.add(u)
+        assert lam0 in ratios
+        # the best of them, up to the floats that chose it
         assert lam0 - min(ratios) <= 1e-12 * lam0
+
+
+def test_singleton_zero_closes_the_bracket_without_a_query(monkeypatch):
+    # where a singleton reads f({e}) = 0 with d_e > 0 the seed u = 0 closes
+    # the bracket: no cut and no extension query, and Newton from 0 gives
+    # what it gives cold (the start the engine's chains would lower to 0)
+    record = _traced_dual(monkeypatch)
+    seen = 0
+    for inst in iter_instances(30, seed=6600, n_max=10, n_min=1):
+        f, d = inst.build()
+        if upper_bound(f, d) != 0:
+            continue
+        seen += 1
+        record["chains"].clear()
+        res = solve_dual(f, d)
+        assert res.engine_iterations == 0 and res.trace.converged
+        assert record["chains"] == []
+        cold = discrete_newton(f, d)
+        assert res.lambda_star == cold.lambda_star == 0
+        assert res.lambda_star == bruteforce_linesearch(f, d).lambda_star
+        assert res.tight_set == cold.tight_set
+        assert res.dual_optimum == cold.dual_optimum
+    assert seen >= 30
+
+
+def test_engine_best_never_exceeds_the_singleton_bound():
+    for inst in iter_instances(12, seed=6700, n_max=10, n_min=1):
+        f, d = inst.build()
+        _, fn, state = _run_engine(f, d)
+        assert state.best_value <= float(upper_bound(f, d))
+        assert fn.best_mask is not None
 
 
 def test_converged_engine_needs_no_newton_step():

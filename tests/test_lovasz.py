@@ -46,6 +46,14 @@ def test_worked_values(two_elem):
     assert subgradient(two_elem, (0, 1)) == (1, 2)
 
 
+def test_point_needs_n_entries(two_elem):
+    for x in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError):
+            evaluate(two_elem, x)
+        with pytest.raises(ValueError):
+            subgradient(two_elem, x)
+
+
 def test_corner_agreement():
     for inst in iter_instances(2, seed=50, n_max=10):
         f, _ = inst.build()

@@ -219,6 +219,21 @@ def test_oracle_rejects_nonzero_empty_value():
     # normalization is checked once, when any oracle is built
     with pytest.raises(EmptyNotZero):
         SubmodularOracle(2, [1, 2, 2, 3], m_bound=3)
+    with pytest.raises(EmptyNotZero, match="f\\(empty\\) = 5"):
+        make_family(ConcaveCardinalityPlusModular((5, 6, 7), (0, 0)))
+
+
+def test_concave_modular_error_order():
+    # increments, then f >= 0 (f(empty) = concave[0] among the values),
+    # then normalization
+    with pytest.raises(NonSubmodular):
+        make_family(ConcaveCardinalityPlusModular((5, 5, 7), (0, 0)))
+    with pytest.raises(NonSubmodular):
+        make_family(ConcaveCardinalityPlusModular((-1, -1, 1), (0, 0)))
+    # a negative concave[0] past int64 is rejected before any table exists
+    for g0 in (-1, -2**70):
+        with pytest.raises(NegativeValue, match="0-element"):
+            make_family(ConcaveCardinalityPlusModular((g0, 0, 0), (0, 0)))
 
 
 def test_quadruple_check_exact_near_int64_limit():
