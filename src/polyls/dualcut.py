@@ -15,7 +15,9 @@ Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
 S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
 level-set rounding of the extension.  The singleton vertices 1_{e}/d_e are
 such points too, so the engine's bracket starts at [0, u] with u the
-singleton bound, and it closes with no query when u = 0.  The best vertex
+singleton bound.  When u = 0, or f(E) = 0 < d(E), the seed closes it:
+lambda* = 0, and `solve_dual` decides that before the engine is set up.
+The best vertex
 1_S/d(S) seen so far is the engine's upper bound, so the bracket closes on
 lambda* itself, and once it is below half the ladder spacing the best ratio
 is lambda*.  Newton starts from that ratio, computed in integers, and exact
@@ -166,7 +168,10 @@ class CutEngineState:
     `_PhiOracle`, whose `best_mask` names the set; the point where the
     extension reads it is that set's vertex 1_S/d(S).  The oracle's seed is
     the singleton bound u, so best_value never exceeds float(u), and a run
-    whose seed closes the bracket has made no query at all.  The box and
+    whose seed closes the bracket has made no query at all.  `solve_dual`
+    does not run the engine on a bracket its seed closes (u = 0, or
+    f(E) = 0 < d(E)); it reports the state such a run ends in, converged
+    with 0 cuts and best_value = lower_bound = 0.  The box and
     the hyperplane are barrier rows, never cuts, so every query is an
     objective cut: `iterations == objective_cuts` and `feasibility_cuts` is
     always 0.
@@ -323,9 +328,11 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
 
     phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
     best - lb <= target_gap: with no query when the seed already closes the
-    bracket (u = 0, or n = 1, where Z is the one singleton's vertex), and
-    with 0 cuts when z_init's chain closes it on 0 (a lambda* = 0 that no
-    singleton shows); stalled at once, with 0 cuts, when the target is
+    bracket (u = 0, or n = 1, where Z is the one singleton's vertex;
+    `solve_dual` decides u = 0 and f(E) = 0 < d(E) itself and never calls
+    the engine on them), and with 0 cuts when z_init's chain closes it on
+    0 (a lambda* = 0 that neither a singleton nor E shows); stalled at
+    once, with 0 cuts, when the target is
     below the float resolution of phi, and later when neither best nor lb
     moves for a window of cuts or a centering fails (callers restore
     exactness by rounding); past `prob.cut_cap` cuts, of order m ln(kappa),
@@ -470,23 +477,33 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     bound on lambda*, eps = 1/||d||_1^2 the ladder spacing; distinct ratios
     differ by at least eps, so the best ratio is then lambda* and Newton
     confirms it in zero steps.  One singleton scan gives the upper bound u
-    and its singleton, the engine's seed, so the bracket starts at [0, u]
-    and closes with no query when u = 0.  Newton starts from the exact
-    ratio of the engine's best set: the seed singleton's u, unless a chain
-    set beat it in floats.  Every n takes this one path; at n = 1 the
-    reduced domain is the one singleton's vertex and the engine returns at
-    once.  Without float images of f and d the engine cannot run, and
-    Newton starts from u.  Returns the exact intersection; the engine phase
-    only warms up Newton, so a stalled or capped engine degrades iteration
-    counts, not correctness.
-    The result's trace is the engine's `CutEngineState`, or None when the
-    engine did not run.
+    and its singleton, the engine's seed, so the bracket starts at [0, u].
+
+    A bracket its seed closes is decided before anything is built: when
+    u = 0, or when f(E) = 0 < d(E) (one more integer read, which shows the
+    lambda* = 0 of a cut function that no singleton shows), lambda* = 0 and
+    Newton confirms it from 0 in one kernel pass.  No `ReducedProblem`,
+    `DenseLovasz` or `_PhiOracle` is built and no chain is read; the trace
+    is a converged `CutEngineState` with 0 cuts.
+
+    Otherwise Newton starts from the exact ratio of the engine's best set:
+    the seed singleton's u, unless a chain set beat it in floats.  Every n
+    takes this one path; at n = 1 the reduced domain is the one singleton's
+    vertex and the engine returns at once.  Without float images of f and d
+    the engine cannot run, the trace is None, and Newton starts from u.
+    Returns the exact intersection; the engine phase only warms up Newton,
+    so a stalled or capped engine degrades iteration counts, not
+    correctness.
     """
     before = f.calls
     u, u_mask = _singleton_bound(f, d)
-    prob = ReducedProblem.for_instance(f, d)
+    full = (1 << f.n) - 1
     state, cuts, lam0 = None, 0, u
-    if f.float_table is not None and d.float_sums is not None:
+    if u == 0 or (d.of(full) > 0 and f.eval(full) == 0):
+        # f >= 0, so lambda* >= 0: the seed's ratio 0 is lambda*
+        state, lam0 = CutEngineState(0.0, 0.0, 0.0, 0, True), Fraction(0)
+    elif f.float_table is not None and d.float_sums is not None:
+        prob = ReducedProblem.for_instance(f, d)
         phi = _PhiOracle(DenseLovasz(f), prob, u, u_mask)
         try:
             state = cutting_plane_minimize(phi, prob, float(prob.eps / 2))

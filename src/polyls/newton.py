@@ -1,21 +1,26 @@
 """Exact parametric line search: discrete Newton, bisection, ladder utilities.
 
 The intersection lambda* = min{f(S)/d(S) : d(S) > 0} is found exactly in
-rational arithmetic.  Every envelope evaluation and every bisection decision
-at lambda = p/q is one call of `sfm.minimize_minus_modular`, the exact
-minimum of the integral function q*f - p*d, so the decision stays in integers
-no matter how ugly the rational iterate is.
+rational arithmetic.  Every Newton step, envelope evaluation and bisection
+decision at lambda = p/q is one exact pass of the kernel
+(`sfm.minimizers_minus_modular`, or `sfm.minimize_minus_modular` where its
+minimizer array is not needed), the exact minimum of the integral function
+q*f - p*d, so the decision stays in integers no matter how ugly the rational
+iterate is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import BadStart, InvariantViolation
 from .oracles import Direction, SubmodularOracle
-from .sfm import minimize_minus_modular
+from .sfm import minimize_minus_modular, minimizers_minus_modular
 from .subsets import SubsetMask
 
 if TYPE_CHECKING:
@@ -58,8 +63,8 @@ def dual_point(tight_set: SubsetMask, d: Direction) -> tuple[Fraction, ...]:
     return tuple(inside if i in tight_set else outside for i in range(d.n))
 
 
-def _result(f, d, lam, tight, method, **kw) -> LineSearchResult:
-    if f.eval(tight) != lam * d.of(tight):
+def _result(f, d, lam: Fraction, tight, method, **kw) -> LineSearchResult:
+    if f.eval(tight) * lam.denominator != lam.numerator * d.of(tight):
         raise InvariantViolation("tight set does not satisfy f(S) = lambda d(S)")
     return LineSearchResult(lam, tight, dual_point(tight, d), method, **kw)
 
@@ -67,14 +72,15 @@ def _result(f, d, lam, tight, method, **kw) -> LineSearchResult:
 def _singleton_bound(f: SubmodularOracle, d: Direction) -> tuple[Fraction, int]:
     """(u, mask): u = min over singletons e with d_e > 0 of f({e})/d_e, and
     the mask 1 << e of the first singleton attaining it; one read per such e.
-    Direction guarantees some d_e > 0."""
-    best = mask = None
+    Direction guarantees some d_e > 0.  The ratios are compared by integer
+    cross-multiplication; only u is built as a Fraction."""
+    num = den = mask = None
     for e, de in enumerate(d.d):
         if de > 0:
-            r = Fraction(f.eval(1 << e), de)
-            if best is None or r < best:
-                best, mask = r, 1 << e
-    return best, mask
+            v = f.eval(1 << e)
+            if den is None or v * den < num * de:
+                num, den, mask = v, de, 1 << e
+    return Fraction(num, den), mask
 
 
 def upper_bound(f: SubmodularOracle, d: Direction) -> Fraction:
@@ -120,49 +126,58 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     """Exact intersection by Newton steps lambda <- f(S)/d(S) on the envelope.
 
     Requires lambda0 >= lambda* (defaults to the singleton upper bound).  A
-    start below the intersection raises BadStart.
+    start below the intersection raises BadStart.  Each step is one kernel
+    pass (`minimizers_minus_modular`) at lambda = p/q, kept as a reduced
+    pair of ints: the iterates are compared by cross-multiplication and
+    reduced by one gcd, and a Fraction is built only for the result.  A
+    solve of k steps makes k + 1 kernel calls (`sfm_calls`).
+
+    A start already on lambda* is confirmed by its own pass, with no second
+    call at lambda + 1/||d||_1^2.  When the minimum at lambda0 is 0, the
+    tight set is the minimal one among the zero sets of largest d(S): just
+    right of a breakpoint the minimizers are the breakpoint's minimizers
+    with the largest d(S) (Radzik 1992), so that set is the minimal
+    minimizer at lambda0 + 1/||d||_1^2, the set a step from above lands on
+    too.  When no zero set has d(S) > 0, every set with d(S) > 0 reads
+    f(S) > lambda0 d(S), so lambda0 < lambda*: BadStart.
     """
     before = f.calls
     if lambda0 is None:
         lambda0 = upper_bound(f, d)
     lam = Fraction(lambda0)
-    spacing = ladder_spacing(d)
+    p, q = lam.numerator, lam.denominator
 
-    # S = empty reads 0, so the envelope is never positive
-    g, s = envelope(f, d, lam)
-    if g == 0:
-        # already feasible; confirm lambda0 is the intersection by stepping
-        # just past it, where any envelope minimizer must be a tight set
-        g_up, s_up = envelope(f, d, lam + spacing)
-        if g_up == 0:
-            raise BadStart(f"still feasible above lambda0={lam}: started below lambda*")
-        if d.of(s_up) <= 0:
-            raise InvariantViolation("negative envelope with d(S) <= 0: f >= 0 broken")
-        lam_cand = Fraction(f.eval(s_up), d.of(s_up))
-        if lam_cand != lam:
-            raise BadStart(
-                f"lambda0={lam} is feasible but lambda*={lam_cand}: started below lambda*")
-        return _result(f, d, lam, s_up, "newton",
-                       newton_iterations=0, oracle_calls=f.calls - before,
-                       sfm_calls=2)
-
+    # S = empty reads 0, so the minimum is never positive
+    value, s, _, zeros = minimizers_minus_modular(f, q, p, d)
     cap = (1 << f.n) + 50
     steps = 0
-    tight = None
-    while g != 0:
-        if d.of(s) <= 0:
+    while value != 0:
+        den = d.of(s)
+        if den <= 0:
             raise InvariantViolation("negative envelope with d(S) <= 0: f >= 0 broken")
-        nxt = Fraction(f.eval(s), d.of(s))
-        if not nxt < lam:
+        num = f.eval(s)
+        if not num * q < p * den:
             raise InvariantViolation("Newton iterate failed to decrease")
+        g = math.gcd(num, den)
+        p, q = num // g, den // g
         tight = s
-        lam = nxt
-        g, s = envelope(f, d, lam)
+        value, s, _, zeros = minimizers_minus_modular(f, q, p, d)
         steps += 1
         if steps > cap:
             raise InvariantViolation("Newton exceeded the ladder size: oracle broken")
 
-    return _result(f, d, lam, tight, "newton",
+    if steps == 0:
+        # lambda0 is feasible: the zero sets are the sets tight at lambda0
+        dz = d.sums[zeros]
+        top = dz.max()
+        if not top > 0:
+            raise BadStart(f"lambda0={lam} is feasible but no set with d(S) > 0 "
+                           "is tight there: started below lambda*")
+        tight = int(np.bitwise_and.reduce(zeros[dz == top]))
+        # the Newton ratio of the tight set stays at lambda0
+        if f.eval(tight) * q != p * d.of(tight):
+            raise InvariantViolation("minimal zero set of largest d(S) is not tight")
+    return _result(f, d, Fraction(p, q), SubsetMask(tight, f.n), "newton",
                    newton_iterations=steps,
                    oracle_calls=f.calls - before,
                    sfm_calls=steps + 1)

@@ -58,8 +58,9 @@ class MembershipResult:
 
 
 def _table_min(table, masks=None):
-    """(min value, AND of minimizers, OR of minimizers) over a dense table,
-    or over the sets `masks` when `table` holds only their values.
+    """(min value, AND of minimizers, OR of minimizers, minimizers) over a
+    dense table, or over the sets `masks` when `table` holds only their
+    values; minimizers is the ascending array of every minimizer's mask.
 
     By submodularity the minimizers form a lattice, so the AND/OR reductions
     are themselves minimizers: the unique minimal and maximal ones.
@@ -69,7 +70,7 @@ def _table_min(table, masks=None):
     if masks is not None:
         where = masks[where]
     return (best, int(np.bitwise_and.reduce(where)),
-            int(np.bitwise_or.reduce(where)))
+            int(np.bitwise_or.reduce(where)), where)
 
 
 _FILTER_SCALE = 2.0 ** -50  # 8u with u = 2^-53, the float64 unit roundoff
@@ -138,7 +139,21 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int,
 def minimize_minus_modular(f: SubmodularOracle, q: int, p: int,
                            d: Direction) -> tuple[int, int, int]:
     """min over S of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p, as
-    (min value, minimal minimizer, maximal minimizer), the two as bit masks.
+    (min value, minimal minimizer, maximal minimizer), the two as bit masks:
+    the first three values of `minimizers_minus_modular`, which also hands
+    out every minimizer of the same pass.
+    """
+    return minimizers_minus_modular(f, q, p, d)[:3]
+
+
+def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
+                             d: Direction) -> tuple[int, int, int, np.ndarray]:
+    """One exact pass of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p:
+    (min value, minimal minimizer, maximal minimizer, minimizers), the sets
+    as bit masks and minimizers the ascending array of every set attaining
+    the minimum.  Discrete Newton reads its tie-break off that array: when
+    the minimum is 0, the minimal set among the zero sets of largest d(S) is
+    the minimal minimizer just right of lambda = p/q (`discrete_newton`).
 
     h is never built as an oracle: the values come from f's table and d's
     cached subset sums `d.sums`.  When q*M + |p|*||d||_1 + q lies below the
@@ -189,19 +204,19 @@ def minimize_minus_modular(f: SubmodularOracle, q: int, p: int,
         if masks is not None:
             table, sums = table[masks], sums[masks]
         h = q * table.astype(object) - p * sums.astype(object)
-    best, and_mask, or_mask = _table_min(h, masks)
+    best, and_mask, or_mask, where = _table_min(h, masks)
     for m in (and_mask, or_mask):
         if q * f.dense_table().item(m) - p * d.sums.item(m) != best:
             raise InvariantViolation(
                 "minimizers not closed under union/intersection")
-    return best, and_mask, or_mask
+    return best, and_mask, or_mask, where
 
 
 def minimize_bruteforce(f: SubmodularOracle) -> SfmResult:
     """Exact minimization by enumerating all 2^n sets."""
     before = f.calls
     table = f.dense_table()
-    best, and_mask, or_mask = _table_min(table)
+    best, and_mask, or_mask, _ = _table_min(table)
     if table[and_mask] != best or table[or_mask] != best:
         raise InvariantViolation("minimizers not closed under union/intersection")
     return SfmResult(best, SubsetMask(and_mask, f.n), SubsetMask(or_mask, f.n),
@@ -333,7 +348,7 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
         return _fallback(majors, norms)
     # best is within 1 of a valid lower bound, hence exact by integrality
     if v_min != best or v_max != best:
-        _, smin, smax = _table_min(f.dense_table())
+        _, smin, smax, _ = _table_min(f.dense_table())
     return SfmResult(best, SubsetMask(smin, n), SubsetMask(smax, n),
                      certified=True, method="mnp",
                      oracle_calls=f.calls - before,

@@ -78,13 +78,14 @@ def subset_sums(values) -> np.ndarray:
 
     out[m] == sum(values[i] for bits i set in m); built by doubling, so the
     result has 2**len(values) entries, in the dtype `table_dtype` picks for
-    sum(|values|).
+    sum(|values|).  Each doubling adds in place, into the upper half of
+    `out`, so no temporary is allocated per element.
     """
     values = tuple(values)
     out = np.zeros(1 << len(values),
                    dtype=table_dtype(sum(abs(v) for v in values)))
     for i, v in enumerate(values):
-        out[1 << i:2 << i] = out[:1 << i] + v
+        np.add(out[:1 << i], v, out=out[1 << i:2 << i])
     return out
 
 

@@ -495,11 +495,15 @@ def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
         star = bruteforce_linesearch(f, d).lambda_star
         u = upper_bound(f, d)
         assert star == res.lambda_star <= lam0 <= u
-        # the engine's seed u is a vertex ratio like the chains'; a bracket
-        # closed by the seed reads no chain at all
+        # the engine's seed u is a vertex ratio like the chains', and so is
+        # the full set's f(E)/d(E), which closes the bracket when it is 0; a
+        # bracket closed by the seed reads no chain at all
         ratios = {Fraction(f.eval(S), d.of(S))
                   for chain in record["chains"] for S in chain if d.of(S) > 0}
         ratios.add(u)
+        full = SubsetMask.full(f.n)
+        if d.of(full) > 0:
+            ratios.add(Fraction(f.eval(full), d.of(full)))
         assert lam0 in ratios
         # the best of them, up to the floats that chose it
         assert lam0 - min(ratios) <= 1e-12 * lam0
@@ -526,6 +530,51 @@ def test_singleton_zero_closes_the_bracket_without_a_query(monkeypatch):
         assert res.tight_set == cold.tight_set
         assert res.dual_optimum == cold.dual_optimum
     assert seen >= 30
+
+
+def test_closed_bracket_skips_the_engine(monkeypatch):
+    # u = 0, or f(E) = 0 < d(E) (every cut function has f(E) = 0, often with
+    # no zero singleton): lambda* = 0 is decided before the engine is set
+    # up, so no extension is built, no chain is read, and the trace is a
+    # converged 0-cut state; Newton from 0 gives what it gives cold
+    record = _traced_dual(monkeypatch)
+    built = []
+    init = DenseLovasz.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
+    seen = {"u": 0, "full": 0}
+    for inst in iter_instances(40, seed=6900, n_max=10, n_min=1,
+                               families=("digraph-cut", "explicit", "coverage")):
+        f, d = inst.build()
+        full = SubsetMask.full(f.n)
+        if upper_bound(f, d) == 0:
+            seen["u"] += 1
+        elif f.eval(full) == 0 < d.of(full):
+            seen["full"] += 1
+        else:
+            continue
+        record["chains"].clear()
+        record["starts"].clear()
+        before = f.calls
+        res = solve_dual(f, d)
+        assert built == [] and record["chains"] == []
+        assert record["starts"] == [0]
+        assert res.trace.converged and res.trace.iterations == 0
+        assert res.engine_iterations == 0 and res.sfm_calls == 1
+        # the singleton scan, f(E) once u > 0, then Newton's confirm read
+        # and its result check
+        singletons = sum(de > 0 for de in d.d)
+        assert f.calls - before == res.oracle_calls == \
+            singletons + (upper_bound(f, d) > 0) + 2
+        cold = discrete_newton(f, d)
+        assert res.lambda_star == cold.lambda_star == 0
+        assert res.tight_set == cold.tight_set
+        assert res.dual_optimum == cold.dual_optimum
+    assert seen["u"] >= 40 and seen["full"] >= 15
 
 
 def test_engine_best_never_exceeds_the_singleton_bound():

@@ -9,8 +9,10 @@ from polyls import (Direction, ExplicitTable, IntervalGeometric, binary_search,
                     ladder_spacing, make_family, membership, solve_dual,
                     solve_dual_base, upper_bound)
 from polyls import newton
-from polyls.errors import BadStart, InfeasibleBaseLineSearch
+from polyls.errors import (BadStart, InfeasibleBaseLineSearch,
+                           InvariantViolation)
 from polyls.instances import random_instance
+from polyls.newton import dual_point
 from polyls.oracles import SubmodularOracle
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
@@ -72,23 +74,25 @@ def test_newton_matches_bruteforce_exactly():
 
 
 def test_newton_trace_structure(monkeypatch):
-    # the iterates are the envelope calls up to the first zero value; a
-    # later call only confirms a start that was already optimal
+    # the iterates are the kernel calls up to the first zero value; the
+    # call that reads 0 also confirms the start, so no call follows it
     calls = []
-    real = newton.envelope
+    real = newton.minimizers_minus_modular
 
-    def envelope_spy(f, d, lam):
-        out = real(f, d, lam)
-        calls.append((lam, out[1], out[0]))
+    def kernel_spy(f, q, p, d):
+        out = real(f, q, p, d)
+        calls.append((Fraction(p, q), SubsetMask(out[1], f.n),
+                      Fraction(out[0], q)))
         return out
 
-    monkeypatch.setattr(newton, "envelope", envelope_spy)
+    monkeypatch.setattr(newton, "minimizers_minus_modular", kernel_spy)
     for inst in iter_instances(3, seed=4100, n_max=10):
         f, d = inst.build()
         calls.clear()
         res = discrete_newton(f, d)
         assert res.sfm_calls == len(calls)
         last = next(i for i, it in enumerate(calls) if it[2] == 0)
+        assert last == len(calls) - 1
         iterates = calls[:last + 1]
         assert res.newton_iterations == len(iterates) - 1
         lams = [it[0] for it in iterates]
@@ -97,6 +101,74 @@ def test_newton_trace_structure(monkeypatch):
         # every iterate after the first is a ladder point of its predecessor
         for (lam_a, s_a, g_a), (lam_b, _, _) in zip(iterates, iterates[1:]):
             assert lam_b == Fraction(f.eval(s_a), d.of(s_a))
+
+
+def _two_call_newton(f, d, lam):
+    """Reference Newton whose confirm is two envelope calls: a start where
+    the envelope reads 0 is confirmed one ladder step to its right, where
+    every minimizer of a nonzero envelope is tight.  Returns the result's
+    (tight set, witness, newton_iterations, oracle_calls, envelope calls)."""
+    before = f.calls
+    calls = 1
+    g, s = envelope(f, d, lam)
+    if g == 0:
+        g_up, s_up = envelope(f, d, lam + ladder_spacing(d))
+        calls += 1
+        if g_up == 0 or Fraction(f.eval(s_up), d.of(s_up)) != lam:
+            raise BadStart(f"started below lambda* at {lam}")
+        return s_up, dual_point(s_up, d), 0, f.calls - before, calls
+    steps = 0
+    while g != 0:
+        if d.of(s) <= 0:  # only a start below 0 gets here
+            raise InvariantViolation(f"d(S) <= 0 at {lam}")
+        tight, lam = s, Fraction(f.eval(s), d.of(s))
+        g, s = envelope(f, d, lam)
+        calls += 1
+        steps += 1
+    return tight, dual_point(tight, d), steps, f.calls - before, calls
+
+
+def test_one_pass_confirm_matches_the_two_call_reference():
+    # every family at n 1-10 with mixed-sign directions, from starts on,
+    # just below, at 0 below, and above lambda* (no ratio there)
+    confirmed = below = above = mixed = 0
+    for inst in iter_instances(12, seed=4400, n_max=10):
+        f, d = inst.build()
+        mixed += min(d.d) < 0
+        star = bruteforce_linesearch(f, d).lambda_star
+        eps = ladder_spacing(d)
+        u = upper_bound(f, d)
+        starts = [star, star - eps, star - eps / 2]
+        if star > 0:
+            starts.append(Fraction(0))
+        # a ratio f(S)/d(S) has a denominator of at most ||d||_1
+        starts += [lam for lam in (star + eps / 2, (star + u) / 2 + eps / 3,
+                                   u + eps / 2)
+                   if lam > star and lam.denominator > d.norm1]
+        for lam in starts:
+            try:
+                want = _two_call_newton(f, d, lam)
+            except (BadStart, InvariantViolation) as exc:
+                assert lam < star
+                with pytest.raises(type(exc)):
+                    discrete_newton(f, d, lam)
+                below += isinstance(exc, BadStart)
+                continue
+            res = discrete_newton(f, d, lam)
+            tight, witness, steps, reads, calls = want
+            assert res.lambda_star == star
+            assert res.tight_set == tight
+            assert res.dual_optimum == witness
+            assert res.newton_iterations == steps
+            assert res.oracle_calls == reads
+            # the confirm saves the call one step to the right
+            assert res.sfm_calls == (calls - 1 if steps == 0 else calls)
+            if lam == star:
+                confirmed += 1
+            else:
+                above += 1
+    assert mixed >= 30
+    assert confirmed == 60 and below >= 120 and above >= 150
 
 
 def test_warm_start_bound():
