@@ -50,9 +50,9 @@ def _input_error(err: str | Exception) -> int:
     return 1
 
 
-def _solve_one(inst: Instance, method: str):
-    """(result, wall_ns) of one method on one instance."""
-    f, d = inst.build()
+def _solve_one(f, d, method: str):
+    """(result, wall_ns) of one method on one built instance (f, d); the
+    oracle's read counter runs on, so `oracle_calls` is this solve's own."""
     t0 = time.perf_counter_ns()
     if method == "newton":
         res = discrete_newton(f, d)
@@ -109,11 +109,11 @@ _INPUT_ERRORS = (OSError, json.JSONDecodeError, errors.InvalidInstance,
                  KeyError)
 
 
-def _load(path) -> Instance:
-    """The instance in `path`, built once so bad tables surface up front."""
+def _load(path):
+    """(instance, f, d) of the file at `path`, built once, so bad tables
+    surface up front and every method solves the same (f, d)."""
     inst = load_instance(path)
-    inst.build()
-    return inst
+    return (inst, *inst.build())
 
 
 def _decimal(q: Fraction) -> str:
@@ -135,11 +135,11 @@ def _decimal(q: Fraction) -> str:
 
 def cmd_solve(args) -> int:
     try:
-        inst = _load(args.instance)
+        inst, f, d = _load(args.instance)
     except _INPUT_ERRORS as exc:
         return _input_error(exc)
     try:
-        res, _ = _solve_one(inst, args.method)
+        res, _ = _solve_one(f, d, args.method)
     except errors.PolylsError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -162,9 +162,10 @@ def cmd_verify(args) -> int:
         return _input_error("verify needs exactly one of --instance or --random")
     if args.instance:
         try:
-            insts = [(args.instance, _load(args.instance))]
+            inst, f, d = _load(args.instance)
         except _INPUT_ERRORS as exc:
             return _input_error(exc)
+        cases = [(args.instance, inst, (f, d))]
     else:
         family, n_s, count_s, seed_s = args.random
         try:
@@ -176,16 +177,19 @@ def cmd_verify(args) -> int:
         err = _size_error(n, count)
         if err:
             return _input_error(err)
-        insts = [(f"{family}-n{n}-s{seed + i}", random_instance(family, n, seed + i))
+        # each is built in the loop below, when its turn comes
+        cases = [(f"{family}-n{n}-s{seed + i}",
+                  random_instance(family, n, seed + i), None)
                  for i in range(count)]
 
     results = []
     try:
-        for inst_id, inst in insts:
+        for inst_id, inst, built in cases:
+            f, d = built or inst.build()
             methods = ["newton", "dualcut"]
             if inst.n <= BRUTE_N_CAP:
                 methods.append("bruteforce")
-            values = {m: format_fraction(_solve_one(inst, m)[0].lambda_star)
+            values = {m: format_fraction(_solve_one(f, d, m)[0].lambda_star)
                       for m in methods}
             results.append((inst_id, inst, values))
     except errors.PolylsError as exc:
@@ -215,23 +219,24 @@ def _row(inst_id, fam, n, method, res=None, wall=0, status="ok", extra=""):
 
 def _suite_instances(count: int, seed: int, n_cycle: int):
     """The random suites' stream: per family, `count` instances with
-    n = 1 + i % n_cycle at seed + i, as (instance_id, family, n, instance)."""
+    n = 1 + i % n_cycle at seed + i, each built once, as
+    (instance_id, family, n, f, d)."""
     for fam in FAMILIES:
         for i in range(count):
             n = 1 + i % n_cycle
             yield (f"{fam}-n{n}-s{seed + i}", fam, n,
-                   random_instance(fam, n, seed + i))
+                   *random_instance(fam, n, seed + i).build())
 
 
 def _bench_rows_cross(count: int, seed: int):
     rows = []
-    for inst_id, fam, n, inst in _suite_instances(count, seed, 12):
+    for inst_id, fam, n, f, d in _suite_instances(count, seed, 12):
         methods = ["newton", "binary", "dualcut"]
         if n <= BRUTE_N_CAP:
             methods.append("bruteforce")
         for method in methods:
             try:
-                res, wall = _solve_one(inst, method)
+                res, wall = _solve_one(f, d, method)
                 rows.append(_row(inst_id, fam, n, method, res, wall))
             except errors.PolylsError as exc:
                 rows.append(_row(inst_id, fam, n, method,
@@ -242,8 +247,7 @@ def _bench_rows_cross(count: int, seed: int):
 def _bench_rows_ladder(count: int, seed: int):
     # Newton iteration counts when seeded k ladder steps above the optimum
     rows = []
-    for inst_id, fam, n, inst in _suite_instances(count, seed, 10):
-        f, d = inst.build()
+    for inst_id, fam, n, f, d in _suite_instances(count, seed, 10):
         star = bruteforce_linesearch(f, d).lambda_star
         eps = ladder_spacing(d)
         for k in range(1, 6):
@@ -270,7 +274,7 @@ def _bench_rows_worstcase():
         extra = (f"D={big};first_breakpoint={format_fraction(bp)};"
                  f"minimizer_below={below};minimizer_above={above}")
         for method in ("newton", "dualcut"):
-            res, wall = _solve_one(inst, method)
+            res, wall = _solve_one(f, d, method)
             rows.append(_row(f"interval-D{big}", "interval-geometric", 2,
                              method, res, wall, extra=extra))
     return rows

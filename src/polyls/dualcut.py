@@ -3,8 +3,10 @@
 The line search over the polymatroid is dual to minimizing the Lovász
 extension over the slice {x >= 0, d.x = 1}.  Eliminating one positive pivot
 coordinate gives an (n-1)-dimensional convex program over
-{0 <= z <= u, d_rest.z <= 1}, which an analytic-center cutting-plane method
-(ACCPM) solves approximately in floats.  The box and the hyperplane are
+{0 <= z <= hi, d_rest.z <= 1}, which an analytic-center cutting-plane method
+(ACCPM) solves approximately in floats.  One `ReducedProblem` holds that
+program for a solve: the exact slice, its float geometry, the float
+extension and the best vertex seen so far.  The box and the hyperplane are
 log-barrier rows, so every query is an objective cut, and each query is the
 analytic center of the localizer in epigraph form, found by a few Newton
 steps from the previous center.  A convex combination of the cuts,
@@ -47,35 +49,59 @@ from .subsets import SubsetMask
 from .lovasz import evaluate  # noqa: F401
 
 
-@dataclass(frozen=True)
 class ReducedProblem:
-    """The (n-1)-dimensional dual domain after eliminating the pivot coordinate.
+    """The dual problem of one solve: the Lovász extension of f over the
+    (n-1)-dimensional domain left after eliminating the pivot coordinate.
 
-    eps is the ladder spacing 1/||d||_1^2 and m_bound the oracle's bound M on
-    every |f(S)|.
+    Exact data: the pivot (the first largest d_e, so d_pivot > 0), d_rest,
+    eps the ladder spacing 1/||d||_1^2 and m_bound the oracle's bound M on
+    every |f(S)|.  Float data, each array built once: rest_idx (the kept
+    coordinates), d_row (d_rest as floats, the hyperplane row
+    d_rest.z <= 1), d_ratio = d_row/d_pivot, and hi, the upper corner of
+    the search box 0 <= z <= hi.
+
+    hi_i = 1, or hi_i = 1/d_i when no entry of d is negative (hi_i = 1 where
+    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
+    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
+    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
+    since then d(S) >= d_i for every i in S.  The extension reads
+    f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
+    greedy chain anywhere on the slice (f >= 0), so its minimum over the
+    domain is exactly lambda*.
+
+    prob(z) -> (value, subgradient) of the float extension `DenseLovasz(f)`
+    at the lifted point, rounded on its greedy chain S_1 < ... < S_n: every
+    S_k with d(S_k) > 0 gives a ratio f(S_k)/d(S_k) >= lambda*, read in
+    floats from the float table and `Direction.float_sums`.  best and
+    best_mask are the smallest such ratio seen so far and the mask of its
+    set.  They start at the seed (best, best_mask), in `solve_dual` the
+    singleton bound u = min f({e})/d_e and its singleton's mask
+    (`newton._singleton_bound`), a vertex ratio like any chain's.  So
+    best_mask is never None and best never exceeds float(u); the extension
+    reads best at the vertex 1_S/d(S) of best_mask.
     """
 
-    pivot: int
-    omega_dim: int
-    d_rest: tuple[int, ...]
-    eps: Fraction
-    m_bound: int
-    direction: Direction
-
-    @classmethod
-    def for_instance(cls, f: SubmodularOracle, d: Direction) -> "ReducedProblem":
-        # Direction guarantees a positive entry, so d_pivot > 0
-        pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
-        return cls(pivot=pivot,
-                   omega_dim=d.n - 1,
-                   d_rest=tuple(v for i, v in enumerate(d.d) if i != pivot),
-                   eps=ladder_spacing(d),
-                   m_bound=f.m_bound,
-                   direction=d)
-
-    @property
-    def d_pivot(self) -> int:
-        return self.direction.d[self.pivot]
+    def __init__(self, f: SubmodularOracle, d: Direction, best: Fraction,
+                 best_mask: int):
+        self.pivot = pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
+        self.omega_dim = d.n - 1
+        self.d_rest = tuple(v for i, v in enumerate(d.d) if i != pivot)
+        self.d_pivot = d.d[pivot]
+        self.eps = ladder_spacing(d)
+        self.m_bound = f.m_bound
+        self.direction = d
+        self.lov = DenseLovasz(f)
+        self.rest_idx = np.array([i for i in range(d.n) if i != pivot],
+                                 dtype=np.intp)
+        self.d_row = np.array(self.d_rest, dtype=np.float64)
+        self.dp = float(self.d_pivot)
+        self.d_ratio = self.d_row / self.dp
+        all_nonneg = all(v >= 0 for v in self.d_rest)
+        self.hi = np.array([1.0 / di if all_nonneg and di > 0 else 1.0
+                            for di in self.d_rest])
+        self.dsums = d.float_sums
+        self.best = float(best)
+        self.best_mask = best_mask
 
     @property
     def cut_cap(self) -> int:
@@ -90,6 +116,22 @@ class ReducedProblem:
         d = self.direction
         ln_kappa = math.log(4 * d.n * m ** 3 * d.norm1 ** 5)
         return int(4 * (self.omega_dim + 1) * max(ln_kappa, 1.0)) + 100
+
+    def __call__(self, z: np.ndarray):
+        lov, rest_idx, pivot = self.lov, self.rest_idx, self.pivot
+        x = np.empty(lov.n)
+        x[rest_idx] = z
+        x[pivot] = (1.0 - self.d_row @ z) / self.dp
+        val, v, chain = lov.value_subgrad(x)
+        grad = v[rest_idx] - self.d_ratio * v[pivot]
+        den = self.dsums[chain]
+        ratios = np.divide(lov.table[chain], den, out=np.full(lov.n, math.inf),
+                           where=den > 0)
+        k = int(ratios.argmin())
+        if ratios[k] < self.best:
+            self.best = float(ratios[k])
+            self.best_mask = int(chain[k])
+        return val, grad
 
 
 def lift_point(z, prob: ReducedProblem) -> list[Fraction]:
@@ -110,52 +152,6 @@ def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
     return DenseLovasz(f, eps=float(eps))
 
 
-class _PhiOracle:
-    """Float objective of an extension over the reduced domain, rounded on
-    its greedy chains.
-
-    phi(z) -> (value, subgradient).  The query's chain S_1 < ... < S_n is
-    the one `value_subgrad` reads; every S_k with d(S_k) > 0 gives a ratio
-    f(S_k)/d(S_k) >= lambda*, read in floats from the float table and
-    `Direction.float_sums`.  best and best_mask are the smallest such ratio
-    seen so far and the mask of its set.  They start at the seed: the
-    singleton bound u = min f({e})/d_e as a float and its singleton's mask
-    (`newton._singleton_bound`), a vertex ratio like any chain's.  So
-    best_mask is never None and best never exceeds float(u); the extension
-    reads best at the vertex 1_S/d(S) of best_mask.
-    """
-
-    def __init__(self, lov: DenseLovasz, prob: ReducedProblem,
-                 best: Fraction, best_mask: int):
-        n = lov.n
-        self.lov = lov
-        self.pivot = prob.pivot
-        self.rest_idx = np.array([i for i in range(n) if i != prob.pivot],
-                                 dtype=np.intp)
-        self.d_rest = np.array(prob.d_rest, dtype=np.float64)
-        self.dp = float(prob.d_pivot)
-        self.d_ratio = self.d_rest / self.dp
-        self.dsums = prob.direction.float_sums
-        self.best = float(best)
-        self.best_mask = best_mask
-
-    def __call__(self, z: np.ndarray):
-        lov, rest_idx, pivot = self.lov, self.rest_idx, self.pivot
-        x = np.empty(lov.n)
-        x[rest_idx] = z
-        x[pivot] = (1.0 - self.d_rest @ z) / self.dp
-        val, v, chain = lov.value_subgrad(x)
-        grad = v[rest_idx] - self.d_ratio * v[pivot]
-        den = self.dsums[chain]
-        ratios = np.divide(lov.table[chain], den, out=np.full(lov.n, math.inf),
-                           where=den > 0)
-        k = int(ratios.argmin())
-        if ratios[k] < self.best:
-            self.best = float(ratios[k])
-            self.best_mask = int(chain[k])
-        return val, grad
-
-
 # ---------------------------------------------------------------------------
 # Analytic-center cutting-plane engine
 
@@ -165,8 +161,8 @@ class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
 
     best_value is the best vertex ratio the engine took from its
-    `_PhiOracle`, whose `best_mask` names the set; the point where the
-    extension reads it is that set's vertex 1_S/d(S).  The oracle's seed is
+    `ReducedProblem`, whose `best_mask` names the set; the point where the
+    extension reads it is that set's vertex 1_S/d(S).  The problem's seed is
     the singleton bound u, so best_value never exceeds float(u), and a run
     whose seed closes the bracket has made no query at all.  `solve_dual`
     does not run the engine on a bracket its seed closes (u = 0, or
@@ -281,32 +277,14 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
     return None
 
 
-def unit_box(prob: ReducedProblem) -> np.ndarray:
-    """Upper corner u of the search box 0 <= z <= u.
+def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
+    """Minimize the reduced objective phi = prob over the dual domain by
+    ACCPM, to a certified gap.
 
-    u_i = 1, or u_i = 1/d_i when no entry of d is negative (u_i = 1 where
-    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
-    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
-    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
-    since then d(S) >= d_i for every i in S.  The extension reads
-    f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
-    greedy chain anywhere on the slice (f >= 0), so its minimum over the
-    domain is exactly lambda*.
-    """
-    all_nonneg = all(v >= 0 for v in prob.d_rest)
-    return np.array([1.0 / di if all_nonneg and di > 0 else 1.0
-                     for di in prob.d_rest])
-
-
-def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
-                           target_gap) -> CutEngineState:
-    """Minimize the reduced objective over the dual domain by ACCPM, to a
-    certified gap.
-
-    The domain is Z = {0 <= z <= u, d_rest.z <= 1} with u = unit_box(prob);
-    its minimum is lambda*, so the engine brackets lambda* between its lower
-    bound lb, which starts at 0 (f >= 0), and best, the best vertex ratio
-    `phi.best` (`phi.best_mask` names its set): the oracle's seed, the
+    The domain is Z = {0 <= z <= prob.hi, d_rest.z <= 1}; its minimum is
+    lambda*, so the engine brackets lambda* between its lower bound lb,
+    which starts at 0 (f >= 0), and best, the best vertex ratio
+    `prob.best` (`prob.best_mask` names its set): the problem's seed, the
     singleton bound u, until a query's chain beats it.  So the bracket
     starts at [0, u].  The first query is z_init = 1/(2 ||d||_1) in every
     coordinate, strictly inside Z.
@@ -340,7 +318,7 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
     """
     m = prob.omega_dim
     target_gap = float(target_gap)
-    scale, best, lb = 1.0, phi.best, 0.0
+    scale, best, lb = 1.0, prob.best, 0.0
     it = newton = 0
     converged = stalled = False
 
@@ -355,14 +333,14 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
         converged = True
         return state()
 
-    hi = unit_box(prob)
+    hi = prob.hi
     # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
-    a = np.array(prob.d_rest, dtype=np.float64) if any(prob.d_rest) else None
+    a = prob.d_row if any(prob.d_rest) else None
     cap = prob.cut_cap
     z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
-    v0, g0 = phi(z0)
+    v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
-    best = phi.best / scale
+    best = prob.best / scale
     tgt = target_gap / scale
     if best - lb <= tgt:
         converged = True
@@ -447,11 +425,11 @@ def cutting_plane_minimize(phi: _PhiOracle, prob: ReducedProblem,
         if best - lb <= tgt:
             break
         z = np.clip(y[:m], 0.0, hi)
-        v, g = phi(z)
+        v, g = prob(z)
         v = float(v)
         it += 1
-        if phi.best / scale < best:
-            best = phi.best / scale
+        if prob.best / scale < best:
+            best = prob.best / scale
             b_true[t_row] = best
         add_cut(z, v, g)
         shift(y, H)
@@ -482,12 +460,13 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     A bracket its seed closes is decided before anything is built: when
     u = 0, or when f(E) = 0 < d(E) (one more integer read, which shows the
     lambda* = 0 of a cut function that no singleton shows), lambda* = 0 and
-    Newton confirms it from 0 in one kernel pass.  No `ReducedProblem`,
-    `DenseLovasz` or `_PhiOracle` is built and no chain is read; the trace
-    is a converged `CutEngineState` with 0 cuts.
+    Newton confirms it from 0 in one kernel pass.  No `ReducedProblem` (so
+    no `DenseLovasz`) is built and no chain is read; the trace is a
+    converged `CutEngineState` with 0 cuts.
 
-    Otherwise Newton starts from the exact ratio of the engine's best set:
-    the seed singleton's u, unless a chain set beat it in floats.  Every n
+    Otherwise one `ReducedProblem`, seeded with (u, its singleton), holds
+    the whole dual problem, and Newton starts from the exact ratio of its
+    best set: the seed singleton's u, unless a chain set beat it in floats.  Every n
     takes this one path; at n = 1 the reduced domain is the one singleton's
     vertex and the engine returns at once.  Without float images of f and d
     the engine cannot run, the trace is None, and Newton starts from u.
@@ -503,14 +482,13 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         # f >= 0, so lambda* >= 0: the seed's ratio 0 is lambda*
         state, lam0 = CutEngineState(0.0, 0.0, 0.0, 0, True), Fraction(0)
     elif f.float_table is not None and d.float_sums is not None:
-        prob = ReducedProblem.for_instance(f, d)
-        phi = _PhiOracle(DenseLovasz(f), prob, u, u_mask)
+        prob = ReducedProblem(f, d, u, u_mask)
         try:
-            state = cutting_plane_minimize(phi, prob, float(prob.eps / 2))
+            state = cutting_plane_minimize(prob, float(prob.eps / 2))
         except IterationCapExceeded as exc:
             state = exc.state  # rounding below restores exactness regardless
         cuts = state.iterations
-        mask = phi.best_mask
+        mask = prob.best_mask
         lam0 = Fraction(f.eval(mask), d.of(mask))
     res = discrete_newton(f, d, lam0)
     return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,

@@ -126,10 +126,11 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     """Exact intersection by Newton steps lambda <- f(S)/d(S) on the envelope.
 
     Requires lambda0 >= lambda* (defaults to the singleton upper bound).  A
-    start below the intersection raises BadStart.  Each step is one kernel
-    pass (`minimizers_minus_modular`) at lambda = p/q, kept as a reduced
-    pair of ints: the iterates are compared by cross-multiplication and
-    reduced by one gcd, and a Fraction is built only for the result.  A
+    start below the intersection raises BadStart; f >= 0 gives lambda* >= 0,
+    so a negative start is rejected before any kernel pass.  Each step is
+    one kernel pass (`minimizers_minus_modular`) at lambda = p/q, kept as a
+    reduced pair of ints: the iterates are compared by cross-multiplication
+    and reduced by one gcd, and a Fraction is built only for the result.  A
     solve of k steps makes k + 1 kernel calls (`sfm_calls`).
 
     A start already on lambda* is confirmed by its own pass, with no second
@@ -146,6 +147,8 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
         lambda0 = upper_bound(f, d)
     lam = Fraction(lambda0)
     p, q = lam.numerator, lam.denominator
+    if p < 0:
+        raise BadStart(f"lambda0={lam} is negative: lambda* >= 0 since f >= 0")
 
     # S = empty reads 0, so the minimum is never positive
     value, s, _, zeros = minimizers_minus_modular(f, q, p, d)

@@ -378,23 +378,21 @@ def translate(f: SubmodularOracle, x0) -> SubmodularOracle:
     Any integral x0 of length n is accepted; f' >= 0 holds exactly when x0
     lies in P(f), which `Instance.build` checks.
     """
-    x0 = tuple(x0)
-    if len(x0) != f.n or any(type(v) is not int for v in x0):
-        raise ValueError("x0 must be an integer vector of length n")
-    m_bound = f.m_bound + sum(abs(v) for v in x0)
-    ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound))
-    return SubmodularOracle(f.n, ft - subset_sums(x0), m_bound=m_bound)
+    return scale_minus_modular(f, 1, x0)
 
 
 def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
     """h(S) = q*f(S) - w(S) for integer q >= 1 and an integer vector w.
 
     This is the integral carrier of `sfm.membership` for a general rational
-    point: h stays submodular and integer-valued.
+    point: h stays submodular and integer-valued.  A w without f.n entries,
+    or with an entry that is not an int, is a ValueError.
     """
     if q < 1:
         raise ValueError("scale must be a positive integer")
     w = tuple(w)
+    if len(w) != f.n or any(type(v) is not int for v in w):
+        raise ValueError("w must be an integer vector of length n")
     m_bound = q * f.m_bound + sum(abs(v) for v in w)
     # the product is formed in a dtype that also holds q, which f = 0 needs
     ft = np.asarray(f.dense_table(), dtype=table_dtype(m_bound + q))

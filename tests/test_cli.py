@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from polyls import cli
 from polyls.cli import CSV_HEADER, main
-from polyls.instances import FAMILIES, instance_to_json, random_instance
+from polyls.instances import (FAMILIES, Instance, format_fraction,
+                              instance_to_json, random_instance)
 
 METHODS = ["newton", "binary", "dualcut", "base", "bruteforce"]
 
@@ -366,6 +368,46 @@ def test_bench_dual_warmstart(capsys):
         cold, warm = pair["newton"], pair["dualcut"]
         assert cold[4] == warm[4]  # same exact lambda*
         assert int(warm[8]) <= int(cold[8])  # dual start not worse than cold
+
+
+def test_each_instance_is_built_once(tmp_path, capsys, monkeypatch):
+    # every method a command runs solves the one (f, d) its instance built
+    built = []
+    build = Instance.build
+
+    def build_spy(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Instance, "build", build_spy)
+    path = write_two_elem(tmp_path, [3, 4])
+    for argv in [("solve", "--instance", path, "--method", m) for m in METHODS] + [
+            ("verify", "--instance", path)]:
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == 1, argv
+    built.clear()
+    code, out, _ = run(capsys, "verify", "--random", "coverage", "5", "4", "1")
+    assert code == 0 and "4/4 agree" in out
+    assert len(built) == 4
+    built.clear()
+    code, out, _ = run(capsys, "bench", "--suite", "cross", "--count", "2",
+                       "--seed", "1")
+    assert code == 0 and len(built) == 2 * len(FAMILIES)
+    # oracle_calls is a per-solve difference: each row's counters are those
+    # of its method on a freshly built copy of the instance
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 4 * len(built)
+    for row, inst in zip(rows, [i for i in built for _ in range(4)]):
+        res, _ = cli._solve_one(*build(inst), row[3])
+        assert row[4:9] == [format_fraction(res.lambda_star),
+                            str(res.oracle_calls), str(res.sfm_calls),
+                            str(res.engine_iterations),
+                            str(res.newton_iterations)]
+    for suite, count in (("ladder-sweep", 2 * len(FAMILIES)), ("worst-case", 4)):
+        built.clear()
+        assert run(capsys, "bench", "--suite", suite, "--count", "2")[0] == 0
+        assert len(built) == count, suite
 
 
 def test_bench_empty_suite(capsys):

@@ -11,8 +11,7 @@ from polyls import (DenseLovasz, Direction, ReducedProblem,
                     bruteforce_linesearch, cutting_plane_minimize, dualcut,
                     evaluate, lift_point, make_family, solve_dual,
                     solve_dual_base, verify_lifting)
-from polyls.dualcut import (_box_min, _PhiOracle, float_resolution,
-                            perturb, unit_box)
+from polyls.dualcut import _box_min, float_resolution, perturb
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
 from polyls.newton import (_singleton_bound, discrete_newton,
@@ -23,7 +22,7 @@ from conftest import iter_instances
 
 
 def test_reduced_problem_formulas(two_elem, d34):
-    prob = ReducedProblem.for_instance(two_elem, d34)
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     assert prob.pivot == 1 and prob.d_pivot == 4
     assert prob.omega_dim == 1 and prob.d_rest == (3,)
     assert prob.eps == Fraction(1, 49)
@@ -31,18 +30,18 @@ def test_reduced_problem_formulas(two_elem, d34):
     # kappa = 4 n M^3 ||d||_1^5 with n = 2, M = 3, ||d||_1 = 7
     assert prob.cut_cap == int(8 * math.log(4 * 2 * 3**3 * 7**5)) + 100 == 220
     # the zero function keeps a finite budget: M is clamped to 1
-    zero = ReducedProblem.for_instance(
-        make_family(ExplicitTable((0, 0, 0, 0))), d34)
+    f = make_family(ExplicitTable((0, 0, 0, 0)))
+    zero = ReducedProblem(f, d34, *_singleton_bound(f, d34))
     assert zero.m_bound == 0
     assert zero.cut_cap == int(8 * math.log(4 * 2 * 7**5)) + 100 == 194
 
 
 def test_lift_point(two_elem, d34, d_mixed):
-    prob = ReducedProblem.for_instance(two_elem, d34)
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     assert lift_point([Fraction(0)], prob) == [0, Fraction(1, 4)]
     assert lift_point([Fraction(1, 7)], prob) == [Fraction(1, 7), Fraction(1, 7)]
 
-    prob = ReducedProblem.for_instance(two_elem, d_mixed)
+    prob = ReducedProblem(two_elem, d_mixed, *_singleton_bound(two_elem, d_mixed))
     assert prob.pivot == 0
     assert lift_point([Fraction(0)], prob) == [1, 0]
 
@@ -51,37 +50,30 @@ def test_lift_point_exact_hyperplane():
     rng = random.Random(12)
     for inst in iter_instances(2, seed=880, n_max=9):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         z = [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
              for _ in range(prob.omega_dim)]
         x = lift_point(z, prob)
         assert sum(di * xi for di, xi in zip(d.d, x)) == 1
 
 
-def _phi(f, d, prob):
-    """The engine's objective, seeded with the singleton bound as in
-    solve_dual."""
-    return _PhiOracle(DenseLovasz(f), prob, *_singleton_bound(f, d))
-
-
 def test_phi_values(two_elem, d34):
-    prob = ReducedProblem.for_instance(two_elem, d34)
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     assert evaluate(two_elem, lift_point([Fraction(1, 7)], prob)) == Fraction(3, 7)
     # the seed: u = min(2/3, 2/4), read off the singleton {1}
-    fn = _phi(two_elem, d34, prob)
-    assert fn.best == 0.5 and fn.best_mask == 0b10
+    assert prob.best == 0.5 and prob.best_mask == 0b10
     # at z = 0 the lifted point is 1_{pivot}/4, where the extension reads
     # f({pivot})/4; its chain {1} < {0, 1} has ratios 2/4 and 3/7, so the
     # best set is {0, 1}, whose vertex 1_{0,1}/7 has reduced coordinate 1/7
-    val0, _ = fn(np.zeros(1))
+    val0, _ = prob(np.zeros(1))
     assert math.isclose(val0, two_elem.eval(0b10) / 4, rel_tol=1e-12)
-    assert math.isclose(fn.best, 3.0 / 7.0, rel_tol=1e-12)
-    assert fn.best_mask == 0b11
-    best = fn.best
+    assert math.isclose(prob.best, 3.0 / 7.0, rel_tol=1e-12)
+    assert prob.best_mask == 0b11
+    best = prob.best
     # at z = 1/7 the chain {0} < {0, 1} holds nothing better: best stays
-    val, _ = fn(np.array([1.0 / 7.0]))
+    val, _ = prob(np.array([1.0 / 7.0]))
     assert math.isclose(val, 3.0 / 7.0, rel_tol=1e-12)
-    assert fn.best == best and fn.best_mask == 0b11
+    assert prob.best == best and prob.best_mask == 0b11
 
 
 def test_chain_candidates_are_vertices_below_their_query():
@@ -93,10 +85,9 @@ def test_chain_candidates_are_vertices_below_their_query():
     offered = 0
     for inst in iter_instances(4, seed=6200, n_max=10):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         star = bruteforce_linesearch(f, d).lambda_star
-        fn = _phi(f, d, prob)
-        hi = unit_box(prob)
+        hi = prob.hi
         for _ in range(6):
             z = rng.uniform(0.0, 1.0, size=prob.omega_dim) * hi
             scale = float(np.dot(prob.d_rest, z))
@@ -104,13 +95,13 @@ def test_chain_candidates_are_vertices_below_their_query():
                 z /= scale * 1.01
             # read this query's chain alone: the seed and earlier queries
             # would hide every chain that does not beat them
-            fn.best = math.inf
-            val, _ = fn(z)
-            if fn.best == math.inf:
+            prob.best = math.inf
+            val, _ = prob(z)
+            if prob.best == math.inf:
                 continue  # no set of the chain has d(S) > 0
             offered += 1
-            ratio = fn.best
-            mask = fn.best_mask
+            ratio = prob.best
+            mask = prob.best_mask
             den = d.of(mask)
             assert den > 0
             exact = Fraction(f.eval(mask), den)
@@ -136,8 +127,7 @@ def test_phi_chain_rule_against_finite_differences():
             ("coverage", "digraph-cut", "concave-modular")),
             2 + checked % 7, 9000 + checked)
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
-        phi_fn = _phi(f, d, prob)
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         m = prob.omega_dim
         z = rng.uniform(-1.0, 1.0, size=m)
         x = lift_point(z, prob)
@@ -145,24 +135,23 @@ def test_phi_chain_rule_against_finite_differences():
         if gaps.size and gaps.min() < 1e-3:
             checked += 1  # skip tie-prone points but keep the schedule moving
             continue
-        val, g = phi_fn(z)
+        val, g = prob(z)
         assert math.isclose(val, float(evaluate(f, x)), rel_tol=1e-9, abs_tol=1e-9)
         for i in range(m):
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd = (phi_fn(zp)[0] - phi_fn(zm)[0]) / (2 * h)
+            fd = (prob(zp)[0] - prob(zm)[0]) / (2 * h)
             assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
         checked += 1
 
 
 def test_engine_converges_on_two_element_example(two_elem, d34):
-    prob = ReducedProblem.for_instance(two_elem, d34)
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     # the minimum 3/7 sits at the vertex 1_{0,1}/7, z = 1/7
-    fn = _phi(two_elem, d34, prob)
-    state = cutting_plane_minimize(fn, prob, 1e-7)
+    state = cutting_plane_minimize(prob, 1e-7)
     assert state.converged
-    assert fn.best_mask == 0b11
+    assert prob.best_mask == 0b11
     assert math.isclose(state.best_value, 3.0 / 7.0, rel_tol=1e-12)
     assert state.certified_gap <= 1e-7
     assert state.lower_bound <= 3.0 / 7.0 + 1e-12
@@ -173,13 +162,12 @@ def test_engine_zero_dimensional():
     # bracket is closed before any query
     f = make_family(ExplicitTable((0, 5)))
     d = Direction((2,))
-    prob = ReducedProblem.for_instance(f, d)
-    fn = _phi(f, d, prob)
+    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
     before = f.calls
-    state = cutting_plane_minimize(fn, prob, 0.1)
+    state = cutting_plane_minimize(prob, 0.1)
     assert state.converged and state.iterations == 0
     assert f.calls == before
-    assert fn.best_mask == 0b1
+    assert prob.best_mask == 0b1
     assert state.best_value == state.lower_bound == 2.5
 
 
@@ -188,48 +176,44 @@ def test_engine_closes_on_the_zero_floor():
     # bracket is closed before the first query
     f = make_family(ExplicitTable((0, 0, 2, 2)))
     d = Direction((1, 1))
-    prob = ReducedProblem.for_instance(f, d)
-    fn = _phi(f, d, prob)
+    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
     before = f.calls
-    state = cutting_plane_minimize(fn, prob, float(prob.eps / 2))
+    state = cutting_plane_minimize(prob, float(prob.eps / 2))
     assert state.converged and state.iterations == 0
     assert f.calls == before
     assert state.best_value == state.lower_bound == 0.0
-    assert fn.best_mask == 0b01
+    assert prob.best_mask == 0b01
     res = solve_dual(f, d)
     assert res.lambda_star == 0 and res.newton_iterations == 0
     # a 2-cycle cut: every singleton reads 1 and lambda* = 0 sits on E, the
     # last set of z_init's chain, which closes the bracket after one query
     f = make_family(ExplicitTable((0, 1, 1, 0)))
-    prob = ReducedProblem.for_instance(f, d)
-    fn = _phi(f, d, prob)
+    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
     before = f.calls
-    state = cutting_plane_minimize(fn, prob, float(prob.eps / 2))
+    state = cutting_plane_minimize(prob, float(prob.eps / 2))
     assert state.converged and state.iterations == 0
     assert f.calls == before + f.n
     assert state.best_value == state.lower_bound == 0.0
-    assert fn.best_mask == 0b11
+    assert prob.best_mask == 0b11
 
 
 def _run_engine(f, d):
-    """(problem, phi, state) of the engine at solve_dual's target."""
-    prob = ReducedProblem.for_instance(f, d)
-    fn = _phi(f, d, prob)
-    return prob, fn, cutting_plane_minimize(fn, prob, float(prob.eps) / 2)
+    """(problem, state) of the engine at solve_dual's target."""
+    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+    return prob, cutting_plane_minimize(prob, float(prob.eps) / 2)
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
-    prob = ReducedProblem.for_instance(two_elem, d34)
-    fn = _phi(two_elem, d34, prob)
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
     with pytest.raises(IterationCapExceeded) as exc:
-        cutting_plane_minimize(fn, prob, 1e-12)
+        cutting_plane_minimize(prob, 1e-12)
     state = exc.value.state
     assert state.iterations == state.objective_cuts == 3
     assert not state.converged and not state.stalled
     assert math.isfinite(state.best_value)
     assert state.lower_bound <= state.best_value
-    mask = fn.best_mask
+    mask = prob.best_mask
     assert math.isclose(state.best_value,
                         two_elem.eval(mask) / d34.of(mask), rel_tol=1e-12)
 
@@ -237,7 +221,7 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
 def test_engine_certifies_against_bruteforce_dual(monkeypatch):
     for inst in iter_instances(3, seed=233, n_max=8, n_min=2):
         f, d = inst.build()
-        prob, fn, state = _run_engine(f, d)
+        prob, state = _run_engine(f, d)
         target = float(prob.eps) / 2
         assert state.converged and state.certified_gap <= target
         # engine brackets lambda*, the minimum over the domain
@@ -246,7 +230,7 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
         assert state.best_value >= star - slack
         assert state.lower_bound <= star + slack
         # best_value is the exact ratio of the best chain set, read in floats
-        mask = fn.best_mask
+        mask = prob.best_mask
         assert d.of(mask) > 0
         assert math.isclose(state.best_value,
                             float(Fraction(f.eval(mask), d.of(mask))),
@@ -278,7 +262,7 @@ def test_converged_engine_brackets_lambda_star():
     cases += [inst.build() for inst in iter_instances(7, seed=4321, n_max=8, n_min=2)]
     converged = 0
     for f, d in cases:
-        _, fn, state = _run_engine(f, d)
+        prob, state = _run_engine(f, d)
         if not state.converged:
             continue
         converged += 1
@@ -287,7 +271,7 @@ def test_converged_engine_brackets_lambda_star():
         assert state.lower_bound <= float(star) + slack
         assert float(star) <= state.best_value + slack
         # the half-ladder certificate: the best chain set is tight
-        mask = fn.best_mask
+        mask = prob.best_mask
         assert Fraction(f.eval(mask), d.of(mask)) == star
     assert converged >= 30
 
@@ -295,7 +279,7 @@ def test_converged_engine_brackets_lambda_star():
 def test_resolution_exit_stalls_without_cuts():
     f = make_family(IntervalGeometric(14))  # M around 10^63
     d = Direction((3, -2, 5, 1, -4, 2, 2, 7, -1, 6, 1, -3, 4, 2))
-    prob, _, state = _run_engine(f, d)
+    prob, state = _run_engine(f, d)
     assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 2
     assert state.stalled and not state.converged
     assert state.iterations == state.objective_cuts == 0
@@ -327,8 +311,8 @@ def test_unit_box_holds_every_vertex():
     # every vertex 1_S/d(S) with d(S) > 0, so the domain's minimum is lambda*
     for inst in iter_instances(6, seed=808, n_max=8, n_min=2):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
-        hi = unit_box(prob)
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+        hi = prob.hi
         for mask in range(1, 1 << f.n):
             if d.of(mask) <= 0:
                 continue
@@ -434,7 +418,7 @@ def test_dual_grid_lower_bounded_by_lambda_star():
     rng = random.Random(5)
     for inst in iter_instances(2, seed=4700, n_max=8):
         f, d = inst.build()
-        prob = ReducedProblem.for_instance(f, d)
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         star = bruteforce_linesearch(f, d).lambda_star
         for _ in range(20):
             z = [Fraction(rng.randint(0, 12), 12 * max(1, abs(di)))
@@ -580,9 +564,9 @@ def test_closed_bracket_skips_the_engine(monkeypatch):
 def test_engine_best_never_exceeds_the_singleton_bound():
     for inst in iter_instances(12, seed=6700, n_max=10, n_min=1):
         f, d = inst.build()
-        _, fn, state = _run_engine(f, d)
+        prob, state = _run_engine(f, d)
         assert state.best_value <= float(upper_bound(f, d))
-        assert fn.best_mask is not None
+        assert prob.best_mask is not None
 
 
 def test_converged_engine_needs_no_newton_step():

@@ -50,11 +50,16 @@ def test_newton_worked_examples(two_elem, d34, d_mixed):
         assert discrete_newton(f, d).lambda_star == Fraction(4, big)
 
 
-def test_newton_bad_start(two_elem, d34):
+def test_newton_bad_start(two_elem, d34, d_mixed):
     with pytest.raises(BadStart):
         discrete_newton(two_elem, d34, Fraction(1, 5))  # below 3/7
     with pytest.raises(BadStart):
         discrete_newton(two_elem, d34, Fraction(0))
+    # f >= 0 puts lambda* >= 0: every negative start is below it, also where
+    # the envelope there is negative on a set with d(S) < 0
+    for lam in (-1, -3):
+        with pytest.raises(BadStart):
+            discrete_newton(two_elem, d_mixed, Fraction(lam))
 
 
 def test_newton_zero_intersection():
@@ -108,6 +113,8 @@ def _two_call_newton(f, d, lam):
     the envelope reads 0 is confirmed one ladder step to its right, where
     every minimizer of a nonzero envelope is tight.  Returns the result's
     (tight set, witness, newton_iterations, oracle_calls, envelope calls)."""
+    if lam < 0:  # f >= 0 puts lambda* >= 0; rejected before any call
+        raise BadStart(f"negative start {lam}")
     before = f.calls
     calls = 1
     g, s = envelope(f, d, lam)
@@ -119,7 +126,7 @@ def _two_call_newton(f, d, lam):
         return s_up, dual_point(s_up, d), 0, f.calls - before, calls
     steps = 0
     while g != 0:
-        if d.of(s) <= 0:  # only a start below 0 gets here
+        if d.of(s) <= 0:  # only an oracle with f < 0 somewhere gets here
             raise InvariantViolation(f"d(S) <= 0 at {lam}")
         tight, lam = s, Fraction(f.eval(s), d.of(s))
         g, s = envelope(f, d, lam)

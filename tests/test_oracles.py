@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from polyls import (ConcaveCardinalityPlusModular, DirectedGraphCut,
 from polyls.errors import (EmptyNotZero, GroundSetTooLarge, NegativeValue,
                            NonSubmodular)
 from polyls.instances import random_instance, random_spec
-from polyls.oracles import TABLE_N_CAP
+from polyls.oracles import TABLE_N_CAP, scale_minus_modular
 from polyls.subsets import table_dtype
 from conftest import iter_instances, rng_of
 
@@ -177,6 +178,18 @@ def test_translate(two_elem):
         x0 = subgradient(f, list(range(f.n)))
         shifted = translate(f, x0)
         assert min(shifted.dense_table()) >= 0
+
+
+def test_scale_minus_modular_checks_w(two_elem):
+    h = scale_minus_modular(two_elem, 2, (1, 3))
+    assert [h.eval(m) for m in range(4)] == [0, 3, 1, 2]
+    # w needs exactly one int per element, or numpy would broadcast it
+    for w in ((), (1,), (1, 2, 3), (1.0, 2), (Fraction(1, 2), 0),
+              (np.int64(1), 2)):
+        with pytest.raises(ValueError, match="integer vector of length n"):
+            scale_minus_modular(two_elem, 2, w)
+        with pytest.raises(ValueError, match="integer vector of length n"):
+            translate(two_elem, w)
 
 
 def test_newton_scale(two_elem, d34):
