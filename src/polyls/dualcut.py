@@ -169,8 +169,8 @@ class CutEngineState:
     f(E) = 0 < d(E)); it reports the state such a run ends in, converged
     with 0 cuts and best_value = lower_bound = 0.  The box and
     the hyperplane are barrier rows, never cuts, so every query is an
-    objective cut: `iterations == objective_cuts` and `feasibility_cuts` is
-    always 0.
+    objective cut: `objective_cuts` is `iterations` and `feasibility_cuts`
+    is 0, both read-only.
     `newton_steps` counts the centering steps of all queries together.
     """
 
@@ -180,9 +180,15 @@ class CutEngineState:
     iterations: int
     converged: bool
     stalled: bool = False
-    feasibility_cuts: int = 0
-    objective_cuts: int = 0
     newton_steps: int = 0
+
+    @property
+    def feasibility_cuts(self) -> int:
+        return 0
+
+    @property
+    def objective_cuts(self) -> int:
+        return self.iterations
 
 
 def float_resolution(n: int, m_bound) -> float:
@@ -325,7 +331,7 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     def state() -> CutEngineState:
         return CutEngineState(best * scale, lb * scale,
                               max(0.0, best - lb) * scale, it, converged,
-                              stalled, 0, it, newton)
+                              stalled, newton)
 
     if m == 0:
         lb = best  # Z is the point z_init, the vertex of the one singleton

@@ -7,17 +7,20 @@ An instance is JSON text:
      "direction": [int, ...],
      "x0": [int, ...]?}
 
-Explicit tables list all 2^n values in subset-mask order (mask value =
-index).  Generators are deterministic in the seed and the seed is kept in
-the file as provenance, but the written parameters are authoritative: parse
--> serialize -> parse is the identity.
+Every number is a JSON integer.  A key not shown above, or in "function"
+one that is not a parameter of its family, is an input error, so a
+misspelled optional key is never dropped silently.  Explicit tables list
+all 2^n values in subset-mask order (mask value = index).  Generators are
+deterministic in the seed and the seed is kept in the file as provenance,
+but the written parameters are authoritative: parse -> serialize -> parse
+is the identity.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InvalidInstance
@@ -141,16 +144,24 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
+_INSTANCE_KEYS = frozenset(("n", "function", "direction", "x0"))
+
+
 def instance_from_json(text: str) -> Instance:
     obj = _object(json.loads(text))
     fn = dict(_object(obj["function"]))
     seed = fn.pop("seed", None)
     spec = spec_from_json(fn)
+    # the spec's fields are its family's parameters, named as in the file
+    unknown = ((obj.keys() - _INSTANCE_KEYS)
+               | (fn.keys() - {"family", *(fd.name for fd in fields(spec))}))
+    if unknown:
+        raise InvalidInstance(f"unknown keys: {sorted(unknown)}")
     x0 = obj.get("x0")
     return Instance(n=_int(obj["n"]), spec=spec,
                     direction=_ints(obj["direction"]),
                     x0=_ints(x0) if x0 is not None else None,
-                    seed=seed)
+                    seed=_int(seed) if seed is not None else None)
 
 
 def load_instance(path) -> Instance:

@@ -4,23 +4,27 @@ Every oracle has n <= TABLE_N_CAP, so minimization enumerates the dense
 table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
 and a direction d; `minimize_minus_modular` does that straight from f's table
 and d's cached subset sums, exactly, with a float filter in front of the
-big-integer pass.  `minimize` enumerates any oracle.  The minimum-norm-point
-solver `minimize_mnp` is a library call kept as an independent cross-check.  It
-runs in floats but never decides alone: the candidate sets it extracts are
-re-evaluated through the integer oracle and a rational convex combination of
-exact greedy vertices provides a lower bound, so a duality gap below 1
-certifies exactness by integrality.  When certification fails it falls back
-to enumeration.
+big-integer pass.  `minimize` is the one enumeration of a built oracle's
+table; `membership` and `minimize_mnp` read their answers from it.  The
+minimum-norm-point solver `minimize_mnp` is a library call kept as an
+independent cross-check of the minimum value.  Wolfe's loop runs in floats
+but never decides alone: the two level sets of its point are re-evaluated
+through the integer oracle and a rational convex combination of exact greedy
+vertices provides a lower bound, so a duality gap below 1 certifies the
+value by integrality.  A float point does not pin the minimal and maximal
+minimizers down, so those always come from `minimize`, and so does the
+value when certification fails.
 
-References: Wolfe, Math. Prog. 1976; Fujishige-Hayashi-Isotani, RIMS 1571;
-Chakrabarty-Jain-Kothari, arXiv:1411.0095.
+References: Wolfe, Math. Prog. 1976; Fujishige, Math. Oper. Res. 1980;
+Fujishige-Hayashi-Isotani, RIMS 1571; Chakrabarty-Jain-Kothari,
+arXiv:1411.0095.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -212,8 +216,16 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
     return best, and_mask, or_mask, where
 
 
-def minimize_bruteforce(f: SubmodularOracle) -> SfmResult:
-    """Exact minimization by enumerating all 2^n sets."""
+def minimize(f: SubmodularOracle) -> SfmResult:
+    """Exact submodular minimization of any oracle by enumerating its table.
+
+    The minimizers of a submodular function form a lattice, so the AND and
+    OR of every minimizer are the minimal and maximal minimizers; both are
+    checked against the table, and a table where they are not minimizers
+    (f is not submodular) raises InvariantViolation.  No solver calls it:
+    every solver minimizes through `minimize_minus_modular`.  `membership`
+    and `minimize_mnp` read their answers from it.
+    """
     before = f.calls
     table = f.dense_table()
     best, and_mask, or_mask, _ = _table_min(table)
@@ -239,27 +251,13 @@ def _affine_minimizer(V: np.ndarray):
     return b, b @ V
 
 
-def minimize_mnp(f: SubmodularOracle) -> SfmResult:
-    """Fujishige-Wolfe minimum-norm-point minimization with exact certification.
-
-    A library cross-check of `minimize`; no solver calls it.  When the cycle
-    cap is hit or the float point cannot certify the integrality gap, the
-    answer comes from enumeration instead (method "mnp+bruteforce").
-    """
+def _mnp_value(f: SubmodularOracle) -> tuple[int | None, int, list]:
+    """(certified minimum or None, major cycles, norm history) of Wolfe's
+    algorithm on f; see `minimize_mnp`."""
     n = f.n
-    before = f.calls
-
-    def _fallback(majors, norms):
-        res = minimize_bruteforce(f)
-        return SfmResult(res.min_value, res.minimal_minimizer,
-                         res.maximal_minimizer, certified=True,
-                         method="mnp+bruteforce",
-                         oracle_calls=f.calls - before,
-                         major_cycles=majors, norm_history=norms)
-
     if f.m_bound > _MNP_FLOAT_CAP:
         # float marginals cannot certify an integrality gap < 1 here
-        return _fallback(0, [])
+        return None, 0, []
 
     lov = DenseLovasz(f)
     tol = 1e-10 * max(1.0, n * float(f.m_bound))
@@ -274,7 +272,6 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
     orders = [order0]
     w = np.array([1.0])
     x = v0.copy()
-    seen = {order0}
 
     cap = 10 * n ** 3 + 1000
     majors = 0
@@ -287,11 +284,10 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
         if gap <= tol:
             converged = True
             break
-        if q_order in seen:
+        if q_order in orders:
             break  # no new vertex to add: float stall
         V = np.vstack([V, q])
         orders.append(q_order)
-        seen.add(q_order)
         w = np.append(w, 0.0)
         while True:
             try:
@@ -300,7 +296,6 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
                 keep = int(np.argmin(np.einsum("ij,ij->i", V, V)))
                 V = V[keep:keep + 1]
                 orders = [orders[keep]]
-                seen = set(orders)
                 w = np.array([1.0])
                 x = V[0].copy()
                 break
@@ -318,14 +313,13 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
                 keep[int(np.argmax(w))] = True
             V = V[keep]
             orders = [o for o, k in zip(orders, keep) if k]
-            seen = set(orders)
             w = w[keep]
             w /= w.sum()
             x = w @ V
         norms.append(float(x @ x))
 
     if not converged:
-        return _fallback(majors, norms)
+        return None, majors, norms
 
     # exact certification: rationalize the barycentric weights over exact
     # integer vertices, so x_rat is exactly in the base polytope
@@ -341,29 +335,39 @@ def minimize_mnp(f: SubmodularOracle) -> SfmResult:
 
     smin = sum(1 << i for i, xi in enumerate(x_rat) if xi < 0)
     smax = sum(1 << i for i, xi in enumerate(x_rat) if xi <= 0)
-    v_min = f.eval(smin)
-    v_max = f.eval(smax)
-    best = min(v_min, v_max)
-    if Fraction(best) - lower >= 1:
-        return _fallback(majors, norms)
-    # best is within 1 of a valid lower bound, hence exact by integrality
-    if v_min != best or v_max != best:
-        _, smin, smax, _ = _table_min(f.dense_table())
-    return SfmResult(best, SubsetMask(smin, n), SubsetMask(smax, n),
-                     certified=True, method="mnp",
-                     oracle_calls=f.calls - before,
-                     major_cycles=majors, norm_history=norms)
+    best = min(f.eval(smin), f.eval(smax))
+    # within 1 of a valid lower bound, best is exact by integrality
+    return (best if Fraction(best) - lower < 1 else None), majors, norms
 
 
-def minimize(f: SubmodularOracle) -> SfmResult:
-    """Exact submodular minimization of any oracle by enumeration.
+def minimize_mnp(f: SubmodularOracle) -> SfmResult:
+    """Fujishige-Wolfe minimum-norm-point minimization with an exact
+    certificate of the minimum value.
 
-    No solver calls it: every solver minimizes through
-    `minimize_minus_modular`.  It stays for `membership`, which the tests
-    use as an independent membership check, and for the tracer in
-    `perfbench/`, which wraps it.
+    A library cross-check of `minimize`; no solver calls it.  Wolfe's loop
+    runs in floats.  When it converges, the level sets {x < 0} and
+    {x <= 0} of its point are read through the integer oracle, and the
+    smaller value is certified when it lies within 1 of sum_e min(x_e, 0)
+    for the exact point x that the loop's weights make of the exact greedy
+    vertices: that sum bounds min f from below, so by integrality the value
+    is the minimum (method "mnp").  A certified value that differs from
+    enumeration's minimum raises InvariantViolation.  Past
+    `_MNP_FLOAT_CAP`, at the cycle cap, on a float stall or with a gap of
+    1 or more, the value is enumeration's (method "mnp+bruteforce").
+
+    Either way the minimal and maximal minimizers are those of `minimize`:
+    a float min-norm point does not pin them down, only the exact point's
+    level sets do (Fujishige, Math. Oper. Res. 1980).
     """
-    return minimize_bruteforce(f)
+    before = f.calls
+    best, majors, norms = _mnp_value(f)
+    ref = minimize(f)
+    if best is not None and best != ref.min_value:
+        raise InvariantViolation(
+            f"certified minimum {best} is not the minimum {ref.min_value}")
+    return replace(ref, method="mnp+bruteforce" if best is None else "mnp",
+                   oracle_calls=f.calls - before, major_cycles=majors,
+                   norm_history=norms)
 
 
 def membership(f: SubmodularOracle, y) -> MembershipResult:

@@ -158,6 +158,44 @@ def test_non_integer_json_is_input_error(tmp_path, capsys, field, bad):
     assert "lambda_star" not in out
 
 
+TWO_ELEM = {"n": 2,
+            "function": {"family": "explicit", "values": [0, 2, 2, 3]},
+            "direction": [3, 4]}
+
+
+def test_x0_key_is_spelled_exactly(tmp_path, capsys):
+    # x0 = (1, 1) takes lambda* from 3/7 to 1/7; "xo" must not be dropped
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**TWO_ELEM, "x0": [1, 1]}))
+    code, out, _ = run(capsys, "solve", "--instance", str(path))
+    assert code == 0
+    assert "lambda_star = 1/7" in out
+    path.write_text(json.dumps({**TWO_ELEM, "xo": [1, 1]}))
+    code, out, err = run(capsys, "solve", "--instance", str(path))
+    assert code == 1
+    assert "input error: InvalidInstance: unknown keys: ['xo']" in err
+    assert "lambda_star" not in out
+
+
+@pytest.mark.parametrize("function", [
+    {"family": "explicit", "values": [0, 2, 2, 3], "sede": 3},
+    {"family": "explicit", "values": [0, 2, 2, 3], "n": 2},
+    {"family": "interval-geometric", "n": 2, "values": [0, 2, 2, 3]},
+    {"family": "explicit", "values": [0, 2, 2, 3], "seed": 1.5},
+    {"family": "explicit", "values": [0, 2, 2, 3], "seed": "a"},
+    {"family": "explicit", "values": [0, 2, 2, 3], "seed": True},
+], ids=["misspelled-seed", "n-in-explicit", "values-in-interval",
+        "seed-float", "seed-str", "seed-bool"])
+def test_function_keys_and_seed_are_strict(tmp_path, capsys, function):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**TWO_ELEM, "function": function}))
+    code, out, err = run(capsys, "solve", "--instance", str(path))
+    assert code == 1
+    assert "input error: InvalidInstance" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
 @pytest.mark.parametrize("inst", [
     {"n": 2, "function": {"family": "explicit", "values": 5}, "direction": [3, 4]},
     [1, 2],

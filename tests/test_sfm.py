@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyls import (DenseLovasz, Direction, ExplicitTable, IntervalGeometric,
-                    make_family, membership, minimize_bruteforce,
-                    minimize_minus_modular, minimize_mnp, newton_scale,
-                    subset_sums, translate, upper_bound)
+                    make_family, membership, minimize, minimize_minus_modular,
+                    minimize_mnp, newton_scale, subset_sums, translate,
+                    upper_bound)
 from polyls.errors import GroundSetTooLarge, InvariantViolation
 from polyls.instances import FAMILIES, random_instance
 from polyls.oracles import SubmodularOracle, scale_minus_modular
@@ -19,7 +19,7 @@ from conftest import iter_instances
 
 
 def test_bruteforce_on_nonnegative_function(two_elem):
-    res = minimize_bruteforce(two_elem)
+    res = minimize(two_elem)
     assert res.min_value == 0
     assert res.minimal_minimizer == SubsetMask.empty(2)
     assert res.maximal_minimizer == SubsetMask.empty(2)
@@ -28,13 +28,13 @@ def test_bruteforce_on_nonnegative_function(two_elem):
 
 def test_bruteforce_on_shifted_function(two_elem, d34):
     h = newton_scale(two_elem, d34, Fraction(1))  # f(S) - d(S): 0,-1,-2,-4
-    res = minimize_bruteforce(h)
+    res = minimize(h)
     assert res.min_value == -4
     assert res.minimal_minimizer == SubsetMask.full(2)
 
 
 def test_bruteforce_constant_zero():
-    res = minimize_bruteforce(make_family(ExplicitTable((0, 0, 0, 0))))
+    res = minimize(make_family(ExplicitTable((0, 0, 0, 0))))
     assert res.min_value == 0
     assert res.minimal_minimizer == SubsetMask.empty(2)
     assert res.maximal_minimizer == SubsetMask.full(2)
@@ -44,7 +44,7 @@ def test_bruteforce_cap():
     # the size limit is enforced where oracles are made, so no oracle past it
     # ever reaches the enumerator
     with pytest.raises(GroundSetTooLarge):
-        minimize_bruteforce(SubmodularOracle(21, [0], m_bound=0))
+        minimize(SubmodularOracle(21, [0], m_bound=0))
 
 
 def test_minimizer_lattice_closure():
@@ -66,14 +66,43 @@ def test_mnp_equals_bruteforce_and_certifies():
         f, d = inst.build()
         # shift so the minimum is usually attained off the empty set
         h = newton_scale(f, d, Fraction(2, 3))
-        ref = minimize_bruteforce(h)
+        ref = minimize(h)
         res = minimize_mnp(h)
         assert res.min_value == ref.min_value
-        assert h.eval(res.minimal_minimizer) == ref.min_value
-        assert h.eval(res.maximal_minimizer) == ref.min_value
+        assert res.minimal_minimizer == ref.minimal_minimizer
+        assert res.maximal_minimizer == ref.maximal_minimizer
         assert res.certified
         pure_mnp += res.method == "mnp"
     assert pure_mnp > 0  # the float path itself certifies most of the batch
+
+
+def test_mnp_minimizers_are_exact_on_a_cut():
+    # h = f is 0 on {}, {2} and E; the float point's two level sets are
+    # both {2}, a minimizer, but the minimal and maximal ones are {} and E
+    inst = random_instance("digraph-cut", 3, 20261064)
+    f, d = inst.build()
+    h = newton_scale(f, d, upper_bound(f, d))
+    res = minimize_mnp(h)
+    assert res.method == "mnp"
+    assert res.min_value == 0
+    assert res.minimal_minimizer == SubsetMask.empty(3)
+    assert res.maximal_minimizer == SubsetMask.full(3)
+
+
+def test_mnp_minimizers_match_enumeration():
+    # criterion 9's minimizations on another seed: h = f - u d at the
+    # singleton bound u
+    methods = set()
+    for inst in iter_instances(60, seed=930):
+        f, d = inst.build()
+        h = newton_scale(f, d, upper_bound(f, d))
+        ref = minimize(h)
+        res = minimize_mnp(h)
+        assert res.min_value == ref.min_value, inst
+        assert res.minimal_minimizer == ref.minimal_minimizer, inst
+        assert res.maximal_minimizer == ref.maximal_minimizer, inst
+        methods.add(res.method)
+    assert methods == {"mnp", "mnp+bruteforce"}
 
 
 def test_mnp_modular_single_vertex():
@@ -182,7 +211,7 @@ def kernel_case(draw, kind):
 @given(data=st.data())
 def test_kernel_matches_rescaled_bruteforce(kind, data):
     f, d, q, p = data.draw(kernel_case(kind))
-    ref = minimize_bruteforce(scale_minus_modular(f, q, [p * di for di in d.d]))
+    ref = minimize(scale_minus_modular(f, q, [p * di for di in d.d]))
     value, minimal, maximal = minimize_minus_modular(f, q, p, d)
     assert value == ref.min_value
     assert minimal == ref.minimal_minimizer.bits
