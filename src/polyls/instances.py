@@ -9,7 +9,9 @@ An instance is JSON text:
 
 Every number is a JSON integer.  A key not shown above, or in "function"
 one that is not a parameter of its family, is an input error, so a
-misspelled optional key is never dropped silently.  Explicit tables list
+misspelled optional key is never dropped silently.  An optional key
+("seed", "x0") may be left out but may not be null: null is not an
+integer or an array, so it is an input error too.  Explicit tables list
 all 2^n values in subset-mask order (mask value = index).  Generators are
 deterministic in the seed and the seed is kept in the file as provenance,
 but the written parameters are authoritative: parse -> serialize -> parse
@@ -150,18 +152,17 @@ _INSTANCE_KEYS = frozenset(("n", "function", "direction", "x0"))
 def instance_from_json(text: str) -> Instance:
     obj = _object(json.loads(text))
     fn = dict(_object(obj["function"]))
-    seed = fn.pop("seed", None)
+    seed = _int(fn.pop("seed")) if "seed" in fn else None
     spec = spec_from_json(fn)
     # the spec's fields are its family's parameters, named as in the file
     unknown = ((obj.keys() - _INSTANCE_KEYS)
                | (fn.keys() - {"family", *(fd.name for fd in fields(spec))}))
     if unknown:
         raise InvalidInstance(f"unknown keys: {sorted(unknown)}")
-    x0 = obj.get("x0")
     return Instance(n=_int(obj["n"]), spec=spec,
                     direction=_ints(obj["direction"]),
-                    x0=_ints(x0) if x0 is not None else None,
-                    seed=_int(seed) if seed is not None else None)
+                    x0=_ints(obj["x0"]) if "x0" in obj else None,
+                    seed=seed)
 
 
 def load_instance(path) -> Instance:

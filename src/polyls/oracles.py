@@ -104,6 +104,16 @@ class Direction:
         return len(self.d)
 
     @cached_property
+    def positive_sum(self) -> int:
+        """D+ = the sum of the positive entries = max_S d(S)."""
+        return sum(di for di in self.d if di > 0)
+
+    @cached_property
+    def negative_sum(self) -> int:
+        """D- = the sum of the negative entries' magnitudes = -min_S d(S)."""
+        return self.positive_sum - sum(self.d)
+
+    @cached_property
     def norm1(self) -> int:
         return sum(abs(di) for di in self.d)
 

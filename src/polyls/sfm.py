@@ -3,8 +3,10 @@
 Every oracle has n <= TABLE_N_CAP, so minimization enumerates the dense
 table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
 and a direction d; `minimize_minus_modular` does that straight from f's table
-and d's cached subset sums, exactly, with a float filter in front of the
-big-integer pass.  `minimize` is the one enumeration of a built oracle's
+and d's cached subset sums, exactly.  One compare first cuts the table to its
+level set {S : f(S) <= P // q}, P = max_S p*d(S), which holds every
+minimizer, and a float filter stands in front of the big-integer pass.
+`minimize` is the one enumeration of a built oracle's
 table; `membership` and `minimize_mnp` read their answers from it.  The
 minimum-norm-point solver `minimize_mnp` is a library call kept as an
 independent cross-check of the minimum value.  Wolfe's loop runs in floats
@@ -70,9 +72,12 @@ def _table_min(table, masks=None):
     are themselves minimizers: the unique minimal and maximal ones.
     """
     best = table.item(int(table.argmin()))
-    where = np.flatnonzero(table == best)
+    where = (table == best).nonzero()[0]
     if masks is not None:
         where = masks[where]
+    if where.size == 1:  # the common case, without two ufunc reductions
+        m = int(where[0])
+        return best, m, m, where
     return (best, int(np.bitwise_and.reduce(where)),
             int(np.bitwise_or.reduce(where)), where)
 
@@ -114,18 +119,41 @@ def _work(n: int, dtype) -> list[np.ndarray]:
     return views
 
 
-def _float_candidates(f: SubmodularOracle, q: int, p: int,
-                      d: Direction) -> np.ndarray | None:
-    """The sets that may minimize q*f - p*d, by one float64 pass, or None
-    when the floats cannot bound the error (see `minimize_minus_modular`)."""
+def _level_set(f: SubmodularOracle, q: int, p: int,
+               d: Direction) -> np.ndarray | None:
+    """The sets S with f(S) <= P // q, P = max_T p*d(T), as ascending masks
+    (on a big-int table, a superset of them read off the float image), or
+    None for every set (see `minimizers_minus_modular`)."""
+    t = (p * d.positive_sum if p >= 0 else -p * d.negative_sum) // q
+    if t >= f.m_bound:
+        return None
+    table = f.dense_table()
+    if table.dtype == object:
+        table = f.float_table
+        if table is None:
+            return None
+        try:
+            t = float(t)
+        except OverflowError:
+            return None
+    return (table <= t).nonzero()[0]
+
+
+def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
+                      masks: np.ndarray | None) -> np.ndarray | None:
+    """The sets among `masks` (every set when None) that may minimize
+    q*f - p*d, by one float64 pass, or `masks` itself when the floats cannot
+    bound the error (see `minimizers_minus_modular`)."""
     table, sums = f.float_table, d.float_sums
     if table is None or sums is None:
-        return None
+        return masks
     try:
         qf, pf = float(q), float(p)
     except OverflowError:
-        return None
-    hf, err, b = _work(f.n, np.float64)
+        return masks
+    if masks is not None:
+        table, sums = table[masks], sums[masks]
+    hf, err, b = (w[:table.size] for w in _work(f.n, np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(table, qf, out=hf)
         np.abs(hf, out=err)
@@ -134,10 +162,11 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int,
         err += np.abs(b, out=b)
         err *= _FILTER_SCALE
     if not err.max() < math.inf:
-        return None
+        return masks
     top = np.add(hf, err, out=b).min()
     hf -= err
-    return np.flatnonzero(hf <= top)
+    keep = (hf <= top).nonzero()[0]
+    return keep if masks is None else masks[keep]
 
 
 def minimize_minus_modular(f: SubmodularOracle, q: int, p: int,
@@ -160,15 +189,29 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
     the minimal minimizer just right of lambda = p/q (`discrete_newton`).
 
     h is never built as an oracle: the values come from f's table and d's
-    cached subset sums `d.sums`.  When q*M + |p|*||d||_1 + q lies below the
-    int64 bound of `table_dtype` (M = f.m_bound; the q term because q*f is
-    formed even where f = 0) and `d.sums` is int64, this is one exact int64
-    pass.  Otherwise one float64 pass over the float images `f.float_table`
-    and `d.float_sums` keeps as candidates the sets S with
-    hf(S) - e(S) <= min_T (hf(T) + e(T)), and exact Python ints decide among
-    them.  There is no size threshold: at worst every set is a candidate,
-    which costs one exact pass.  The int64 and float64 passes write into
-    this thread's scratch buffers (`_work`), not into fresh 2^n arrays.
+    cached subset sums `d.sums`, and only on the sets of the level set C
+    (below).  When q*M + |p|*||d||_1 + q lies below the int64 bound of
+    `table_dtype` (M = f.m_bound; the q term because q*f is formed even
+    where f = 0) and `d.sums` is int64, h on C is one exact int64 pass.  Otherwise one float64
+    pass over C in the float images `f.float_table` and `d.float_sums` keeps
+    as candidates the sets S with hf(S) - e(S) <= min_T (hf(T) + e(T)), and
+    exact Python ints decide among them.  There is no size threshold: at
+    worst every set is a candidate, which costs one exact pass.  A pass over
+    all 2^n sets writes into this thread's scratch buffers (`_work`), not
+    into fresh 2^n arrays.
+
+    The level-set bound.  h(empty) = 0, since f(empty) = 0 for every oracle,
+    so every minimizer S has q*f(S) <= p*d(S) <= P = max_T p*d(T), which is
+    p*D+ for p >= 0 and |p|*D- for p < 0 (D+ = `d.positive_sum`, the sum of
+    d's positive entries; D- = `d.negative_sum`, the magnitudes of its
+    negative ones).  f is integral and q >= 1, so f(S) <= P // q, and every
+    minimizer lies in C = {S : f(S) <= P // q}; no sign of f or p is
+    assumed.  An int64 table is compared with P // q exactly.  A big-int
+    table is compared through its float image, fl(f(S)) <= fl(P // q): by
+    monotone rounding that keeps a superset of C.  C is not cut, and every
+    set is read, when P // q >= M (C is the whole table), when f has no
+    float image (an entry past float64 range), or when P // q is past it.
+    So the minimum over C is min h, and its minimizers there are all of h's.
 
     The filter bound.  Let u = 2^-53.  Rounding to float64 gives
     F = f(S)(1 + d1), D = d(S)(1 + d2), qf = q(1 + d3) and pf = p(1 + d4),
@@ -188,28 +231,31 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
 
     Every minimizer S* then has hf(S*) - e(S*) <= h(S*) <= h(T) <=
     hf(T) + e(T) for every T, and rounding is monotone, so the float test
-    keeps every minimizer: the exact minimum over the candidates is min h,
-    and its minimizers there are all of h's.  An entry past float64 range
-    (an image is None), a q or p past it, or a non-finite e(S) (an overflow
-    to inf) leaves the floats nothing to bound, and the exact pass runs over
-    all 2^n sets.  f.calls is not charged: no value is read through the
-    oracle.
+    keeps every minimizer of C: the exact minimum over the candidates is
+    min h, and its minimizers there are all of h's.  An entry past float64
+    range (an image is None), a q or p past it, or a non-finite e(S) (an
+    overflow to inf) leaves the floats nothing to bound, and the exact pass
+    runs over all of C.  f.calls is not charged: no value is read through
+    the oracle.
     """
     table, sums = f.dense_table(), d.sums
-    masks = None
+    masks = _level_set(f, q, p, d)
     if (table_dtype(q * f.m_bound + abs(p) * d.norm1 + q) is np.int64
             and sums.dtype == np.int64):
         # the table is int64 too, since M < 2^60
-        h, tmp, _ = _work(f.n, np.int64)
+        if masks is None:
+            h, tmp, _ = _work(f.n, np.int64)
+        else:  # gathered copies, so the products can go in place
+            table, sums = h, tmp = table[masks], sums[masks]
         np.multiply(table, q, out=h)
         h -= np.multiply(sums, p, out=tmp)
     else:
-        masks = _float_candidates(f, q, p, d)
+        masks = _float_candidates(f, q, p, d, masks)
         if masks is not None:
             table, sums = table[masks], sums[masks]
         h = q * table.astype(object) - p * sums.astype(object)
     best, and_mask, or_mask, where = _table_min(h, masks)
-    for m in (and_mask, or_mask):
+    for m in {and_mask, or_mask}:
         if q * f.dense_table().item(m) - p * d.sums.item(m) != best:
             raise InvariantViolation(
                 "minimizers not closed under union/intersection")

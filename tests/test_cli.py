@@ -197,6 +197,23 @@ def test_function_keys_and_seed_are_strict(tmp_path, capsys, function):
 
 
 @pytest.mark.parametrize("inst", [
+    {**TWO_ELEM, "x0": None},
+    {**TWO_ELEM, "function": {**TWO_ELEM["function"], "seed": None}},
+    {**TWO_ELEM, "x0": None,
+     "function": {**TWO_ELEM["function"], "seed": None}},
+], ids=["x0", "seed", "both"])
+def test_null_optional_key_is_input_error(tmp_path, capsys, inst):
+    # an optional key may be left out, but null is not an absent key
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "solve", "--instance", str(path))
+    assert code == 1
+    assert "input error: InvalidInstance: expected a JSON" in err
+    assert "Traceback" not in err
+    assert "lambda_star" not in out
+
+
+@pytest.mark.parametrize("inst", [
     {"n": 2, "function": {"family": "explicit", "values": 5}, "direction": [3, 4]},
     [1, 2],
     {"n": 2, "function": [0, 1], "direction": [3, 4]},

@@ -1,19 +1,21 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyls import (DenseLovasz, Direction, ExplicitTable, IntervalGeometric,
-                    make_family, membership, minimize, minimize_minus_modular,
-                    minimize_mnp, newton_scale, subset_sums, translate,
-                    upper_bound)
+                    binary_search, bruteforce_linesearch, discrete_newton,
+                    ladder_spacing, make_family, membership, minimize,
+                    minimize_minus_modular, minimize_mnp, newton_scale,
+                    solve_dual, subset_sums, translate, upper_bound)
 from polyls.errors import GroundSetTooLarge, InvariantViolation
 from polyls.instances import FAMILIES, random_instance
 from polyls.oracles import SubmodularOracle, scale_minus_modular
 from polyls import sfm
-from polyls.sfm import _float_candidates
+from polyls.sfm import _float_candidates, minimizers_minus_modular
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
 
@@ -154,7 +156,8 @@ def test_membership_monotone_in_lambda():
 # --- the envelope kernel: min of q*f - p*d over the cached tables ----------
 
 KERNEL_KINDS = ["family", "interval", "translated", "scaled", "zero",
-                "modular-tie", "near-tie", "past-float-range", "inf-product"]
+                "modular-tie", "near-tie", "past-float-range", "inf-product",
+                "wide-level-set"]
 
 
 def _oracle(n, table):
@@ -201,10 +204,26 @@ def kernel_case(draw, kind):
     elif kind == "past-float-range":
         # 2^1030 on every nonempty set: astype(float64) raises OverflowError
         f = _oracle(n, [v + ((m > 0) << 1030) for m, v in enumerate(big)])
-    else:  # inf-product: every entry fits float64, q f(S) overflows to inf
+    elif kind == "inf-product":
+        # every entry fits float64, q f(S) overflows to inf
         f = _oracle(n, big << 900)
         q = draw(st.integers(2**199, 2**200))
+    else:  # wide-level-set: P // q near or past M, so C is most or all sets
+        f = draw(st.sampled_from([base, make_family(IntervalGeometric(n))]))
+        q = draw(st.integers(1, 2**70))
+        # p < 0 only where some d_i < 0, else P = 0
+        sign = draw(st.sampled_from([1, -1] if d.negative_sum else [1]))
+        mass = d.positive_sum if sign > 0 else d.negative_sum
+        level = draw(st.integers(f.m_bound // 2, 2 * f.m_bound + 1))
+        p = sign * -(-level * q // mass)
     return f, d, q, p
+
+
+def _level(q, p, d):
+    """P // q, with P = max_S p*d(S): every minimizer of q*f - p*d has
+    f(S) <= P // q."""
+    sums = [p * d.of(m) for m in range(1 << d.n)]
+    return max(sums) // q
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -216,15 +235,24 @@ def test_kernel_matches_rescaled_bruteforce(kind, data):
     assert value == ref.min_value
     assert minimal == ref.minimal_minimizer.bits
     assert maximal == ref.maximal_minimizer.bits
-    cand = _float_candidates(f, q, p, d)
+    table = f.dense_table()
+    every = [m for m in range(1 << f.n)
+             if q * table.item(m) - p * d.of(m) == value]
+    assert minimizers_minus_modular(f, q, p, d)[3].tolist() == every
+    # the level-set bound: h(S) <= h(empty) = 0 gives q f(S) <= p d(S) <= P
+    level = _level(q, p, d)
+    assert all(table.item(m) <= level for m in every)
+    masks = sfm._level_set(f, q, p, d)
+    if kind == "wide-level-set" and level >= f.m_bound:
+        assert masks is None  # C is every set: the full pass decided
+    if masks is not None:
+        assert set(every) <= set(masks.tolist())
+    cand = _float_candidates(f, q, p, d, None)
     if kind in ("past-float-range", "inf-product") and any(f.dense_table()):
         assert cand is None  # the exact full pass decided
     if cand is not None:
         # the proven bound keeps every minimizer among the candidates
-        table = f.dense_table()
-        every = {m for m in range(1 << f.n)
-                 if q * table.item(m) - p * d.of(m) == value}
-        assert every <= set(cand.tolist())
+        assert set(every) <= set(cand.tolist())
 
 
 @pytest.mark.parametrize("shift", [0, 70], ids=["int64", "object"])
@@ -244,6 +272,52 @@ def test_float_image_is_lazy_and_shared():
     assert not image.flags.writeable
     assert DenseLovasz(f).table is image
     assert d.float_sums is vars(d)["float_sums"]
+    # an int64 table is cut to its level set exactly: Newton and bisection
+    # never build a float image
+    for fam in ("explicit", "coverage", "digraph-cut", "concave-modular"):
+        f, d = random_instance(fam, 12, 5).build()
+        assert f.dense_table().dtype == np.int64
+        discrete_newton(f, d)
+        eps = ladder_spacing(d)
+        bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps)
+        discrete_newton(f, d, bs.value + eps)
+        assert "float_table" not in vars(f) and "float_sums" not in vars(d)
+    # P // q >= M: the level set is every set, so the int64 pass runs over
+    # the whole table, in this thread's scratch buffers
+    f, d = random_instance("coverage", 12, 1).build()
+    q, p = 1, 3 * f.m_bound
+    assert sfm._level_set(f, q, p, d) is None
+    minimize_minus_modular(f, q, p, d)
+    bufs = sfm._scratch.bufs
+    for p in (p, p + 1):
+        want = q * f.dense_table() - p * d.sums
+        value = minimize_minus_modular(f, q, p, d)[0]
+        assert value == want.min()
+        assert sfm._scratch.bufs is bufs
+        assert np.array_equal(sfm._scratch.views[f.n, np.int64][0], want)
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_item_with_wide_level_set_matches_bruteforce(n):
+    # interval-geometric with d positive only on high indices: a ratio
+    # needs a high element, whose runs weigh 4^(j(j-1)/2), so the level set
+    # holds a large share of the table and the float stage decides there
+    f = make_family(IntervalGeometric(n))
+    rng = np.random.default_rng(n)
+    dirs = [(-8, 0, -5, -3, -8, 0, -7, -7, 0, 0, -4, 4, 9, -1)[:n]]
+    for _ in range(3):
+        k = int(rng.integers(1, 4))
+        dirs.append(tuple(int(v) for v in rng.integers(-9, 1, n - k))
+                    + tuple(int(v) for v in rng.integers(1, 10, k)))
+    for d in map(Direction, dirs):
+        star = bruteforce_linesearch(f, d).lambda_star
+        eps = ladder_spacing(d)
+        bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps)
+        for res in (discrete_newton(f, d), solve_dual(f, d),
+                    discrete_newton(f, d, bs.value + eps)):
+            assert res.lambda_star == star
+            assert f.dense_table().item(res.tight_set.bits) == \
+                star * d.of(res.tight_set)
 
 
 def test_kernel_scratch_is_reused_and_per_thread():
