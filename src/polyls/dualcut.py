@@ -17,9 +17,12 @@ Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
 S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
 level-set rounding of the extension.  The singleton vertices 1_{e}/d_e are
 such points too, so the engine's bracket starts at [0, u] with u the
-singleton bound.  When u = 0, or f(E) = 0 < d(E), the seed closes it:
-lambda* = 0, and `solve_dual` decides that before the engine is set up.
-The best vertex
+singleton bound.  `solve_dual` takes its exits in a fixed order, each
+decided in integers before the next is paid for: the seed (the singletons
+and E), the exact chain of the engine's first query, the float resolution,
+and inside the engine the first cut's own bound.  Only a solve that passes
+the first three builds a `ReducedProblem`, and only one that passes all
+four allocates the cut matrix.  The best vertex
 1_S/d(S) seen so far is the engine's upper bound, so the bracket closes on
 lambda* itself, and once it is below half the ladder spacing the best ratio
 is lambda*.  Newton starts from that ratio, computed in integers, and exact
@@ -47,6 +50,11 @@ from .subsets import SubsetMask
 # perfbench/tracer.py wraps `evaluate` and `perturb` in this module, so they
 # stay bound here although no solver calls them
 from .lovasz import evaluate  # noqa: F401
+
+
+def _pivot(d: Direction) -> int:
+    """The first largest entry of d, so d_pivot > 0 (some d_e > 0)."""
+    return min(range(d.n), key=lambda i: (-d.d[i], i))
 
 
 class ReducedProblem:
@@ -83,7 +91,7 @@ class ReducedProblem:
 
     def __init__(self, f: SubmodularOracle, d: Direction, best: Fraction,
                  best_mask: int):
-        self.pivot = pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
+        self.pivot = pivot = _pivot(d)
         self.omega_dim = d.n - 1
         self.d_rest = tuple(v for i, v in enumerate(d.d) if i != pivot)
         self.d_pivot = d.d[pivot]
@@ -164,10 +172,15 @@ class CutEngineState:
     `ReducedProblem`, whose `best_mask` names the set; the point where the
     extension reads it is that set's vertex 1_S/d(S).  The problem's seed is
     the singleton bound u, so best_value never exceeds float(u), and a run
-    whose seed closes the bracket has made no query at all.  `solve_dual`
-    does not run the engine on a bracket its seed closes (u = 0, or
-    f(E) = 0 < d(E)); it reports the state such a run ends in, converged
-    with 0 cuts and best_value = lower_bound = 0.  The box and
+    whose seed closes the bracket has made no query at all.
+
+    Every `solve_dual` trace is one of these, also where the engine never
+    runs.  A ratio 0 among the singletons, E or z_init's chain closes the
+    bracket before the engine is set up: the trace is the state such a run
+    ends in, converged with 0 cuts and best_value = lower_bound = 0.  A
+    half-ladder target at or below the float resolution is a stalled 0-cut
+    state whose best_value is Newton's exact start in floats (inf past
+    float64 range) and whose lower_bound is the floor 0.  The box and
     the hyperplane are barrier rows, never cuts, so every query is an
     objective cut: `objective_cuts` is `iterations` and `feasibility_cuts`
     is 0, both read-only.
@@ -283,6 +296,26 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
     return None
 
 
+def _cut_row(z: np.ndarray, v: float, g: np.ndarray, scale: float):
+    """The cut g.z' - t <= g.z - v of a query at z, with phi divided by
+    scale, as a unit row over y = (z', t): (row, right-hand side)."""
+    g = g / scale
+    nrm = math.sqrt(float(g @ g) + 1.0)
+    row = np.empty(len(g) + 1)
+    row[:-1] = g / nrm
+    row[-1] = -1.0 / nrm
+    return row, (float(g @ z) - v / scale) / nrm
+
+
+def _cut_bound(wA: np.ndarray, wb: float, hi: np.ndarray, a) -> float:
+    """Lower bound on phi from cut rows weighted by w >= 0, given as their
+    sums wA = w.A and wb = w.b: with W = -wA_t > 0 they say
+    t >= (wA_z.z - wb) / W, a convex combination of the cuts' minorants of
+    phi, minimized over Z exactly by `_box_min`."""
+    W = -float(wA[-1])
+    return _box_min(wA[:-1] / W, hi, a) - wb / W
+
+
 def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     """Minimize the reduced objective phi = prob over the dual domain by
     ACCPM, to a certified gap.
@@ -300,8 +333,8 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     adds the cut g_j.z - t <= g_j.z_j - phi_j.  The next query is the z part
     of the localizer's analytic center.  The lower bound weights the cuts by
     their centering duals, a convex combination of minorants of phi, and
-    minimizes it over Z exactly (`_box_min`); any nonnegative weights give a
-    valid bound, so inexact centering can only weaken it.
+    minimizes it over Z exactly (`_cut_bound`); any nonnegative weights
+    give a valid bound, so inexact centering can only weaken it.
 
     Each centering starts from the previous center.  A row that center
     violates or nearly touches (the new cut, the t row after best improved)
@@ -310,17 +343,23 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     feasible and close to the new center, and the row returns toward its
     true place at later centers.
 
-    phi is divided by max(1, |phi(z_init)|) inside.  Stops converged when
-    best - lb <= target_gap: with no query when the seed already closes the
-    bracket (u = 0, or n = 1, where Z is the one singleton's vertex;
-    `solve_dual` decides u = 0 and f(E) = 0 < d(E) itself and never calls
-    the engine on them), and with 0 cuts when z_init's chain closes it on
-    0 (a lambda* = 0 that neither a singleton nor E shows); stalled at
-    once, with 0 cuts, when the target is
-    below the float resolution of phi, and later when neither best nor lb
-    moves for a window of cuts or a centering fails (callers restore
-    exactness by rounding); past `prob.cut_cap` cuts, of order m ln(kappa),
-    it raises IterationCapExceeded carrying the state.
+    phi is divided by max(1, |phi(z_init)|) inside.  The exits, in order,
+    each before the work of the next:
+    - converged with no query when the seed closes the bracket (u = 0, or
+      n = 1, where Z is the one singleton's vertex);
+    - stalled with no query when the target is at or below the float
+      resolution of phi, where `converged` could not certify anything;
+    - converged with 0 cuts when the bound of z_init's own cut closes the
+      bracket; since lb >= 0 that takes in a chain of z_init that reads 0.
+      The cut budget is read, and the cut matrix (cap + 2m + 3 rows at
+      most, of m + 1 entries) and the barrier rows are allocated, only past
+      this exit;
+    - converged once best - lb <= target_gap; stalled when neither best nor
+      lb moves for a window of cuts or a centering fails (callers restore
+      exactness by rounding); past `prob.cut_cap` cuts, of order
+      m ln(kappa), it raises IterationCapExceeded carrying the state.
+    `solve_dual` decides u = 0, the resolution exit and a chain of z_init
+    that reads 0 in integers, and calls the engine only past them.
     """
     m = prob.omega_dim
     target_gap = float(target_gap)
@@ -338,25 +377,27 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     if best - lb <= target_gap:
         converged = True
         return state()
+    if float_resolution(prob.direction.n, prob.m_bound) >= target_gap:
+        stalled = True
+        return state()
 
     hi = prob.hi
     # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
     a = prob.d_row if any(prob.d_rest) else None
-    cap = prob.cut_cap
     z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
     v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
     best = prob.best / scale
     tgt = target_gap / scale
+    row0, rhs0 = _cut_row(z0, float(v0), g0, scale)
+    lb = max(lb, _cut_bound(row0, rhs0, hi, a))
     if best - lb <= tgt:
         converged = True
-        return state()
-    if float_resolution(prob.direction.n, prob.m_bound) >= target_gap:
-        stalled = True
         return state()
 
     # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= 0,
     # z_i <= u_i, then a.z <= 1, then t <= best, then one row per cut
+    cap = prob.cut_cap
     n_fixed = 2 * m + (a is not None) + 1
     A = np.zeros((n_fixed + cap + 1, m + 1))
     b = np.zeros(n_fixed + cap + 1)
@@ -374,22 +415,10 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
 
     b_true = b.copy()  # b >= b_true: a shifted row is weaker, still valid
 
-    def add_cut(z, v, g):
+    def add_cut(row, rhs):
         nonlocal k
-        g = g / scale
-        nrm = math.sqrt(float(g @ g) + 1.0)
-        A[k, :m] = g / nrm
-        A[k, m] = -1.0 / nrm
-        b_true[k] = (float(g @ z) - v / scale) / nrm
-        b[k] = math.inf
+        A[k], b_true[k], b[k] = row, rhs, math.inf
         k += 1
-
-    def bound(w):
-        # w >= 0 on the cut rows: their sum is t >= (w.A_z z - w.b) / W with
-        # W = -w.A_t, a convex combination of the cuts' minorants of phi
-        wA = w @ A[n_fixed:k]
-        W = -float(wA[m])
-        return _box_min(wA[:m] / W, hi, a) - float(w @ b_true[n_fixed:k]) / W
 
     def shift(y, H):
         # a row the center y does not clear by _SHIFT Dikin widths
@@ -403,8 +432,7 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
         b[rows] = np.minimum(b[rows],
                              np.maximum(b_true[rows], Ar @ y + _SHIFT * width))
 
-    add_cut(z0, float(v0), g0)
-    lb = max(lb, bound(np.ones(1)))
+    add_cut(row0, rhs0)
     # z_init is strictly inside Z; the first cut and the t row start
     # shifted to clear (z_init, best)
     y = np.append(z0, best)
@@ -427,7 +455,9 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
             break
         y, s, H, steps = out
         newton += steps
-        lb = max(lb, bound(1.0 / s[n_fixed:]))
+        w = 1.0 / s[n_fixed:]
+        lb = max(lb, _cut_bound(w @ A[n_fixed:k], float(w @ b_true[n_fixed:k]),
+                                hi, a))
         if best - lb <= tgt:
             break
         z = np.clip(y[:m], 0.0, hi)
@@ -437,7 +467,7 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
         if prob.best / scale < best:
             best = prob.best / scale
             b_true[t_row] = best
-        add_cut(z, v, g)
+        add_cut(*_cut_row(z, v, g, scale))
         shift(y, H)
         prog = 1e-13 * max(1.0, abs(best))
         if best < mark_best - prog or lb > mark_lb + prog:
@@ -453,6 +483,49 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
 # Pipelines
 
 
+def _start_sets(d: Direction):
+    """E, then the sets strictly between the pivot's singleton and E on the
+    greedy chain of the engine's first query z_init.
+
+    z_init puts 1/(2 ||d||_1) on every coordinate but the pivot's, and the
+    lifted pivot coordinate exceeds that by (2 ||d||_1 - d(E)) /
+    (2 ||d||_1 d_pivot) >= 1/(2 d_pivot) > 0.  So the chain is the pivot,
+    then the other elements in ascending index (ties by index, as
+    `greedy_order`).  The pivot is found only once E is consumed.
+    """
+    full = (1 << d.n) - 1
+    yield full
+    pivot = _pivot(d)
+    mask = 1 << pivot
+    for i in range(d.n):
+        if i != pivot:
+            mask |= 1 << i
+            if mask == full:
+                return
+            yield mask
+
+
+def _chain_bound(f: SubmodularOracle, d: Direction, u: Fraction) -> Fraction:
+    """The smallest of u and the exact ratios f(S)/d(S), d(S) > 0, over
+    `_start_sets`: E, then the n - 2 sets strictly inside z_init's chain,
+    whose first set is the pivot's singleton, which u already bounds.
+    Reads stop at the first ratio 0, which is lambda* (f >= 0): u = 0
+    reads nothing.
+    """
+    num, den = u.numerator, u.denominator
+    if num == 0:
+        return u
+    for s in _start_sets(d):
+        ds = d.of(s)
+        if ds > 0:
+            v = f.eval(s)
+            if v * den < num * ds:
+                num, den = v, ds
+                if num == 0:
+                    break
+    return Fraction(num, den)
+
+
 def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """Full pipeline: cut to half a ladder step, round on the best chain,
     Newton-confirm.
@@ -460,34 +533,50 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     The engine stops once the best vertex ratio is within eps/2 of its lower
     bound on lambda*, eps = 1/||d||_1^2 the ladder spacing; distinct ratios
     differ by at least eps, so the best ratio is then lambda* and Newton
-    confirms it in zero steps.  One singleton scan gives the upper bound u
-    and its singleton, the engine's seed, so the bracket starts at [0, u].
+    confirms it in zero steps.  Float state is built only for a solve that
+    will cut.  The exits, in order, the first three decided in integers:
 
-    A bracket its seed closes is decided before anything is built: when
-    u = 0, or when f(E) = 0 < d(E) (one more integer read, which shows the
-    lambda* = 0 of a cut function that no singleton shows), lambda* = 0 and
-    Newton confirms it from 0 in one kernel pass.  No `ReducedProblem` (so
-    no `DenseLovasz`) is built and no chain is read; the trace is a
-    converged `CutEngineState` with 0 cuts.
+    1. The seed: the singleton scan gives the upper bound u and its
+       singleton, and E is read when d(E) > 0.  A ratio 0 (u = 0, or
+       f(E) = 0 < d(E), the lambda* = 0 of a cut function that no
+       singleton shows) is lambda* = 0.
+    2. z_init's greedy chain, read exactly (`_chain_bound`): the pivot,
+       then the other elements ascending, at most n - 2 new reads
+       (`_start_sets`).  A ratio
+       0 again closes with lambda* = 0.  After exits 1 and 2 Newton
+       confirms 0 in one kernel pass, and the trace is a converged
+       `CutEngineState` with 0 cuts.
+    3. The float resolution of the extension is at or above eps/2: the
+       engine could not certify its target.  Newton starts from the best
+       exact ratio of 1 and 2, and the trace is a stalled 0-cut state.
+       Every f or d without a float image has M or ||d||_1 past float64
+       range and ends here.
+    4. Otherwise one `ReducedProblem`, seeded with (u, its singleton),
+       holds the whole dual problem, and `cutting_plane_minimize` runs on
+       it: it returns converged with 0 cuts when its first cut's bound
+       closes the bracket, before it allocates its cut matrix, and cuts
+       otherwise.  Newton starts from the exact ratio of the problem's best
+       set: the seed singleton's u, unless a chain set beat it in floats.
 
-    Otherwise one `ReducedProblem`, seeded with (u, its singleton), holds
-    the whole dual problem, and Newton starts from the exact ratio of its
-    best set: the seed singleton's u, unless a chain set beat it in floats.  Every n
-    takes this one path; at n = 1 the reduced domain is the one singleton's
-    vertex and the engine returns at once.  Without float images of f and d
-    the engine cannot run, the trace is None, and Newton starts from u.
-    Returns the exact intersection; the engine phase only warms up Newton,
-    so a stalled or capped engine degrades iteration counts, not
-    correctness.
+    No `ReducedProblem` (so no `DenseLovasz`) is built before exit 4.  At
+    n = 1 the reduced domain is the one singleton's vertex and the engine
+    returns at once.  Returns the exact intersection; the engine phase only
+    warms up Newton, so a stalled or capped engine degrades iteration
+    counts, not correctness.
     """
     before = f.calls
     u, u_mask = _singleton_bound(f, d)
-    full = (1 << f.n) - 1
-    state, cuts, lam0 = None, 0, u
-    if u == 0 or (d.of(full) > 0 and f.eval(full) == 0):
-        # f >= 0, so lambda* >= 0: the seed's ratio 0 is lambda*
-        state, lam0 = CutEngineState(0.0, 0.0, 0.0, 0, True), Fraction(0)
-    elif f.float_table is not None and d.float_sums is not None:
+    lam0, cuts = _chain_bound(f, d, u), 0
+    if lam0 == 0:
+        # f >= 0, so lambda* >= 0: a ratio 0 is lambda*
+        state = CutEngineState(0.0, 0.0, 0.0, 0, True)
+    elif float_resolution(d.n, f.m_bound) >= float(ladder_spacing(d) / 2):
+        try:
+            top = float(lam0)
+        except OverflowError:  # a start past float64 range
+            top = math.inf
+        state = CutEngineState(top, 0.0, top, 0, False, stalled=True)
+    else:
         prob = ReducedProblem(f, d, u, u_mask)
         try:
             state = cutting_plane_minimize(prob, float(prob.eps / 2))

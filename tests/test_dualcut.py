@@ -14,9 +14,10 @@ from polyls import (DenseLovasz, Direction, ReducedProblem,
 from polyls.dualcut import _box_min, float_resolution, perturb
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
-from polyls.newton import (_singleton_bound, discrete_newton,
+from polyls.newton import (_singleton_bound, discrete_newton, ladder_spacing,
                            minimize_minus_modular, upper_bound)
-from polyls.oracles import ExplicitTable, IntervalGeometric, infinity_norm
+from polyls.oracles import (ConcaveCardinalityPlusModular, ExplicitTable,
+                            IntervalGeometric, infinity_norm)
 from polyls.subsets import SubsetMask
 from conftest import iter_instances
 
@@ -287,9 +288,36 @@ def test_resolution_exit_stalls_without_cuts():
     assert solve_dual(f, d).lambda_star == bruteforce_linesearch(f, d).lambda_star
 
 
-def test_entries_past_float_range_skip_the_engine():
-    # no float image of the table: solve_dual starts Newton at the upper
-    # bound and solve_dual_base keeps only its exact membership test
+def _dense_lovasz_spy(monkeypatch) -> list:
+    """Record every DenseLovasz built from now on."""
+    built = []
+    init = DenseLovasz.__init__
+
+    def init_spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
+    return built
+
+
+def _start_chain(d):
+    """The masks of z_init's greedy chain: the pivot (the first largest
+    d_e), then the other elements in ascending index."""
+    pivot = min(range(d.n), key=lambda i: (-d.d[i], i))
+    chain, mask = [], 0
+    for i in [pivot] + [i for i in range(d.n) if i != pivot]:
+        mask |= 1 << i
+        chain.append(mask)
+    return chain
+
+
+def test_entries_past_float_range_skip_the_engine(monkeypatch):
+    # no float image of the table: M is past float64 range, so solve_dual
+    # takes the resolution exit and reports a stalled 0-cut trace, with
+    # Newton's start 2^1100/3 stored as inf; solve_dual_base keeps only its
+    # exact membership test
+    built = _dense_lovasz_spy(monkeypatch)
     big = 2 ** 1100
     f = make_family(ExplicitTable((0, big, big, big)))
     assert f.float_table is None
@@ -297,14 +325,120 @@ def test_entries_past_float_range_skip_the_engine():
     res = solve_dual(f, d)
     assert res.lambda_star == Fraction(big, 3)
     assert res.tight_set == SubsetMask.full(2)
-    assert res.engine_iterations == 0 and res.trace is None
+    assert res.engine_iterations == 0 and res.newton_iterations == 0
+    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, math.inf, 0,
+                                               False, stalled=True)
     base = solve_dual_base(f, d)
     assert base.lambda_star == Fraction(big, 3) and base.engine_iterations == 0
-    # a direction past float range has no float subset sums either
+    # a direction past float range has no float subset sums either: its
+    # ladder spacing is 0.0 in floats, below every resolution
     huge = Direction((big, 1))
     assert huge.float_sums is None
     f = make_family(ExplicitTable((0, 2, 2, 3)))
-    assert solve_dual(f, huge).lambda_star == bruteforce_linesearch(f, huge).lambda_star
+    res = solve_dual(f, huge)
+    assert res.lambda_star == bruteforce_linesearch(f, huge).lambda_star
+    assert res.trace.stalled and res.trace.iterations == 0
+    assert res.trace.best_value == float(res.lambda_star)
+    assert built == []
+
+
+def test_resolution_exit_builds_no_float_state(monkeypatch):
+    # exit 3: the half-ladder target is at or below the float resolution, so
+    # solve_dual builds no extension and reads only the seed (the
+    # singletons, E) and z_init's chain before Newton, which starts from
+    # their best exact ratio
+    built = _dense_lovasz_spy(monkeypatch)
+    rng = random.Random(7702)
+    cases = []
+    for n in range(6, 15):
+        for _ in range(3):
+            d = [rng.randint(-9, 9) for _ in range(n)]
+            d[rng.randrange(n)] = rng.randint(1, 9)
+            cases.append((make_family(IntervalGeometric(n)), Direction(tuple(d))))
+    # an int64 table: a concave function of |S| at scale 2^50
+    c = 2 ** 50
+    f = make_family(ConcaveCardinalityPlusModular((0, 3 * c, 5 * c, 6 * c, 6 * c),
+                                                  (0, 0, 0, 0)))
+    assert f.dense_table().dtype == np.int64
+    cases.append((f, Direction((2, -1, 3, 1))))
+    for f, d in cases:
+        assert float_resolution(f.n, f.m_bound) >= float(ladder_spacing(d) / 2)
+        before = f.calls
+        res = solve_dual(f, d)
+        assert f.calls - before == res.oracle_calls
+        assert built == []
+        assert res.trace.stalled and not res.trace.converged
+        assert res.trace.iterations == res.engine_iterations == 0
+        assert res.trace.lower_bound == 0.0
+        star = bruteforce_linesearch(f, d).lambda_star
+        assert res.lambda_star == star
+        # Newton starts from the best exact seed or chain ratio
+        chain = _start_chain(d)
+        pos = [S for S in [1 << e for e in range(f.n)] + chain if d.of(S) > 0]
+        lam0 = min(Fraction(f.eval(S), d.of(S)) for S in pos)
+        assert res.trace.best_value == float(lam0)
+        before = f.calls
+        cold = discrete_newton(f, d, lam0)
+        newton_reads = f.calls - before  # its result check included
+        assert res.newton_iterations == cold.newton_iterations
+        # the singletons with d_e > 0, E when d(E) > 0, and the sets
+        # strictly between on z_init's chain with d(S) > 0
+        singletons = sum(de > 0 for de in d.d)
+        between = sum(d.of(S) > 0 for S in chain[1:-1])
+        assert res.oracle_calls == (singletons + (d.of(chain[-1]) > 0) + between
+                                    + newton_reads)
+
+
+def test_start_chain_is_pivot_first_ascending(monkeypatch):
+    # z_init's lifted point puts the pivot above every other coordinate,
+    # which tie, so its float chain is the one solve_dual reads exactly
+    chains = _traced_dual(monkeypatch)["chains"]
+    rng = random.Random(9090)
+    pools = [(-3, 3), (-10 ** 6, 10 ** 6), (0, 2)]
+    for trial in range(300):
+        n = 2 + trial % 13
+        lo, hi = pools[trial % len(pools)]
+        d = [rng.choice((0, rng.randint(lo, hi))) for _ in range(n)]
+        top = max(max(d), 1)
+        for i in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            d[i] = top  # tied maxima
+        d = Direction(tuple(d))
+        f = make_family(ExplicitTable(tuple(
+            min(bin(m).count("1"), 2) for m in range(1 << n))))
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+        chains.clear()
+        prob(np.full(n - 1, 1.0 / (2.0 * d.norm1)))
+        assert chains == [_start_chain(d)]
+
+
+def test_first_cut_exit_never_centers(monkeypatch):
+    # exit 4: when z_init's own cut closes the bracket the engine returns
+    # converged with 0 cuts, before it reads its cut budget or allocates
+    # its cut matrix; no 0-cut solve centers
+    class Centered(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Centered
+
+    built = _dense_lovasz_spy(monkeypatch)
+    monkeypatch.setattr(dualcut, "_center", refuse)
+    monkeypatch.setattr(ReducedProblem, "cut_cap", property(refuse))
+    seen = {"first-cut": 0, "cutting": 0}
+    for inst in iter_instances(14, seed=8181, n_max=8, n_min=2):
+        f, d = inst.build()
+        built.clear()
+        try:
+            res = solve_dual(f, d)
+        except Centered:
+            seen["cutting"] += 1
+            continue
+        assert res.engine_iterations == res.trace.iterations == 0
+        assert res.lambda_star == bruteforce_linesearch(f, d).lambda_star
+        if built and res.trace.converged and res.trace.best_value > 0:
+            seen["first-cut"] += 1
+            assert res.newton_iterations == 0
+    assert seen["first-cut"] >= 10 and seen["cutting"] >= 10
 
 
 def test_unit_box_holds_every_vertex():
@@ -469,6 +603,7 @@ def _traced_dual(monkeypatch):
 
 def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
     record = _traced_dual(monkeypatch)
+    queried = 0
     for inst in iter_instances(16, seed=4141, n_max=10):
         f, d = inst.build()
         record["chains"].clear()
@@ -479,18 +614,22 @@ def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
         star = bruteforce_linesearch(f, d).lambda_star
         u = upper_bound(f, d)
         assert star == res.lambda_star <= lam0 <= u
-        # the engine's seed u is a vertex ratio like the chains', and so is
-        # the full set's f(E)/d(E), which closes the bracket when it is 0; a
-        # bracket closed by the seed reads no chain at all
+        # the engine's seed u is a vertex ratio like the chains', and so are
+        # the full set's f(E)/d(E) and those of z_init's chain, which
+        # solve_dual reads exactly before it sets up any float state
+        chains = record["chains"] + [_start_chain(d)]
         ratios = {Fraction(f.eval(S), d.of(S))
-                  for chain in record["chains"] for S in chain if d.of(S) > 0}
+                  for chain in chains for S in chain if d.of(S) > 0}
         ratios.add(u)
-        full = SubsetMask.full(f.n)
-        if d.of(full) > 0:
-            ratios.add(Fraction(f.eval(full), d.of(full)))
         assert lam0 in ratios
-        # the best of them, up to the floats that chose it
-        assert lam0 - min(ratios) <= 1e-12 * lam0
+        if record["chains"]:
+            # the best of them, up to the floats that chose it
+            queried += 1
+            assert lam0 - min(ratios) <= 1e-12 * lam0
+        else:
+            # no query: the start is the best exact ratio
+            assert lam0 == min(ratios)
+    assert 0 < queried < 80
 
 
 def test_singleton_zero_closes_the_bracket_without_a_query(monkeypatch):
@@ -522,14 +661,7 @@ def test_closed_bracket_skips_the_engine(monkeypatch):
     # up, so no extension is built, no chain is read, and the trace is a
     # converged 0-cut state; Newton from 0 gives what it gives cold
     record = _traced_dual(monkeypatch)
-    built = []
-    init = DenseLovasz.__init__
-
-    def init_spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
+    built = _dense_lovasz_spy(monkeypatch)
     seen = {"u": 0, "full": 0}
     for inst in iter_instances(40, seed=6900, n_max=10, n_min=1,
                                families=("digraph-cut", "explicit", "coverage")):
@@ -640,14 +772,7 @@ def test_solve_dual_base_random_agreement():
 def test_solve_dual_base_decides_without_floats(monkeypatch):
     # one exact kernel call decides the base route: no float extension is
     # built and no cut is made, also where f and d have float images
-    built = []
-    init = DenseLovasz.__init__
-
-    def init_spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
+    built = _dense_lovasz_spy(monkeypatch)
     solved = 0
     for inst in iter_instances(6, seed=5530, n_max=10, n_min=2):
         f, d = inst.build()
