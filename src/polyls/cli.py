@@ -63,12 +63,15 @@ def _solve_one(f, d, method: str):
     elif method == "bruteforce":
         res = bruteforce_linesearch(f, d)
     elif method == "binary":
-        # bisection to the ladder spacing, then one Newton step rounds exactly
+        # bisection to the ladder spacing, then one Newton step rounds
+        # exactly; the reads of the route count, upper_bound's included
+        before = f.calls
         eps = ladder_spacing(d)
         bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps)
         res = discrete_newton(f, d, bs.value + eps)
         res.method = "binary"
         res.sfm_calls += bs.membership_calls
+        res.oracle_calls = f.calls - before
     else:
         raise ValueError(f"unknown method {method!r}")
     return res, time.perf_counter_ns() - t0

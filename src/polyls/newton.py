@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadStart, InvariantViolation
 from .oracles import Direction, SubmodularOracle
-from .sfm import minimize_minus_modular, minimizers_minus_modular
+from .sfm import level_set, minimize_minus_modular, minimizers_minus_modular
 from .subsets import SubsetMask
 
 if TYPE_CHECKING:
@@ -98,7 +98,7 @@ def envelope(f: SubmodularOracle, d: Direction,
     """g(lambda) = min_S f(S) - lambda d(S), with its minimal minimizer."""
     lam = Fraction(lam)
     q = lam.denominator
-    value, minimal, _ = minimize_minus_modular(f, q, lam.numerator, d)
+    value, minimal, _, _ = minimize_minus_modular(f, q, lam.numerator, d)
     return Fraction(value, q), SubsetMask(minimal, f.n)
 
 
@@ -131,7 +131,10 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     one kernel pass (`minimizers_minus_modular`) at lambda = p/q, kept as a
     reduced pair of ints: the iterates are compared by cross-multiplication
     and reduced by one gcd, and a Fraction is built only for the result.  A
-    solve of k steps makes k + 1 kernel calls (`sfm_calls`).
+    solve of k steps makes k + 1 kernel calls (`sfm_calls`).  Lambda falls
+    at every step, so each pass after the first reads only the level set
+    the pass before handed back (`minimizers_minus_modular`), while
+    lambda >= 0.
 
     A start already on lambda* is confirmed by its own pass, with no second
     call at lambda + 1/||d||_1^2.  When the minimum at lambda0 is 0, the
@@ -151,7 +154,7 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
         raise BadStart(f"lambda0={lam} is negative: lambda* >= 0 since f >= 0")
 
     # S = empty reads 0, so the minimum is never positive
-    value, s, _, zeros = minimizers_minus_modular(f, q, p, d)
+    value, s, _, zeros, level = minimizers_minus_modular(f, q, p, d)
     cap = (1 << f.n) + 50
     steps = 0
     while value != 0:
@@ -164,7 +167,9 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
         g = math.gcd(num, den)
         p, q = num // g, den // g
         tight = s
-        value, s, _, zeros = minimizers_minus_modular(f, q, p, d)
+        # lambda fell, so the last level set holds this one while lambda >= 0
+        value, s, _, zeros, level = minimizers_minus_modular(
+            f, q, p, d, level if p >= 0 else None)
         steps += 1
         if steps > cap:
             raise InvariantViolation("Newton exceeded the ladder size: oracle broken")
@@ -195,6 +200,14 @@ def binary_search(f: SubmodularOracle, d: Direction,
     P(f) iff min_S q f(S) - p d(S) >= 0 for mid = p/q.  The right end is
     closed: when lambda* sits exactly on the initial upper bound and the
     range is a power-of-two multiple of eps, lambda* = lam + eps is attained.
+
+    The bracket is a pair of integer numerators a, b over one denominator D
+    that doubles at each step, so mid = (a + b)/(2D); each test reduces mid
+    by one gcd, and a Fraction is built only for the result.  Every test
+    lies below the current upper end, so at mid >= 0 the kernel reads only
+    the level set of hi (`minimizers_minus_modular`): C(hi) is found once on
+    entry and replaced by C(mid) each time hi moves down to mid.  A test at
+    mid < 0 reads every set, since there C(mid) need not lie inside C(hi).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -204,17 +217,22 @@ def binary_search(f: SubmodularOracle, d: Direction,
     if hi < lo:
         raise ValueError("empty bracket")
 
-    ratio = (hi - lo) / eps
-    steps = 0
-    while (1 << steps) * ratio.denominator < ratio.numerator:
-        steps += 1
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    # the fewest halvings with (b - a) / (2^steps den) <= eps
+    ratio = -(-(b - a) * eps.denominator // (den * eps.numerator))
+    steps = max(ratio - 1, 0).bit_length()
 
-    calls = 0
+    level = level_set(f, hi.denominator, hi.numerator, d) if steps else None
     for _ in range(steps):
-        mid = (lo + hi) / 2
-        calls += 1
-        if minimize_minus_modular(f, mid.denominator, mid.numerator, d)[0] >= 0:
-            lo = mid
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        g = math.gcd(mid, den)
+        value, _, _, mid_level = minimize_minus_modular(
+            f, den // g, mid // g, d, level if mid >= 0 else None)
+        if value >= 0:
+            a = mid
         else:
-            hi = mid
-    return BinarySearchResult(lo, calls)
+            b, level = mid, mid_level
+    return BinarySearchResult(Fraction(a, den), steps)

@@ -5,7 +5,10 @@ table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
 and a direction d; `minimize_minus_modular` does that straight from f's table
 and d's cached subset sums, exactly.  One compare first cuts the table to its
 level set {S : f(S) <= P // q}, P = max_S p*d(S), which holds every
-minimizer, and a float filter stands in front of the big-integer pass.
+minimizer, and a float filter stands in front of the big-integer pass.  The
+level set shrinks as lambda falls to 0, so a solve hands each pass at
+lambda >= 0 the level set of a larger lambda it has already read, and
+compares the whole table once.
 `minimize` is the one enumeration of a built oracle's
 table; `membership` and `minimize_mnp` read their answers from it.  The
 minimum-norm-point solver `minimize_mnp` is a library call kept as an
@@ -119,24 +122,28 @@ def _work(n: int, dtype) -> list[np.ndarray]:
     return views
 
 
-def _level_set(f: SubmodularOracle, q: int, p: int,
-               d: Direction) -> np.ndarray | None:
-    """The sets S with f(S) <= P // q, P = max_T p*d(T), as ascending masks
-    (on a big-int table, a superset of them read off the float image), or
-    None for every set (see `minimizers_minus_modular`)."""
+def level_set(f: SubmodularOracle, q: int, p: int, d: Direction,
+              within: np.ndarray | None = None) -> np.ndarray | None:
+    """The sets S among `within` (every set when None) with f(S) <= P // q,
+    P = max_T p*d(T), as ascending masks (on a big-int table, a superset of
+    them read off the float image), or `within` itself where the compare
+    cannot cut (see `minimizers_minus_modular`).  No value is read through
+    the oracle, so f.calls is not charged."""
     t = (p * d.positive_sum if p >= 0 else -p * d.negative_sum) // q
     if t >= f.m_bound:
-        return None
+        return within
     table = f.dense_table()
     if table.dtype == object:
         table = f.float_table
         if table is None:
-            return None
+            return within
         try:
             t = float(t)
         except OverflowError:
-            return None
-    return (table <= t).nonzero()[0]
+            return within
+    if within is None:
+        return (table <= t).nonzero()[0]
+    return within[table[within] <= t]
 
 
 def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
@@ -169,24 +176,31 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
     return keep if masks is None else masks[keep]
 
 
-def minimize_minus_modular(f: SubmodularOracle, q: int, p: int,
-                           d: Direction) -> tuple[int, int, int]:
+def minimize_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
+                           within: np.ndarray | None = None
+                           ) -> tuple[int, int, int, np.ndarray | None]:
     """min over S of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p, as
-    (min value, minimal minimizer, maximal minimizer), the two as bit masks:
-    the first three values of `minimizers_minus_modular`, which also hands
-    out every minimizer of the same pass.
+    (min value, minimal minimizer, maximal minimizer, level set), the two
+    minimizers as bit masks: the values of `minimizers_minus_modular` but
+    its minimizer array, from the same pass and with the same `within`.
     """
-    return minimizers_minus_modular(f, q, p, d)[:3]
+    value, minimal, maximal, _, level = minimizers_minus_modular(
+        f, q, p, d, within)
+    return value, minimal, maximal, level
 
 
-def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
-                             d: Direction) -> tuple[int, int, int, np.ndarray]:
+def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
+                             within: np.ndarray | None = None
+                             ) -> tuple[int, int, int, np.ndarray,
+                                        np.ndarray | None]:
     """One exact pass of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p:
-    (min value, minimal minimizer, maximal minimizer, minimizers), the sets
-    as bit masks and minimizers the ascending array of every set attaining
-    the minimum.  Discrete Newton reads its tie-break off that array: when
-    the minimum is 0, the minimal set among the zero sets of largest d(S) is
-    the minimal minimizer just right of lambda = p/q (`discrete_newton`).
+    (min value, minimal minimizer, maximal minimizer, minimizers, level set),
+    the sets as bit masks, minimizers the ascending array of every set
+    attaining the minimum, and the level set the ascending masks of C (below)
+    that the pass read, or None when it read every set.  Discrete Newton
+    reads its tie-break off the minimizers: when the minimum is 0, the
+    minimal set among the zero sets of largest d(S) is the minimal minimizer
+    just right of lambda = p/q (`discrete_newton`).
 
     h is never built as an oracle: the values come from f's table and d's
     cached subset sums `d.sums`, and only on the sets of the level set C
@@ -212,6 +226,16 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
     set is read, when P // q >= M (C is the whole table), when f has no
     float image (an entry past float64 range), or when P // q is past it.
     So the minimum over C is min h, and its minimizers there are all of h's.
+
+    The carried level set.  `within`, when given, must be ascending masks
+    that hold C; the compare then reads only those sets (`level_set`), and
+    where it cannot cut it keeps `within` as it is.  A solve has such a
+    superset at hand: for 0 <= p'/q' <= p/q, P' // q' = floor(p' D+ / q')
+    <= P // q, so C(p'/q') lies inside C(p/q), and so does its float-image
+    version, since rounding is monotone.  So the level set a pass hands back
+    at lambda >= 0 may be passed as `within` to every later pass at a
+    smaller lambda >= 0; `discrete_newton` and `binary_search` do that.  It
+    does not hold below 0: there P is |p|*D-, which grows as lambda falls.
 
     The filter bound.  Let u = 2^-53.  Rounding to float64 gives
     F = f(S)(1 + d1), D = d(S)(1 + d2), qf = q(1 + d3) and pf = p(1 + d4),
@@ -239,7 +263,7 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
     the oracle.
     """
     table, sums = f.dense_table(), d.sums
-    masks = _level_set(f, q, p, d)
+    level = masks = level_set(f, q, p, d, within)
     if (table_dtype(q * f.m_bound + abs(p) * d.norm1 + q) is np.int64
             and sums.dtype == np.int64):
         # the table is int64 too, since M < 2^60
@@ -259,7 +283,7 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int,
         if q * f.dense_table().item(m) - p * d.sums.item(m) != best:
             raise InvariantViolation(
                 "minimizers not closed under union/intersection")
-    return best, and_mask, or_mask, where
+    return best, and_mask, or_mask, where, level
 
 
 def minimize(f: SubmodularOracle) -> SfmResult:

@@ -38,3 +38,11 @@ def iter_instances(count_per_family, seed, n_max=12, n_min=1, families=FAMILIES)
 
 def rng_of(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def same_sets(a, b) -> bool:
+    """Two kernel level sets are equal: both None (every set), or the same
+    ascending masks."""
+    if a is None or b is None:
+        return a is b
+    return a.tolist() == b.tolist()

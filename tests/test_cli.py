@@ -308,6 +308,31 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_binary_route_counts_every_read(tmp_path, capsys, monkeypatch, family):
+    # the route reads upper_bound's singletons before it bisects, and
+    # oracle_calls counts them along with the reads of its Newton step
+    built = []
+    build = Instance.build
+
+    def build_spy(self):
+        f, d = build(self)
+        built.append((f, f.calls, d))
+        return f, d
+
+    monkeypatch.setattr(Instance, "build", build_spy)
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--family", family, "--n", "8", "--seed", "7",
+                 "--out", str(path)]) == 0
+    code, out, _ = run(capsys, "solve", "--instance", str(path),
+                       "--method", "binary")
+    assert code == 0
+    [(f, calls, d)] = built
+    assert f"oracle_calls = {f.calls - calls}\n" in out
+    singletons = sum(di > 0 for di in d.d)
+    assert f.calls - calls > singletons
+
+
 def test_unknown_flag_is_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--nope"])

@@ -15,7 +15,7 @@ from polyls.instances import random_instance
 from polyls.newton import dual_point
 from polyls.oracles import SubmodularOracle
 from polyls.subsets import SubsetMask
-from conftest import iter_instances
+from conftest import iter_instances, same_sets
 
 
 def test_upper_bound(two_elem, d34, d_mixed):
@@ -84,8 +84,8 @@ def test_newton_trace_structure(monkeypatch):
     calls = []
     real = newton.minimizers_minus_modular
 
-    def kernel_spy(f, q, p, d):
-        out = real(f, q, p, d)
+    def kernel_spy(f, q, p, d, within=None):
+        out = real(f, q, p, d, within)
         calls.append((Fraction(p, q), SubsetMask(out[1], f.n),
                       Fraction(out[0], q)))
         return out
@@ -305,21 +305,76 @@ def test_bisection_decisions_match_membership(monkeypatch):
     decisions = []
     kernel = newton.minimize_minus_modular
 
-    def spy(f, q, p, d):
-        out = kernel(f, q, p, d)
+    def spy(f, q, p, d, within=None):
+        out = kernel(f, q, p, d, within)
         decisions.append((Fraction(p, q), out[0] >= 0))
         return out
 
     monkeypatch.setattr(newton, "minimize_minus_modular", spy)
     dtypes = set()
+    below = outside_below = 0
     for f, d in _both_dtypes(7300):
         dtypes.add(f.dense_table().dtype)
-        decisions.clear()
-        res = binary_search(f, d, eps=ladder_spacing(d))
-        assert len(decisions) == res.membership_calls
-        for mid, inside in decisions:
-            assert membership(f, [mid * di for di in d.d]).inside == inside
+        u = upper_bound(f, d)
+        # lo < 0 too: a test at mid < 0 reads every set, since there
+        # P = |p| D- and the level set of a larger hi need not hold C(mid)
+        for lo in (Fraction(0), -4 * u - 1):
+            decisions.clear()
+            res = binary_search(f, d, lo, u, ladder_spacing(d))
+            assert len(decisions) == res.membership_calls
+            for mid, inside in decisions:
+                assert membership(f, [mid * di for di in d.d]).inside == inside
+                below += mid < 0
+                outside_below += mid < 0 and not inside
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # hi moves below 0 on some solves: the case a carried set would break
+    assert below > 1000 and outside_below > 1000
+
+
+def _wide_level_sets():
+    """Interval-geometric big-int tables with d positive only on high
+    indices, so a pass keeps a wide share of the table and its float stage
+    decides."""
+    rng = np.random.default_rng(12)
+    for n in (10, 12):
+        f = make_family(IntervalGeometric(n))
+        for _ in range(3):
+            k = int(rng.integers(1, 4))
+            yield f, Direction(tuple(int(v) for v in rng.integers(-9, 1, n - k))
+                               + tuple(int(v) for v in rng.integers(1, 10, k)))
+
+
+def test_carried_level_set_changes_nothing(monkeypatch):
+    # every kernel pass of a Newton solve and of a bisection gives the same
+    # minimum, minimizers and level set as the same pass reading every set
+    carried = []
+    kernel = newton.minimizers_minus_modular
+
+    def check(f, q, p, d, within=None):
+        out = kernel(f, q, p, d, within)
+        ref = kernel(f, q, p, d)
+        assert out[:3] == ref[:3]
+        assert out[3].tolist() == ref[3].tolist()
+        assert same_sets(out[4], ref[4])
+        carried.append(within is not None)
+        return out
+
+    def check_value(f, q, p, d, within=None):
+        value, minimal, maximal, _, level = check(f, q, p, d, within)
+        return value, minimal, maximal, level
+
+    monkeypatch.setattr(newton, "minimizers_minus_modular", check)
+    monkeypatch.setattr(newton, "minimize_minus_modular", check_value)
+    dtypes = set()
+    for f, d in [*_both_dtypes(7600), *_wide_level_sets()]:
+        dtypes.add(f.dense_table().dtype)
+        u, eps = upper_bound(f, d), ladder_spacing(d)
+        star = discrete_newton(f, d).lambda_star
+        bs = binary_search(f, d, Fraction(0), u, eps)
+        assert discrete_newton(f, d, bs.value + eps).lambda_star == star
+        binary_search(f, d, -4 * u - 1, u, eps)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert sum(carried) > 2000 and not all(carried)
 
 
 def test_base_route_names_the_membership_violating_set():

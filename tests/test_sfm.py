@@ -17,7 +17,7 @@ from polyls.oracles import SubmodularOracle, scale_minus_modular
 from polyls import sfm
 from polyls.sfm import _float_candidates, minimizers_minus_modular
 from polyls.subsets import SubsetMask
-from conftest import iter_instances
+from conftest import iter_instances, same_sets
 
 
 def test_bruteforce_on_nonnegative_function(two_elem):
@@ -231,7 +231,7 @@ def _level(q, p, d):
 def test_kernel_matches_rescaled_bruteforce(kind, data):
     f, d, q, p = data.draw(kernel_case(kind))
     ref = minimize(scale_minus_modular(f, q, [p * di for di in d.d]))
-    value, minimal, maximal = minimize_minus_modular(f, q, p, d)
+    value, minimal, maximal, used = minimize_minus_modular(f, q, p, d)
     assert value == ref.min_value
     assert minimal == ref.minimal_minimizer.bits
     assert maximal == ref.maximal_minimizer.bits
@@ -242,7 +242,8 @@ def test_kernel_matches_rescaled_bruteforce(kind, data):
     # the level-set bound: h(S) <= h(empty) = 0 gives q f(S) <= p d(S) <= P
     level = _level(q, p, d)
     assert all(table.item(m) <= level for m in every)
-    masks = sfm._level_set(f, q, p, d)
+    masks = sfm.level_set(f, q, p, d)
+    assert same_sets(used, masks)  # the level set the pass read
     if kind == "wide-level-set" and level >= f.m_bound:
         assert masks is None  # C is every set: the full pass decided
     if masks is not None:
@@ -286,7 +287,7 @@ def test_float_image_is_lazy_and_shared():
     # the whole table, in this thread's scratch buffers
     f, d = random_instance("coverage", 12, 1).build()
     q, p = 1, 3 * f.m_bound
-    assert sfm._level_set(f, q, p, d) is None
+    assert sfm.level_set(f, q, p, d) is None
     minimize_minus_modular(f, q, p, d)
     bufs = sfm._scratch.bufs
     for p in (p, p + 1):
@@ -328,14 +329,15 @@ def test_kernel_scratch_is_reused_and_per_thread():
             f, d = random_instance(fam, 12, seed).build()
             lam = upper_bound(f, d)
             cases.append((f, lam.denominator, lam.numerator, d))
-    want = [minimize_minus_modular(*c) for c in cases] * 20
+    want = [minimize_minus_modular(*c)[:3] for c in cases] * 20
     bufs = sfm._scratch.bufs
     # a smaller ground set writes into a prefix of the same buffers
     small = _oracle(2, [0, 1, 1, 1])
-    assert minimize_minus_modular(small, 1, 1, Direction((1, 1))) == (-1, 3, 3)
+    assert minimize_minus_modular(small, 1, 1, Direction((1, 1)))[:3] == \
+        (-1, 3, 3)
     assert sfm._scratch.bufs is bufs
     # two threads at once: each writes only into its own scratch
     with ThreadPoolExecutor(2) as pool:
-        for got in pool.map(lambda _: [minimize_minus_modular(*c)
+        for got in pool.map(lambda _: [minimize_minus_modular(*c)[:3]
                                        for c in cases * 20], range(2)):
             assert got == want
