@@ -46,15 +46,14 @@ class Instance:
 
     def build(self) -> tuple[SubmodularOracle, Direction]:
         """Validated oracle and direction; every size must equal n, and x0
-        must lie in P(f), so the translated function is nonnegative."""
-        oracle = make_family(self.spec)
-        sizes = [("function", oracle.n), ("direction", len(self.direction))]
+        must lie in P(f), so the translated function is nonnegative.  The
+        direction and x0 sizes are compared before the function's 2^n
+        table is built and checked."""
+        self._check_size("direction", len(self.direction))
         if self.x0 is not None:
-            sizes.append(("x0", len(self.x0)))
-        for what, size in sizes:
-            if size != self.n:
-                raise InvalidInstance(
-                    f"n = {self.n} but the {what} has {size} elements")
+            self._check_size("x0", len(self.x0))
+        oracle = make_family(self.spec)
+        self._check_size("function", oracle.n)
         if self.x0 is not None:
             oracle = translate(oracle, self.x0)
             table = oracle.dense_table()
@@ -63,6 +62,11 @@ class Instance:
                 raise InvalidInstance(f"x0 lies outside P(f): x0(S) > f(S) "
                                       f"at S={SubsetMask(s, self.n)}")
         return oracle, Direction(self.direction)
+
+    def _check_size(self, what: str, size: int):
+        if size != self.n:
+            raise InvalidInstance(
+                f"n = {self.n} but the {what} has {size} elements")
 
 
 def format_fraction(x: Fraction) -> str:

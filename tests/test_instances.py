@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polyls.errors import InvalidInstance
+from polyls.errors import InvalidInstance, NonSubmodular
 from polyls.instances import (FAMILIES, Instance, generate, instance_from_json,
                               instance_to_json, format_fraction,
                               random_instance)
@@ -49,6 +49,19 @@ def test_x0_translates_oracle():
     assert f.dense_table().tolist() == [0, 0, 1, 0]
     with pytest.raises(InvalidInstance, match=r"outside P\(f\).*S=\{0,1\}"):
         Instance(2, two, (3, 4), x0=(2, 2)).build()
+
+
+def test_sizes_are_compared_before_the_table_is_checked():
+    # a non-submodular n = 12 table: f(S) = |S| with f({3,5,7}) raised by 1
+    values = [bin(s).count("1") for s in range(1 << 12)]
+    values[0b10101000] += 1
+    bad = ExplicitTable(tuple(values))
+    with pytest.raises(NonSubmodular, match=r"S=\{3,5,7\}, i=0, j=1$"):
+        Instance(12, bad, (1,) * 12).build()
+    with pytest.raises(InvalidInstance, match="the direction has 11 elements"):
+        Instance(12, bad, (1,) * 11).build()
+    with pytest.raises(InvalidInstance, match="the x0 has 13 elements"):
+        Instance(12, bad, (1,) * 12, x0=(0,) * 13).build()
 
 
 def test_direction_always_has_positive_entry():

@@ -249,6 +249,87 @@ def test_concave_modular_error_order():
             make_family(ConcaveCardinalityPlusModular((g0, 0, 0), (0, 0)))
 
 
+def _first_violation(values, n):
+    """Reference scan: pairs i < j in order, then S ascending over the masks
+    without i and j; the first S with f(S+i) + f(S+j) < f(S+i+j) + f(S)."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            for s in range(1 << n):
+                if s & (bi | bj):
+                    continue
+                if (values[s | bi] + values[s | bj]
+                        < values[s | bi | bj] + values[s]):
+                    return s, i, j
+    return None
+
+
+def _as_table(values):
+    return np.asarray(values, dtype=table_dtype(max(map(abs, values))))
+
+
+def test_witness_rejects_a_table_of_the_wrong_length():
+    # a violation in the upper half of a length-8 table: not 2^2 values
+    values = [0, 1, 1, 2, 1, 2, 2, 9]
+    assert _first_violation(values, 3) == (4, 0, 1)
+    assert _first_violation(values, 2) is None
+    with pytest.raises(ValueError, match=r"8 values, but n = 2 needs 2\^2 = 4"):
+        submodularity_witness(_as_table(values), 2)
+    with pytest.raises(ValueError, match=r"8 values, but n = 4 needs 2\^4 = 16"):
+        submodularity_witness(_as_table(values), 4)
+
+
+@pytest.mark.parametrize("scale", [1, 2**60, 2**70], ids=["int64", "2^60",
+                                                            "2^70"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_witness_is_the_first_violation_in_scan_order(n, scale):
+    rng = rng_of(1000 * n + scale.bit_length())
+    # random tables: most fail early, some late, a few never
+    for _ in range(20):
+        values = [0] + [scale * rng.randint(0, 2 * n) for _ in range((1 << n) - 1)]
+        assert submodularity_witness(_as_table(values), n) == \
+            _first_violation(values, n)
+    # submodular family tables, then each with one entry raised
+    for family in ("coverage", "digraph-cut", "concave-modular", "explicit"):
+        values = [scale * v for v in
+                  make_family(random_spec(family, n, rng)).dense_table().tolist()]
+        assert submodularity_witness(_as_table(values), n) is None
+        assert _first_violation(values, n) is None
+        for _ in range(3):
+            raised = list(values)
+            raised[rng.randrange(1, 1 << n)] += rng.choice((1, scale))
+            witness = _first_violation(raised, n)
+            assert submodularity_witness(_as_table(raised), n) == witness
+            if witness is None:
+                check_oracle(make_family(ExplicitTable(tuple(raised))))
+                continue
+            s, i, j = witness
+            message = f"quadruple violated at S={SubsetMask(s, n)}, i={i}, j={j}"
+            with pytest.raises(NonSubmodular) as err:
+                make_family(ExplicitTable(tuple(raised)))
+            assert str(err.value) == message
+
+
+def test_quadruple_check_exact_at_the_int64_table_edge():
+    # entries just under 2^60 stay int64; their second differences reach
+    # about -2^61 (a cut of capacity big between {0} and {1}, submodular)
+    # and +2^61 (f(S+i+j) + f(S) = 2 big against f(S+i) + f(S+j) = 0)
+    big = 2**60 - 1
+    cut = make_family(ExplicitTable((0, big, big, 0)))
+    assert cut.dense_table().dtype == np.int64
+    check_oracle(cut)
+    # S = {2}, i = 0, j = 1: f({2}) = f({0,1,2}) = big against
+    # f({0,2}) = f({1,2}) = 0, after S = {} passed with equality
+    values = (0, big, 0, big, big, 0, 0, big)
+    table = _as_table(values)
+    assert table.dtype == np.int64
+    assert _first_violation(values, 3) == (4, 0, 1)
+    assert submodularity_witness(table, 3) == (4, 0, 1)
+    with pytest.raises(NonSubmodular,
+                       match=r"^quadruple violated at S=\{2\}, i=0, j=1$"):
+        make_family(ExplicitTable(values))
+
+
 def test_quadruple_check_exact_near_int64_limit():
     # every value fits in int64, but the quadruple sum f({0}) + f({1})
     # - f({0,1}) - f(empty) does not
