@@ -47,18 +47,19 @@ class Instance:
     def build(self) -> tuple[SubmodularOracle, Direction]:
         """Validated oracle and direction; every size must equal n, and x0
         must lie in P(f), so the translated function is nonnegative.  The
-        direction and x0 sizes are compared before the function's 2^n
-        table is built and checked."""
+        direction, x0 and function sizes are compared before the function's
+        2^n table is built and checked; an explicit table's size is read off
+        its length, and a length that is not a power of two is make_family's
+        ValueError."""
         self._check_size("direction", len(self.direction))
         if self.x0 is not None:
             self._check_size("x0", len(self.x0))
+        self._check_size("function", self.spec.n)
         oracle = make_family(self.spec)
-        self._check_size("function", oracle.n)
         if self.x0 is not None:
             oracle = translate(oracle, self.x0)
-            table = oracle.dense_table()
-            s = int(table.argmin())
-            if table[s] < 0:
+            if oracle.min_value < 0:
+                s = int(oracle.dense_table().argmin())
                 raise InvalidInstance(f"x0 lies outside P(f): x0(S) > f(S) "
                                       f"at S={SubsetMask(s, self.n)}")
         return oracle, Direction(self.direction)
@@ -118,7 +119,13 @@ def _object(v) -> dict:
 
 
 def _ints(v) -> tuple[int, ...]:
-    return tuple(_int(x) for x in _array(v))
+    """A JSON array of integers as a tuple, checked by one C-level type
+    scan; the first entry that is not an integer is named as `_int` does."""
+    v = _array(v)
+    if not set(map(type, v)) <= {int}:
+        for x in v:
+            _int(x)
+    return tuple(v)
 
 
 def spec_from_json(obj: dict) -> FamilySpec:

@@ -36,7 +36,10 @@ class SubmodularOracle:
     GroundSetTooLarge here.  The table is stored once, as one array in the
     dtype `table_dtype(m_bound)` picks; an `m_bound` below the table's max
     |f| is a ValueError, and f(empty) != 0 raises EmptyNotZero, so every
-    oracle is normalized.
+    oracle is normalized.  The exact minimum that check reads is kept as
+    `min_value` (an int, at most f(empty) = 0): with the level-set ceiling
+    it bounds every value the envelope kernel reads, which picks the
+    kernel's exact dtype (`sfm.minimizers_minus_modular`).
 
     `calls` counts value-oracle reads.  Vectorized code paths that read the
     table account their reads in blocks via `charge`.  CPython's GIL makes
@@ -55,8 +58,10 @@ class SubmodularOracle:
             self._table = np.asarray(table, dtype=table_dtype(m_bound))
         except OverflowError:
             raise ValueError(f"m_bound {m_bound} is below max |f|") from None
-        if self._table.max() > m_bound or self._table.min() < -m_bound:
+        low = int(self._table.min())
+        if self._table.max() > m_bound or low < -m_bound:
             raise ValueError(f"m_bound {m_bound} is below max |f|")
+        self.min_value = low
         if self._table[0] != 0:
             raise EmptyNotZero(f"f(empty) = {self._table[0]}")
 
@@ -145,7 +150,12 @@ class ExplicitTable:
 
     @property
     def n(self) -> int:
-        return len(self.values).bit_length() - 1
+        """log2 of the table length; a length that is not a power of two
+        >= 2 is a ValueError."""
+        size = len(self.values)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"table length {size} is not a power of two >= 2")
+        return size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -278,10 +288,12 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
     """Build the table-backed oracle for a family spec.
 
     The ground-set size is checked against TABLE_N_CAP before any table is
-    built.  Explicit tables are validated eagerly: nonnegativity, then
-    normalization (the oracle's constructor), then submodularity
-    (`check_oracle`).  A concave-modular spec is checked for its length,
-    then for non-increasing increments (NonSubmodular), then for f >= 0
+    built.  Explicit tables are validated eagerly: the entry types, by one
+    C-level scan, then nonnegativity (min and max read off the int64 array,
+    or off exact ints past int64), then normalization (the oracle's
+    constructor), then submodularity (`check_oracle`).  A concave-modular
+    spec is checked for its length, then for non-increasing increments
+    (NonSubmodular), then for f >= 0
     with f(empty) = concave[0] among the values (NegativeValue), and last
     for normalization by the oracle's constructor (EmptyNotZero).  So a
     spec with a nonzero concave[0] and rising increments reports
@@ -292,23 +304,25 @@ def make_family(spec: FamilySpec) -> SubmodularOracle:
     family's `m_bound`.  The test suite checks each family's
     table against its definition.
     """
-    if isinstance(spec, ExplicitTable):
-        size = len(spec.values)
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"table length {size} is not a power of two >= 2")
-    elif not isinstance(spec, FamilySpec):
+    if not isinstance(spec, FamilySpec):
         raise ValueError(f"unknown family spec {spec!r}")
-    n = spec.n
+    n = spec.n  # an explicit table's length is checked here
     if n > TABLE_N_CAP:
         raise GroundSetTooLarge(f"{spec.family} for n={n} > {TABLE_N_CAP}")
 
     if isinstance(spec, ExplicitTable):
-        if any(type(v) is not int for v in spec.values):
+        values = spec.values
+        # one C-level scan; bool and numpy integers are not int
+        if not set(map(type, values)) <= {int}:
             raise ValueError("explicit table values must be int")
-        neg = min(spec.values)
+        try:
+            values = np.array(values, dtype=np.int64)
+            neg, top = int(values.min()), int(values.max())
+        except OverflowError:  # past int64: exact ints
+            neg, top = min(values), max(values)
         if neg < 0:
             raise NegativeValue(f"table contains {neg}")
-        oracle = SubmodularOracle(n, spec.values, m_bound=max(spec.values))
+        oracle = SubmodularOracle(n, values, m_bound=top)
         check_oracle(oracle)
         return oracle
 

@@ -5,10 +5,11 @@ table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
 and a direction d; `minimize_minus_modular` does that straight from f's table
 and d's cached subset sums, exactly.  One compare first cuts the table to its
 level set {S : f(S) <= P // q}, P = max_S p*d(S), which holds every
-minimizer, and a float filter stands in front of the big-integer pass.  The
-level set shrinks as lambda falls to 0, so a solve hands each pass at
-lambda >= 0 the level set of a larger lambda it has already read, and
-compares the whole table once.
+minimizer.  The pass over it is int64 wherever a bound on the values it
+reads fits, on a big-int table too; only where it does not does a float
+filter stand in front of a big-integer pass.  The level set shrinks as
+lambda falls to 0, so a solve hands each pass at lambda >= 0 the level set
+of a larger lambda it has already read, and compares the whole table once.
 `minimize` is the one enumeration of a built oracle's
 table; `membership` and `minimize_mnp` read their answers from it.  The
 minimum-norm-point solver `minimize_mnp` is a library call kept as an
@@ -122,6 +123,29 @@ def _work(n: int, dtype) -> list[np.ndarray]:
     return views
 
 
+def _level(f: SubmodularOracle, q: int, p: int, d: Direction,
+           within: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """(`level_set`'s masks, top): top is a proven upper bound on f over
+    those masks, M = f.m_bound where the compare cannot cut (see
+    `minimizers_minus_modular`)."""
+    t = (p * d.positive_sum if p >= 0 else -p * d.negative_sum) // q
+    if t >= f.m_bound:
+        return within, f.m_bound
+    table, top = f.dense_table(), t
+    if table.dtype == object:
+        table = f.float_table
+        if table is None:
+            return within, f.m_bound
+        try:
+            t = float(t)
+        except OverflowError:
+            return within, f.m_bound
+        top = 2 * top + 1
+    if within is None:
+        return (table <= t).nonzero()[0], top
+    return within[table[within] <= t], top
+
+
 def level_set(f: SubmodularOracle, q: int, p: int, d: Direction,
               within: np.ndarray | None = None) -> np.ndarray | None:
     """The sets S among `within` (every set when None) with f(S) <= P // q,
@@ -129,28 +153,16 @@ def level_set(f: SubmodularOracle, q: int, p: int, d: Direction,
     them read off the float image), or `within` itself where the compare
     cannot cut (see `minimizers_minus_modular`).  No value is read through
     the oracle, so f.calls is not charged."""
-    t = (p * d.positive_sum if p >= 0 else -p * d.negative_sum) // q
-    if t >= f.m_bound:
-        return within
-    table = f.dense_table()
-    if table.dtype == object:
-        table = f.float_table
-        if table is None:
-            return within
-        try:
-            t = float(t)
-        except OverflowError:
-            return within
-    if within is None:
-        return (table <= t).nonzero()[0]
-    return within[table[within] <= t]
+    return _level(f, q, p, d, within)[0]
 
 
 def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
                       masks: np.ndarray | None) -> np.ndarray | None:
     """The sets among `masks` (every set when None) that may minimize
     q*f - p*d, by one float64 pass, or `masks` itself when the floats cannot
-    bound the error (see `minimizers_minus_modular`)."""
+    bound the error (see `minimizers_minus_modular`).  The kernel calls it
+    only where its int64 bound fails, so it runs in front of a big-integer
+    pass and never in front of an int64 one."""
     table, sums = f.float_table, d.float_sums
     if table is None or sums is None:
         return masks
@@ -204,28 +216,39 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
 
     h is never built as an oracle: the values come from f's table and d's
     cached subset sums `d.sums`, and only on the sets of the level set C
-    (below).  When q*M + |p|*||d||_1 + q lies below the int64 bound of
-    `table_dtype` (M = f.m_bound; the q term because q*f is formed even
-    where f = 0) and `d.sums` is int64, h on C is one exact int64 pass.  Otherwise one float64
-    pass over C in the float images `f.float_table` and `d.float_sums` keeps
-    as candidates the sets S with hf(S) - e(S) <= min_T (hf(T) + e(T)), and
-    exact Python ints decide among them.  There is no size threshold: at
-    worst every set is a candidate, which costs one exact pass.  A pass over
-    all 2^n sets writes into this thread's scratch buffers (`_work`), not
-    into fresh 2^n arrays.
+    (below).  The pass takes its exact dtype from the values it reads, not
+    from the table's dtype.  Every f(S) it reads lies between min f
+    (`f.min_value`, at most 0) and the ceiling `top` of C (below), so
+    |f(S)| <= B = max(top, -min f), and each of q*f(S), p*d(S) and h(S) is
+    at most q*B + |p|*||d||_1 in magnitude.  When q*B + |p|*||d||_1 + q lies
+    below the int64 bound of `table_dtype` (the q term keeps q itself there
+    when B = 0) and `d.sums` is int64, the values on C are taken as int64,
+    from a big-int table too, and h on C is one exact int64 pass.
+    Otherwise (C not cut on a big-int table, or a large t, q, -min f or
+    |p|*||d||_1) one float64 pass over C in the float images
+    `f.float_table` and `d.float_sums` keeps as candidates the sets S with
+    hf(S) - e(S) <= min_T (hf(T) + e(T)), and exact Python ints decide
+    among them.  So the dtype follows from (q, p, t, min f, ||d||_1) alone:
+    there is no size threshold, and at worst every set is a candidate,
+    which costs one exact pass.  A pass over all 2^n sets writes into this
+    thread's scratch buffers (`_work`), not into fresh 2^n arrays.
 
     The level-set bound.  h(empty) = 0, since f(empty) = 0 for every oracle,
     so every minimizer S has q*f(S) <= p*d(S) <= P = max_T p*d(T), which is
     p*D+ for p >= 0 and |p|*D- for p < 0 (D+ = `d.positive_sum`, the sum of
     d's positive entries; D- = `d.negative_sum`, the magnitudes of its
-    negative ones).  f is integral and q >= 1, so f(S) <= P // q, and every
-    minimizer lies in C = {S : f(S) <= P // q}; no sign of f or p is
-    assumed.  An int64 table is compared with P // q exactly.  A big-int
-    table is compared through its float image, fl(f(S)) <= fl(P // q): by
-    monotone rounding that keeps a superset of C.  C is not cut, and every
-    set is read, when P // q >= M (C is the whole table), when f has no
-    float image (an entry past float64 range), or when P // q is past it.
-    So the minimum over C is min h, and its minimizers there are all of h's.
+    negative ones).  f is integral and q >= 1, so f(S) <= t = P // q, and
+    every minimizer lies in C = {S : f(S) <= t}; no sign of f or p is
+    assumed, and t >= 0.  An int64 table is compared with t exactly, so
+    top = t.  A big-int table is compared through its float image,
+    fl(f(S)) <= fl(t): by monotone rounding that keeps a superset of C, and
+    every set it keeps has f(S) <= 2t + 1, since f(S) >= 2t + 2 gives
+    fl(f(S)) >= fl(2t + 2) = 2 fl(t + 1) > fl(t + 1) >= fl(t), as
+    fl(t + 1) >= 1.  So there top = 2t + 1.  C is not cut, every set is
+    read and top = M = f.m_bound, when t >= M (C is the whole table), when
+    f has no float image (an entry past float64 range), or when t is past
+    it.  So the minimum over C is min h, and its minimizers there are all
+    of h's.
 
     The carried level set.  `within`, when given, must be ascending masks
     that hold C; the compare then reads only those sets (`level_set`), and
@@ -263,14 +286,15 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
     the oracle.
     """
     table, sums = f.dense_table(), d.sums
-    level = masks = level_set(f, q, p, d, within)
-    if (table_dtype(q * f.m_bound + abs(p) * d.norm1 + q) is np.int64
-            and sums.dtype == np.int64):
-        # the table is int64 too, since M < 2^60
-        if masks is None:
+    level, top = _level(f, q, p, d, within)
+    masks = level
+    bound = q * max(top, -f.min_value) + abs(p) * d.norm1 + q
+    if table_dtype(bound) is np.int64 and sums.dtype == np.int64:
+        if masks is None:  # top = M < 2^60, so the table is int64 too
             h, tmp, _ = _work(f.n, np.int64)
         else:  # gathered copies, so the products can go in place
-            table, sums = h, tmp = table[masks], sums[masks]
+            h, tmp = table[masks].astype(np.int64, copy=False), sums[masks]
+            table, sums = h, tmp
         np.multiply(table, q, out=h)
         h -= np.multiply(sums, p, out=tmp)
     else:

@@ -64,6 +64,27 @@ def test_sizes_are_compared_before_the_table_is_checked():
         Instance(12, bad, (1,) * 12, x0=(0,) * 13).build()
 
 
+def test_oversized_table_is_an_input_error_before_its_check():
+    # an n = 12 file holding a 2^14-value table that is not submodular: its
+    # size is read off its length, so the table is never built or checked
+    values = [bin(s).count("1") for s in range(1 << 14)]
+    values[0b10101000] += 1
+    with pytest.raises(InvalidInstance, match="the function has 14 elements"):
+        Instance(12, ExplicitTable(tuple(values)), (1,) * 12).build()
+    # a length that is not a power of two stays make_family's ValueError
+    with pytest.raises(ValueError, match="not a power of two"):
+        Instance(2, ExplicitTable((0, 1, 2)), (1, 1)).build()
+
+
+def test_first_non_integer_entry_is_named():
+    text = json.dumps({"n": 2, "function": {"family": "explicit",
+                                            "values": [0, 2, True, 2.5]},
+                       "direction": [3, 4]})
+    with pytest.raises(InvalidInstance,
+                       match="expected a JSON integer, got True$"):
+        instance_from_json(text)
+
+
 def test_direction_always_has_positive_entry():
     for seed in range(200):
         inst = random_instance("digraph-cut", 3, seed)

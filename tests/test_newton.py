@@ -333,8 +333,8 @@ def test_bisection_decisions_match_membership(monkeypatch):
 
 def _wide_level_sets():
     """Interval-geometric big-int tables with d positive only on high
-    indices, so a pass keeps a wide share of the table and its float stage
-    decides."""
+    indices, so a pass keeps a wide share of the table, whose t = P // q is
+    past 2^60: the float filter prunes it and exact ints decide."""
     rng = np.random.default_rng(12)
     for n in (10, 12):
         f = make_family(IntervalGeometric(n))

@@ -33,6 +33,21 @@ def test_explicit_validation_errors():
         make_family(ExplicitTable((0, 1, 2)))  # not a power of two
 
 
+def test_explicit_values_are_checked_past_int64_too():
+    # the type scan names no entry; bool and numpy integers are not int
+    for bad in (True, 2.0, np.int64(2)):
+        with pytest.raises(ValueError, match="explicit table values must be int"):
+            make_family(ExplicitTable((0, 2, bad, 3)))
+    # min and max come off the int64 array, or off exact ints past it
+    for shift in (0, 58, 70):
+        with pytest.raises(NegativeValue, match=f"table contains {-1 << shift}$"):
+            make_family(ExplicitTable((0, 2 << shift, -1 << shift, 2 << shift)))
+        f = make_family(ExplicitTable((0, 2 << shift, 2 << shift, 3 << shift)))
+        assert f.m_bound == 3 << shift
+        assert f.dense_table().tolist() == [0, 2 << shift, 2 << shift,
+                                            3 << shift]
+
+
 def test_two_elem_values(two_elem):
     assert [two_elem.eval(m) for m in range(4)] == [0, 2, 2, 3]
     assert two_elem.m_bound == 3

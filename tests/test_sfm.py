@@ -1,5 +1,8 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from polyls import (DenseLovasz, Direction, ExplicitTable, IntervalGeometric,
 from polyls.errors import GroundSetTooLarge, InvariantViolation
 from polyls.instances import FAMILIES, random_instance
 from polyls.oracles import SubmodularOracle, scale_minus_modular
-from polyls import sfm
+from polyls import newton, sfm
 from polyls.sfm import _float_candidates, minimizers_minus_modular
 from polyls.subsets import SubsetMask
 from conftest import iter_instances, same_sets
@@ -157,12 +160,24 @@ def test_membership_monotone_in_lambda():
 
 KERNEL_KINDS = ["family", "interval", "translated", "scaled", "zero",
                 "modular-tie", "near-tie", "past-float-range", "inf-product",
-                "wide-level-set"]
+                "wide-level-set", "interval-narrow", "interval-wide",
+                "explicit-2^70", "scaled-negative", "float-tie"]
 
 
 def _oracle(n, table):
     table = [int(v) for v in table]
     return SubmodularOracle(n, table, m_bound=max(abs(v) for v in table))
+
+
+def _ratio(draw, f, d):
+    """(q, p) for lambda = f(S)/d(S) of a drawn set S with d(S) > 0, nudged
+    by at most one ladder step: a lambda near the envelope's breakpoints,
+    where the level set is narrow."""
+    sets = [m for m in range(1, 1 << f.n) if d.of(m) > 0]
+    m = draw(st.sampled_from(sets))
+    lam = (Fraction(f.dense_table().item(m), d.of(m))
+           + draw(st.integers(-1, 1)) * ladder_spacing(d))
+    return lam.denominator, lam.numerator
 
 
 @st.composite
@@ -171,6 +186,10 @@ def kernel_case(draw, kind):
     n = draw(st.integers(1, 6))
     if kind == "interval":
         n = draw(st.integers(6, 9))  # exact big-int tables from n = 8 on
+    elif kind in ("interval-narrow", "interval-wide"):
+        n = draw(st.integers(2, 12))
+    elif kind == "float-tie":
+        n = 2
     d = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n)
              .filter(lambda v: max(v) > 0))
     d = Direction(tuple(d))
@@ -208,6 +227,46 @@ def kernel_case(draw, kind):
         # every entry fits float64, q f(S) overflows to inf
         f = _oracle(n, big << 900)
         q = draw(st.integers(2**199, 2**200))
+    elif kind == "interval-narrow":
+        f = make_family(IntervalGeometric(n))
+        q, p = _ratio(draw, f, d)
+    elif kind == "interval-wide":
+        # d positive only on the last elements, whose runs weigh
+        # 4^(j(j-1)/2): every ratio is huge and C is a wide share
+        k = draw(st.integers(1, min(3, n)))
+        d = Direction(tuple(draw(st.lists(st.integers(-9, 0), min_size=n - k,
+                                          max_size=n - k)))
+                      + tuple(draw(st.lists(st.integers(1, 9), min_size=k,
+                                            max_size=k))))
+        f = make_family(IntervalGeometric(n))
+        q, p = _ratio(draw, f, d)
+    elif kind == "explicit-2^70":
+        # every nonzero value is past 2^70; a small lambda keeps only the
+        # zero sets, a ratio keeps sets far past int64
+        f = make_family(ExplicitTable(tuple(v << 70 for v in big)))
+        if draw(st.booleans()):
+            q, p = _ratio(draw, f, d)
+    elif kind == "scaled-negative":
+        # q0*f - w on a big-int table: min f < 0 bounds the values C holds
+        # from below, up to and past the int64 edge
+        k = draw(st.sampled_from([0, 20, 40, 55, 62, 100]))
+        w = [c << k for c in draw(st.lists(st.integers(-9, 9), min_size=n,
+                                           max_size=n))]
+        f = scale_minus_modular(_oracle(n, big << 61), draw(st.integers(1, 9)),
+                                w)
+        q = draw(st.integers(1, 2**draw(st.sampled_from([1, 8, 40]))))
+        p = draw(st.integers(-9, 9))
+    elif kind == "float-tie":
+        # f({0}) = c + r > t = c + s, but fl(c + r) = c = fl(t): the float
+        # compare keeps {0} although f({0}) > t (c = 2^k, r below half an
+        # ulp of c); f({1}) = 2^61 makes the table big-int
+        k = draw(st.integers(54, 59))
+        r = draw(st.integers(1, (1 << (k - 53)) - 1))
+        c = 1 << k
+        f = make_family(ExplicitTable((0, c + r, 1 << 61, 1 << 61)))
+        d = Direction((1, draw(st.integers(-3, 0))))
+        q = draw(st.integers(1, 8))
+        p = q * (c + draw(st.integers(0, r - 1)))
     else:  # wide-level-set: P // q near or past M, so C is most or all sets
         f = draw(st.sampled_from([base, make_family(IntervalGeometric(n))]))
         q = draw(st.integers(1, 2**70))
@@ -226,28 +285,62 @@ def _level(q, p, d):
     return max(sums) // q
 
 
+def _reference_level(f, t):
+    """The kernel's level set in plain Python, or None where it cannot cut:
+    {S : f(S) <= t} on an int64 table, {S : float(f(S)) <= float(t)} on a
+    big-int table (Python's int-to-float rounding is correct rounding, as
+    numpy's is)."""
+    table = f.dense_table().tolist()
+    if t >= f.m_bound:
+        return None
+    if f.dense_table().dtype != object:
+        return [m for m, v in enumerate(table) if v <= t]
+    try:
+        image, t = [float(v) for v in table], float(t)
+    except OverflowError:
+        return None
+    return [m for m, v in enumerate(image) if v <= t]
+
+
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @given(data=st.data())
 def test_kernel_matches_rescaled_bruteforce(kind, data):
     f, d, q, p = data.draw(kernel_case(kind))
     ref = minimize(scale_minus_modular(f, q, [p * di for di in d.d]))
-    value, minimal, maximal, used = minimize_minus_modular(f, q, p, d)
+    with mock.patch.object(sfm, "_float_candidates",
+                           wraps=sfm._float_candidates) as spy:
+        value, minimal, maximal, every, used = minimizers_minus_modular(
+            f, q, p, d)
     assert value == ref.min_value
     assert minimal == ref.minimal_minimizer.bits
     assert maximal == ref.maximal_minimizer.bits
-    table = f.dense_table()
-    every = [m for m in range(1 << f.n)
-             if q * table.item(m) - p * d.of(m) == value]
-    assert minimizers_minus_modular(f, q, p, d)[3].tolist() == every
+    same = minimize_minus_modular(f, q, p, d)
+    assert same[:3] == (value, minimal, maximal)
+    assert same_sets(same[3], used)
+    table = f.dense_table().tolist()
+    assert every.tolist() == [m for m in range(1 << f.n)
+                              if q * table[m] - p * d.of(m) == value]
     # the level-set bound: h(S) <= h(empty) = 0 gives q f(S) <= p d(S) <= P
-    level = _level(q, p, d)
-    assert all(table.item(m) <= level for m in every)
-    masks = sfm.level_set(f, q, p, d)
-    assert same_sets(used, masks)  # the level set the pass read
-    if kind == "wide-level-set" and level >= f.m_bound:
-        assert masks is None  # C is every set: the full pass decided
-    if masks is not None:
-        assert set(every) <= set(masks.tolist())
+    t = _level(q, p, d)
+    assert all(table[m] <= t for m in every)
+    level = _reference_level(f, t)
+    if level is None:
+        assert used is None  # C is every set: the full pass decided
+    else:
+        assert used.tolist() == level
+        assert set(every.tolist()) <= set(level)
+        # the ceiling the dtype rule reads: the float compare keeps no set
+        # with f(S) > 2t + 1
+        top = 2 * t + 1 if f.dense_table().dtype == object else t
+        assert all(table[m] <= top for m in level)
+    # the pass is int64 exactly where the level set is cut and the values
+    # it reads bound h below 2^60; the float filter runs everywhere else
+    top = f.m_bound if level is None else top
+    int64 = (q * max(top, -min(table)) + abs(p) * d.norm1 + q < 1 << 60
+             and d.sums.dtype == np.int64)
+    assert spy.called != int64
+    if kind == "float-tie":
+        assert level is not None and 1 in level and table[1] > t
     cand = _float_candidates(f, q, p, d, None)
     if kind in ("past-float-range", "inf-product") and any(f.dense_table()):
         assert cand is None  # the exact full pass decided
@@ -302,7 +395,9 @@ def test_float_image_is_lazy_and_shared():
 def test_item_with_wide_level_set_matches_bruteforce(n):
     # interval-geometric with d positive only on high indices: a ratio
     # needs a high element, whose runs weigh 4^(j(j-1)/2), so the level set
-    # holds a large share of the table and the float stage decides there
+    # holds a large share of the table.  Its t = P // q is far past 2^60,
+    # so each pass runs the float filter on it and exact ints decide among
+    # the candidates
     f = make_family(IntervalGeometric(n))
     rng = np.random.default_rng(n)
     dirs = [(-8, 0, -5, -3, -8, 0, -7, -7, 0, 0, -4, 4, 9, -1)[:n]]
@@ -319,6 +414,42 @@ def test_item_with_wide_level_set_matches_bruteforce(n):
             assert res.lambda_star == star
             assert f.dense_table().item(res.tight_set.bits) == \
                 star * d.of(res.tight_set)
+
+
+def test_newton_solve_runs_passes_on_both_sides_of_the_int64_bound(
+        monkeypatch):
+    # from lambda0 = 2^100 on a big-int table, the first passes bound h past
+    # 2^60 and run the float filter; as lambda falls, so does the level
+    # set's ceiling, and the later passes are int64.  Every pass gives the
+    # Python-int reference's minimum, minimizers and level set.
+    f = make_family(IntervalGeometric(10))
+    d = Direction((1,) * 10)
+    assert f.dense_table().dtype == object
+    table, sums = f.dense_table().tolist(), d.sums.tolist()
+    kernel, paths = newton.minimizers_minus_modular, []
+
+    def check(f, q, p, d, within=None):
+        with mock.patch.object(sfm, "_float_candidates",
+                               wraps=sfm._float_candidates) as spy:
+            out = kernel(f, q, p, d, within)
+        paths.append("float" if spy.called else "int64")
+        h = [q * v - p * s for v, s in zip(table, sums)]
+        every = [m for m, v in enumerate(h) if v == min(h)]
+        assert out[0] == min(h)
+        assert out[1:3] == (reduce(and_, every), reduce(or_, every))
+        assert out[3].tolist() == every
+        level = _reference_level(f, _level(q, p, d))
+        if within is not None:
+            level = [m for m in level if m in set(within.tolist())]
+        assert out[4].tolist() == level
+        return out
+
+    monkeypatch.setattr(newton, "minimizers_minus_modular", check)
+    res = discrete_newton(f, d, Fraction(2**100))
+    assert res.lambda_star == bruteforce_linesearch(f, d).lambda_star
+    assert len(paths) == res.sfm_calls
+    assert paths[0] == "float" and paths[-1] == "int64"
+    assert paths == sorted(paths)  # float passes, then int64 ones
 
 
 def test_kernel_scratch_is_reused_and_per_thread():
