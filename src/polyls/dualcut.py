@@ -24,10 +24,14 @@ and inside the engine the first cut's own bound.  Only a solve that passes
 the first three builds a `ReducedProblem`, and only one that passes all
 four allocates the cut matrix.  The best vertex
 1_S/d(S) seen so far is the engine's upper bound, so the bracket closes on
-lambda* itself, and once it is below half the ladder spacing the best ratio
-is lambda*.  Newton starts from that ratio, computed in integers, and exact
-envelope steps confirm it.  Correctness never depends on the float phase -
-it only buys a warm start.
+lambda* itself.  The engine stops once the bracket is below half the best
+set's gap 1/(D+ d(S)), D+ = max_S d(S): integrality keeps every smaller
+ratio at least that far below f(S)/d(S), so the best ratio is then lambda*.
+That gap is never below the ladder spacing 1/||d||_1^2, so the engine stops
+at the cut a half-ladder target would stop at, or sooner.  Newton starts
+from the best ratio, computed in integers, and exact envelope steps confirm
+it.  Correctness never depends on the float phase - it only buys a warm
+start.
 """
 
 from __future__ import annotations
@@ -87,6 +91,15 @@ class ReducedProblem:
     (`newton._singleton_bound`), a vertex ratio like any chain's.  So
     best_mask is never None and best never exceeds float(u); the extension
     reads best at the vertex 1_S/d(S) of best_mask.
+
+    The gap: integrality separates the best ratio f(B)/d(B), B = best_mask,
+    from every smaller ratio by 1/(D+ d(B)), D+ = `d.positive_sum` =
+    max_S d(S).  For lambda* = f(S*)/d(S*) < f(B)/d(B) the difference is
+    (f(B) d(S*) - f(S*) d(B)) / (d(B) d(S*)), a positive integer over a
+    denominator at most d(B) D+.  So a lower bound lb <= lambda* with
+    best - lb < 1/(D+ d(B)) proves best = lambda*.  d(B) > 0 always: B is
+    the seed singleton or a chain set with d(S) > 0.  Since
+    d(B) <= D+ <= ||d||_1 the gap is never below the ladder spacing eps.
     """
 
     def __init__(self, f: SubmodularOracle, d: Direction, best: Fraction,
@@ -110,6 +123,16 @@ class ReducedProblem:
         self.dsums = d.float_sums
         self.best = float(best)
         self.best_mask = best_mask
+
+    def tight_gap(self) -> float:
+        """Half the gap 1/(D+ d(B)) of the best set B, as one float.
+
+        D+ d(B) is formed in integers and divided once, so the only rounding
+        is that of the quotient.  The other half is slack for the floats,
+        as a target of eps/2 keeps half the ladder spacing.
+        """
+        d = self.direction
+        return 1 / (2 * d.positive_sum * d.of(self.best_mask))
 
     @property
     def cut_cap(self) -> int:
@@ -167,6 +190,12 @@ def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
 @dataclass
 class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
+
+    converged means the bracket closed on the engine's target: with
+    `solve_dual`'s rule, half the gap 1/(D+ d(B)) of the best set B
+    (`ReducedProblem.tight_gap`), so f(B)/d(B) is lambda*, the other half
+    being slack for the floats, and Newton's exact pass confirms it; with a
+    fixed target, only that certified_gap <= target.
 
     best_value is the best vertex ratio the engine took from its
     `ReducedProblem`, whose `best_mask` names the set; the point where the
@@ -316,9 +345,16 @@ def _cut_bound(wA: np.ndarray, wb: float, hi: np.ndarray, a) -> float:
     return _box_min(wA[:-1] / W, hi, a) - wb / W
 
 
-def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
+def cutting_plane_minimize(prob: ReducedProblem,
+                           target_gap=None) -> CutEngineState:
     """Minimize the reduced objective phi = prob over the dual domain by
     ACCPM, to a certified gap.
+
+    The target is target_gap when one is given.  With None it is the
+    problem's rule, `prob.tight_gap()`: half the gap 1/(D+ d(B)) of the
+    best set B, read again after every query, since B may change.  That is
+    at least eps/2 and the iterates do not depend on the target, so the
+    rule stops at the cut a fixed eps/2 run stops at, or sooner.
 
     The domain is Z = {0 <= z <= prob.hi, d_rest.z <= 1}; its minimum is
     lambda*, so the engine brackets lambda* between its lower bound lb,
@@ -348,24 +384,29 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     - converged with no query when the seed closes the bracket (u = 0, or
       n = 1, where Z is the one singleton's vertex);
     - stalled with no query when the target is at or below the float
-      resolution of phi, where `converged` could not certify anything;
+      resolution of phi, where `converged` could not certify anything
+      (under the rule, when eps/2 is, as in `solve_dual`'s exit 3);
     - converged with 0 cuts when the bound of z_init's own cut closes the
       bracket; since lb >= 0 that takes in a chain of z_init that reads 0.
       The cut budget is read, and the cut matrix (cap + 2m + 3 rows at
       most, of m + 1 entries) and the barrier rows are allocated, only past
       this exit;
-    - converged once best - lb <= target_gap; stalled when neither best nor
-      lb moves for a window of cuts or a centering fails (callers restore
-      exactness by rounding); past `prob.cut_cap` cuts, of order
+    - converged once best - lb is at most the target; stalled when neither
+      best nor lb moves for a window of cuts or a centering fails (callers
+      restore exactness by rounding); past `prob.cut_cap` cuts, of order
       m ln(kappa), it raises IterationCapExceeded carrying the state.
     `solve_dual` decides u = 0, the resolution exit and a chain of z_init
     that reads 0 in integers, and calls the engine only past them.
     """
     m = prob.omega_dim
-    target_gap = float(target_gap)
     scale, best, lb = 1.0, prob.best, 0.0
     it = newton = 0
     converged = stalled = False
+
+    def target() -> float:
+        # the fixed gap, or else the best set's half gap, in units of phi
+        return (prob.tight_gap() if target_gap is None
+                else float(target_gap)) / scale
 
     def state() -> CutEngineState:
         return CutEngineState(best * scale, lb * scale,
@@ -374,10 +415,12 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
 
     if m == 0:
         lb = best  # Z is the point z_init, the vertex of the one singleton
-    if best - lb <= target_gap:
+    tgt = target()
+    if best - lb <= tgt:
         converged = True
         return state()
-    if float_resolution(prob.direction.n, prob.m_bound) >= target_gap:
+    floor = float(prob.eps / 2) if target_gap is None else tgt
+    if float_resolution(prob.direction.n, prob.m_bound) >= floor:
         stalled = True
         return state()
 
@@ -388,7 +431,7 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
     v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
     best = prob.best / scale
-    tgt = target_gap / scale
+    tgt = target()
     row0, rhs0 = _cut_row(z0, float(v0), g0, scale)
     lb = max(lb, _cut_bound(row0, rhs0, hi, a))
     if best - lb <= tgt:
@@ -467,6 +510,7 @@ def cutting_plane_minimize(prob: ReducedProblem, target_gap) -> CutEngineState:
         if prob.best / scale < best:
             best = prob.best / scale
             b_true[t_row] = best
+        tgt = target()
         add_cut(*_cut_row(z, v, g, scale))
         shift(y, H)
         prog = 1e-13 * max(1.0, abs(best))
@@ -527,14 +571,16 @@ def _chain_bound(f: SubmodularOracle, d: Direction, u: Fraction) -> Fraction:
 
 
 def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
-    """Full pipeline: cut to half a ladder step, round on the best chain,
-    Newton-confirm.
+    """Full pipeline: cut until the best set is proven tight, round on the
+    best chain, Newton-confirm.
 
-    The engine stops once the best vertex ratio is within eps/2 of its lower
-    bound on lambda*, eps = 1/||d||_1^2 the ladder spacing; distinct ratios
-    differ by at least eps, so the best ratio is then lambda* and Newton
-    confirms it in zero steps.  Float state is built only for a solve that
-    will cut.  The exits, in order, the first three decided in integers:
+    The engine stops once the best vertex ratio f(B)/d(B) is within half of
+    1/(D+ d(B)) of its lower bound on lambda*, D+ = max_S d(S): every ratio
+    below f(B)/d(B) is at least 1/(D+ d(B)) below it, so the best ratio is
+    then lambda* and Newton confirms it in zero steps
+    (`ReducedProblem.tight_gap`).  Float state is built only for a solve
+    that will cut.  The exits, in order, the first three decided in
+    integers:
 
     1. The seed: the singleton scan gives the upper bound u and its
        singleton, and E is read when d(E) > 0.  A ratio 0 (u = 0, or
@@ -546,17 +592,20 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
        0 again closes with lambda* = 0.  After exits 1 and 2 Newton
        confirms 0 in one kernel pass, and the trace is a converged
        `CutEngineState` with 0 cuts.
-    3. The float resolution of the extension is at or above eps/2: the
-       engine could not certify its target.  Newton starts from the best
-       exact ratio of 1 and 2, and the trace is a stalled 0-cut state.
+    3. The float resolution of the extension is at or above eps/2,
+       eps = 1/||d||_1^2 the ladder spacing, the smallest target the rule
+       can set: the engine could not certify it.  Newton starts from the
+       best exact ratio of 1 and 2, and the trace is a stalled 0-cut
+       state.
        Every f or d without a float image has M or ||d||_1 past float64
        range and ends here.
     4. Otherwise one `ReducedProblem`, seeded with (u, its singleton),
        holds the whole dual problem, and `cutting_plane_minimize` runs on
-       it: it returns converged with 0 cuts when its first cut's bound
-       closes the bracket, before it allocates its cut matrix, and cuts
-       otherwise.  Newton starts from the exact ratio of the problem's best
-       set: the seed singleton's u, unless a chain set beat it in floats.
+       it under the problem's rule: it returns converged with 0 cuts when
+       its first cut's bound closes the bracket, before it allocates its
+       cut matrix, and cuts otherwise.  Newton starts from the exact ratio
+       of the problem's best set: the seed singleton's u, unless a chain
+       set beat it in floats.
 
     No `ReducedProblem` (so no `DenseLovasz`) is built before exit 4.  At
     n = 1 the reduced domain is the one singleton's vertex and the engine
@@ -579,7 +628,7 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     else:
         prob = ReducedProblem(f, d, u, u_mask)
         try:
-            state = cutting_plane_minimize(prob, float(prob.eps / 2))
+            state = cutting_plane_minimize(prob)
         except IterationCapExceeded as exc:
             state = exc.state  # rounding below restores exactness regardless
         cuts = state.iterations

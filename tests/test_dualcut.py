@@ -199,9 +199,96 @@ def test_engine_closes_on_the_zero_floor():
 
 
 def _run_engine(f, d):
-    """(problem, state) of the engine at solve_dual's target."""
+    """(problem, state) of the engine at the fixed target eps/2, half the
+    ladder spacing: the smallest target solve_dual's rule can set."""
     prob = ReducedProblem(f, d, *_singleton_bound(f, d))
     return prob, cutting_plane_minimize(prob, float(prob.eps) / 2)
+
+
+class _MaskTrail(ReducedProblem):
+    """A problem that records its best mask after every query."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.masks = []
+
+    def __call__(self, z):
+        out = super().__call__(z)
+        self.masks.append(self.best_mask)
+        return out
+
+
+def _trailed_engine(f, d, target_gap=None):
+    """(problem, state) of one engine run, the state also when capped."""
+    prob = _MaskTrail(f, d, *_singleton_bound(f, d))
+    try:
+        return prob, cutting_plane_minimize(prob, target_gap)
+    except IterationCapExceeded as exc:
+        return prob, exc.state
+
+
+def test_tight_gap_is_half_the_best_sets_gap(two_elem, d34):
+    # D+ = 7: the seed {1} has d = 4, so the gap is 1/28; after the query
+    # at z = 0 the best set is E, d(E) = 7, and the gap 1/49 is the ladder
+    # spacing itself
+    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
+    assert prob.tight_gap() == 1 / 56
+    prob(np.zeros(1))
+    assert prob.best_mask == 0b11 and prob.tight_gap() == 1 / 98
+    for inst in iter_instances(4, seed=2024, n_max=10):
+        f, d = inst.build()
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+        want = Fraction(1, 2 * d.positive_sum * d.of(prob.best_mask))
+        assert prob.tight_gap() == float(want) >= float(prob.eps / 2)
+
+
+def _gap_lemma_holds(f, d):
+    """Every ratio below f(B)/d(B) is at least 1/(D+ d(B)) below it, for
+    every set B with d(B) > 0.  Checked at the nearest smaller ratio, which
+    binds for every other."""
+    table = f.dense_table()
+    ratios = {mask: Fraction(int(table[mask]), d.of(mask))
+              for mask in range(1, 1 << f.n) if d.of(mask) > 0}
+    ladder = sorted(set(ratios.values()))
+    rank = {r: k for k, r in enumerate(ladder)}
+    for mask, r in ratios.items():
+        k = rank[r]
+        if k:
+            gap = Fraction(1, d.positive_sum * d.of(mask))
+            assert r - ladder[k - 1] >= gap
+    return ladder[0]
+
+
+def test_rule_converges_only_on_a_tight_best_set():
+    # soundness of the rule: a converged run hands Newton a best set whose
+    # exact ratio is lambda*, on every family at n 1-10
+    converged = 0
+    for inst in iter_instances(20, seed=2600, n_max=10):
+        f, d = inst.build()
+        star = bruteforce_linesearch(f, d).lambda_star
+        assert _gap_lemma_holds(f, d) == star
+        prob, state = _trailed_engine(f, d)
+        if state.converged:
+            converged += 1
+            mask = prob.best_mask
+            assert Fraction(f.eval(mask), d.of(mask)) == star
+    assert converged >= 80
+
+
+def test_rule_never_cuts_more_than_the_fixed_target():
+    # the iterates do not depend on the target and the rule's target is at
+    # least eps/2, so the rule stops at the fixed run's cut or sooner, on
+    # the same best sets; solve_dual's engine is the rule's
+    fewer = 0
+    for inst in iter_instances(16, seed=3900, n_max=10, n_min=2):
+        f, d = inst.build()
+        rule, s_rule = _trailed_engine(f, d)
+        fixed, s_fixed = _trailed_engine(f, d, float(ladder_spacing(d)) / 2)
+        assert s_rule.iterations <= s_fixed.iterations
+        assert rule.masks == fixed.masks[:len(rule.masks)]
+        fewer += s_rule.iterations < s_fixed.iterations
+        assert solve_dual(f, d).engine_iterations == s_rule.iterations
+    assert fewer >= 15
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
