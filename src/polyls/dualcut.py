@@ -17,12 +17,12 @@ Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
 S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
 level-set rounding of the extension.  The singleton vertices 1_{e}/d_e are
 such points too, so the engine's bracket starts at [0, u] with u the
-singleton bound.  `solve_dual` takes its exits in a fixed order, each
-decided in integers before the next is paid for: the seed (the singletons
-and E), the exact chain of the engine's first query, the float resolution,
-and inside the engine the first cut's own bound.  Only a solve that passes
-the first three builds a `ReducedProblem`, and only one that passes all
-four allocates the cut matrix.  The best vertex
+singleton bound.  `solve_dual` is the one gate in front of the engine.
+It takes four exits in a fixed order, each decided before the next is
+paid for: the seed (the singletons and E), the exact chain of the
+engine's first query, the float resolution, and n = 1.  Only a solve that
+passes all four builds a `ReducedProblem`, and only one whose first cut's
+bound leaves the bracket open allocates the cut matrix.  The best vertex
 1_S/d(S) seen so far is the engine's upper bound, so the bracket closes on
 lambda* itself.  The engine stops once the bracket is below half the best
 set's gap 1/(D+ d(S)), D+ = max_S d(S): integrality keeps every smaller
@@ -65,12 +65,11 @@ class ReducedProblem:
     """The dual problem of one solve: the Lovász extension of f over the
     (n-1)-dimensional domain left after eliminating the pivot coordinate.
 
-    Exact data: the pivot (the first largest d_e, so d_pivot > 0), d_rest,
-    eps the ladder spacing 1/||d||_1^2 and m_bound the oracle's bound M on
-    every |f(S)|.  Float data, each array built once: rest_idx (the kept
-    coordinates), d_row (d_rest as floats, the hyperplane row
-    d_rest.z <= 1), d_ratio = d_row/d_pivot, and hi, the upper corner of
-    the search box 0 <= z <= hi.
+    Exact data: the pivot (the first largest d_e, so d_pivot > 0), d_rest
+    and m_bound the oracle's bound M on every |f(S)|.  Float data, each
+    array built once: rest_idx (the kept coordinates), d_row (d_rest as
+    floats, the hyperplane row d_rest.z <= 1), d_ratio = d_row/d_pivot, and
+    hi, the upper corner of the search box 0 <= z <= hi.
 
     hi_i = 1, or hi_i = 1/d_i when no entry of d is negative (hi_i = 1 where
     d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
@@ -99,7 +98,8 @@ class ReducedProblem:
     denominator at most d(B) D+.  So a lower bound lb <= lambda* with
     best - lb < 1/(D+ d(B)) proves best = lambda*.  d(B) > 0 always: B is
     the seed singleton or a chain set with d(S) > 0.  Since
-    d(B) <= D+ <= ||d||_1 the gap is never below the ladder spacing eps.
+    d(B) <= D+ <= ||d||_1 the gap is never below the ladder spacing
+    1/||d||_1^2.
     """
 
     def __init__(self, f: SubmodularOracle, d: Direction, best: Fraction,
@@ -108,7 +108,6 @@ class ReducedProblem:
         self.omega_dim = d.n - 1
         self.d_rest = tuple(v for i, v in enumerate(d.d) if i != pivot)
         self.d_pivot = d.d[pivot]
-        self.eps = ladder_spacing(d)
         self.m_bound = f.m_bound
         self.direction = d
         self.lov = DenseLovasz(f)
@@ -191,25 +190,23 @@ def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
 class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
 
-    converged means the bracket closed on the engine's target: with
-    `solve_dual`'s rule, half the gap 1/(D+ d(B)) of the best set B
-    (`ReducedProblem.tight_gap`), so f(B)/d(B) is lambda*, the other half
-    being slack for the floats, and Newton's exact pass confirms it; with a
-    fixed target, only that certified_gap <= target.
+    converged means the bracket closed on the engine's target, half the gap
+    1/(D+ d(B)) of the best set B (`ReducedProblem.tight_gap`), so f(B)/d(B)
+    is lambda*, the other half being slack for the floats, and Newton's
+    exact pass confirms it.
 
     best_value is the best vertex ratio the engine took from its
     `ReducedProblem`, whose `best_mask` names the set; the point where the
     extension reads it is that set's vertex 1_S/d(S).  The problem's seed is
-    the singleton bound u, so best_value never exceeds float(u), and a run
-    whose seed closes the bracket has made no query at all.
+    the singleton bound u, so best_value never exceeds float(u).
 
     Every `solve_dual` trace is one of these, also where the engine never
-    runs.  A ratio 0 among the singletons, E or z_init's chain closes the
-    bracket before the engine is set up: the trace is the state such a run
-    ends in, converged with 0 cuts and best_value = lower_bound = 0.  A
-    half-ladder target at or below the float resolution is a stalled 0-cut
-    state whose best_value is Newton's exact start in floats (inf past
-    float64 range) and whose lower_bound is the floor 0.  The box and
+    runs.  A ratio 0 among the singletons, E or z_init's chain is a
+    converged 0-cut state with best_value = lower_bound = 0; at n = 1 it is
+    one with best_value = lower_bound = u.  A half-ladder target at or below
+    the float resolution is a stalled 0-cut state whose best_value is
+    Newton's exact start in floats (inf past float64 range) and whose
+    lower_bound is the floor 0.  The box and
     the hyperplane are barrier rows, never cuts, so every query is an
     objective cut: `objective_cuts` is `iterations` and `feasibility_cuts`
     is 0, both read-only.
@@ -242,7 +239,8 @@ def float_resolution(n: int, m_bound) -> float:
     n * 2^-53 * sum_i |x_i| |marginal_i|, with |x_i| <= 1 in the unit search
     box, is n * 2^-53 * n * 2M = 2^-52 * n^2 * M (the roundoff of the table
     entries themselves adds a lower-order 2^-52 * n * M).  An engine asked
-    for a gap at or below this cannot certify it, so it does not try.
+    for a gap at or below this could not certify it, so `solve_dual` runs
+    no engine where it reaches eps/2, the smallest gap the engine asks for.
     """
     try:
         return math.ldexp(float(n * n * max(m_bound, 1)), -52)
@@ -345,16 +343,20 @@ def _cut_bound(wA: np.ndarray, wb: float, hi: np.ndarray, a) -> float:
     return _box_min(wA[:-1] / W, hi, a) - wb / W
 
 
-def cutting_plane_minimize(prob: ReducedProblem,
-                           target_gap=None) -> CutEngineState:
+def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
     """Minimize the reduced objective phi = prob over the dual domain by
     ACCPM, to a certified gap.
 
-    The target is target_gap when one is given.  With None it is the
-    problem's rule, `prob.tight_gap()`: half the gap 1/(D+ d(B)) of the
-    best set B, read again after every query, since B may change.  That is
-    at least eps/2 and the iterates do not depend on the target, so the
-    rule stops at the cut a fixed eps/2 run stops at, or sooner.
+    The target is the problem's rule, `prob.tight_gap()`: half the gap
+    1/(D+ d(B)) of the best set B, read again after every query, since B
+    may change.  That is at least eps/2, eps = 1/||d||_1^2 the ladder
+    spacing, and the iterates do not depend on the target, so the rule
+    stops at the cut a fixed eps/2 target stops at, or sooner.
+
+    The precondition is the one `solve_dual` establishes before it builds
+    the problem: n >= 2, a seed u > 0, and a float resolution of phi
+    (`float_resolution`) below eps/2, so every target the rule sets can be
+    certified.  The engine makes no decision before its first query.
 
     The domain is Z = {0 <= z <= prob.hi, d_rest.z <= 1}; its minimum is
     lambda*, so the engine brackets lambda* between its lower bound lb,
@@ -379,51 +381,19 @@ def cutting_plane_minimize(prob: ReducedProblem,
     feasible and close to the new center, and the row returns toward its
     true place at later centers.
 
-    phi is divided by max(1, |phi(z_init)|) inside.  The exits, in order,
-    each before the work of the next:
-    - converged with no query when the seed closes the bracket (u = 0, or
-      n = 1, where Z is the one singleton's vertex);
-    - stalled with no query when the target is at or below the float
-      resolution of phi, where `converged` could not certify anything
-      (under the rule, when eps/2 is, as in `solve_dual`'s exit 3);
+    phi is divided by max(1, |phi(z_init)|) inside.  The exits, in order:
     - converged with 0 cuts when the bound of z_init's own cut closes the
-      bracket; since lb >= 0 that takes in a chain of z_init that reads 0.
-      The cut budget is read, and the cut matrix (cap + 2m + 3 rows at
-      most, of m + 1 entries) and the barrier rows are allocated, only past
-      this exit;
+      bracket.  The cut budget is read, and the cut matrix (cap + 2m + 3
+      rows at most, of m + 1 entries) and the barrier rows are allocated,
+      only past this exit;
     - converged once best - lb is at most the target; stalled when neither
       best nor lb moves for a window of cuts or a centering fails (callers
       restore exactness by rounding); past `prob.cut_cap` cuts, of order
       m ln(kappa), it raises IterationCapExceeded carrying the state.
-    `solve_dual` decides u = 0, the resolution exit and a chain of z_init
-    that reads 0 in integers, and calls the engine only past them.
     """
     m = prob.omega_dim
-    scale, best, lb = 1.0, prob.best, 0.0
     it = newton = 0
     converged = stalled = False
-
-    def target() -> float:
-        # the fixed gap, or else the best set's half gap, in units of phi
-        return (prob.tight_gap() if target_gap is None
-                else float(target_gap)) / scale
-
-    def state() -> CutEngineState:
-        return CutEngineState(best * scale, lb * scale,
-                              max(0.0, best - lb) * scale, it, converged,
-                              stalled, newton)
-
-    if m == 0:
-        lb = best  # Z is the point z_init, the vertex of the one singleton
-    tgt = target()
-    if best - lb <= tgt:
-        converged = True
-        return state()
-    floor = float(prob.eps / 2) if target_gap is None else tgt
-    if float_resolution(prob.direction.n, prob.m_bound) >= floor:
-        stalled = True
-        return state()
-
     hi = prob.hi
     # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
     a = prob.d_row if any(prob.d_rest) else None
@@ -431,9 +401,15 @@ def cutting_plane_minimize(prob: ReducedProblem,
     v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
     best = prob.best / scale
-    tgt = target()
+    tgt = prob.tight_gap() / scale  # the best set's half gap, in units of phi
     row0, rhs0 = _cut_row(z0, float(v0), g0, scale)
-    lb = max(lb, _cut_bound(row0, rhs0, hi, a))
+    lb = max(0.0, _cut_bound(row0, rhs0, hi, a))
+
+    def state() -> CutEngineState:
+        return CutEngineState(best * scale, lb * scale,
+                              max(0.0, best - lb) * scale, it, converged,
+                              stalled, newton)
+
     if best - lb <= tgt:
         converged = True
         return state()
@@ -510,7 +486,7 @@ def cutting_plane_minimize(prob: ReducedProblem,
         if prob.best / scale < best:
             best = prob.best / scale
             b_true[t_row] = best
-        tgt = target()
+        tgt = prob.tight_gap() / scale
         add_cut(*_cut_row(z, v, g, scale))
         shift(y, H)
         prog = 1e-13 * max(1.0, abs(best))
@@ -579,8 +555,9 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     below f(B)/d(B) is at least 1/(D+ d(B)) below it, so the best ratio is
     then lambda* and Newton confirms it in zero steps
     (`ReducedProblem.tight_gap`).  Float state is built only for a solve
-    that will cut.  The exits, in order, the first three decided in
-    integers:
+    that will cut: this is the one gate in front of the engine, whose
+    precondition it establishes.  The exits, in order, the first four
+    without float state:
 
     1. The seed: the singleton scan gives the upper bound u and its
        singleton, and E is read when d(E) > 0.  A ratio 0 (u = 0, or
@@ -588,30 +565,29 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
        singleton shows) is lambda* = 0.
     2. z_init's greedy chain, read exactly (`_chain_bound`): the pivot,
        then the other elements ascending, at most n - 2 new reads
-       (`_start_sets`).  A ratio
-       0 again closes with lambda* = 0.  After exits 1 and 2 Newton
-       confirms 0 in one kernel pass, and the trace is a converged
-       `CutEngineState` with 0 cuts.
+       (`_start_sets`).  A ratio 0 again closes with lambda* = 0.  After
+       exits 1 and 2 Newton confirms 0 in one kernel pass, and the trace
+       is a converged `CutEngineState` with 0 cuts.
     3. The float resolution of the extension is at or above eps/2,
-       eps = 1/||d||_1^2 the ladder spacing, the smallest target the rule
-       can set: the engine could not certify it.  Newton starts from the
+       eps = 1/||d||_1^2 the ladder spacing, the smallest target the
+       engine can set: it could not certify it.  Newton starts from the
        best exact ratio of 1 and 2, and the trace is a stalled 0-cut
-       state.
-       Every f or d without a float image has M or ||d||_1 past float64
-       range and ends here.
-    4. Otherwise one `ReducedProblem`, seeded with (u, its singleton),
+       state.  Every f or d without a float image has M or ||d||_1 past
+       float64 range and ends here.
+    4. n = 1: the one singleton's u is lambda*, and the trace is a
+       converged 0-cut state with best_value = lower_bound = u.
+    5. Otherwise one `ReducedProblem`, seeded with (u, its singleton),
        holds the whole dual problem, and `cutting_plane_minimize` runs on
-       it under the problem's rule: it returns converged with 0 cuts when
-       its first cut's bound closes the bracket, before it allocates its
-       cut matrix, and cuts otherwise.  Newton starts from the exact ratio
-       of the problem's best set: the seed singleton's u, unless a chain
-       set beat it in floats.
+       it: it returns converged with 0 cuts when its first cut's bound
+       closes the bracket, before it allocates its cut matrix, and cuts
+       otherwise.  Newton starts from the exact ratio of the problem's
+       best set: the seed singleton's u, unless a chain set beat it in
+       floats.
 
-    No `ReducedProblem` (so no `DenseLovasz`) is built before exit 4.  At
-    n = 1 the reduced domain is the one singleton's vertex and the engine
-    returns at once.  Returns the exact intersection; the engine phase only
-    warms up Newton, so a stalled or capped engine degrades iteration
-    counts, not correctness.
+    No `ReducedProblem` (so no `DenseLovasz`) is built before exit 5.
+    Returns the exact intersection; the engine phase only warms up
+    Newton, so a stalled or capped engine degrades iteration counts, not
+    correctness.
     """
     before = f.calls
     u, u_mask = _singleton_bound(f, d)
@@ -625,6 +601,10 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         except OverflowError:  # a start past float64 range
             top = math.inf
         state = CutEngineState(top, 0.0, top, 0, False, stalled=True)
+    elif d.n == 1:
+        # the reduced domain is the one singleton's vertex: lam0 = u is
+        # lambda*, in float range past exit 3
+        state = CutEngineState(float(lam0), float(lam0), 0.0, 0, True)
     else:
         prob = ReducedProblem(f, d, u, u_mask)
         try:

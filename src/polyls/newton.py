@@ -3,8 +3,7 @@
 The intersection lambda* = min{f(S)/d(S) : d(S) > 0} is found exactly in
 rational arithmetic.  Every Newton step, envelope evaluation and bisection
 decision at lambda = p/q is one exact pass of the kernel
-(`sfm.minimizers_minus_modular`, or `sfm.minimize_minus_modular` where its
-minimizer array is not needed), the exact minimum of the integral function
+(`sfm.minimizers_minus_modular`), the exact minimum of the integral function
 q*f - p*d, so the decision stays in integers no matter how ugly the rational
 iterate is.
 """
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import BadStart, InvariantViolation
 from .oracles import Direction, SubmodularOracle
-from .sfm import level_set, minimize_minus_modular, minimizers_minus_modular
+from .sfm import level_set, minimizers_minus_modular
 from .subsets import SubsetMask
 
 if TYPE_CHECKING:
@@ -98,7 +97,7 @@ def envelope(f: SubmodularOracle, d: Direction,
     """g(lambda) = min_S f(S) - lambda d(S), with its minimal minimizer."""
     lam = Fraction(lam)
     q = lam.denominator
-    value, minimal, _, _ = minimize_minus_modular(f, q, lam.numerator, d)
+    value, minimal, *_ = minimizers_minus_modular(f, q, lam.numerator, d)
     return Fraction(value, q), SubsetMask(minimal, f.n)
 
 
@@ -229,7 +228,7 @@ def binary_search(f: SubmodularOracle, d: Direction,
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         g = math.gcd(mid, den)
-        value, _, _, mid_level = minimize_minus_modular(
+        value, _, _, _, mid_level = minimizers_minus_modular(
             f, den // g, mid // g, d, level if mid >= 0 else None)
         if value >= 0:
             a = mid

@@ -7,7 +7,7 @@ is built by element doubling (see `subset_sums`): the values on masks that
 contain element k come from those that do not, in one array expression per
 k.  Wrappers produce new oracles for lifting to a larger ground set,
 modular translation, and integral rescaling; the parametric solvers do not
-rescale, they minimize q*f - p*d in place (`sfm.minimize_minus_modular`).
+rescale, they minimize q*f - p*d in place (`sfm.minimizers_minus_modular`).
 """
 
 from __future__ import annotations
@@ -458,7 +458,8 @@ def scale_minus_modular(f: SubmodularOracle, q: int, w) -> SubmodularOracle:
 def newton_scale(f: SubmodularOracle, d: Direction, lam: Fraction) -> SubmodularOracle:
     """Integral oracle h = q*f - p*d for lam = p/q, so min h = q * envelope(lam).
 
-    `sfm.minimize_minus_modular(f, q, p, d)` finds min h without building h.
+    `sfm.minimizers_minus_modular(f, q, p, d)` finds min h without
+    building it.
     """
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator

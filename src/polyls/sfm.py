@@ -2,16 +2,16 @@
 
 Every oracle has n <= TABLE_N_CAP, so minimization enumerates the dense
 table.  The solvers only ever minimize q*f - p*d for a rational lambda = p/q
-and a direction d; `minimize_minus_modular` does that straight from f's table
-and d's cached subset sums, exactly.  One compare first cuts the table to its
-level set {S : f(S) <= P // q}, P = max_S p*d(S), which holds every
-minimizer.  The pass over it is int64 wherever a bound on the values it
-reads fits, on a big-int table too; only where it does not does a float
-filter stand in front of a big-integer pass.  The level set shrinks as
-lambda falls to 0, so a solve hands each pass at lambda >= 0 the level set
-of a larger lambda it has already read, and compares the whole table once.
-`minimize` is the one enumeration of a built oracle's
-table; `membership` and `minimize_mnp` read their answers from it.  The
+and a direction d; `minimizers_minus_modular`, the one kernel entry, does
+that straight from f's table and d's cached subset sums, exactly.  One
+compare first cuts the table to its level set {S : f(S) <= P // q},
+P = max_S p*d(S), which holds every minimizer.  The pass over it is int64
+wherever a bound on the values it reads fits, on a big-int table too; only
+where it does not does a float filter stand in front of a big-integer
+pass.  The level set shrinks as lambda falls to 0, so a solve hands each
+pass at lambda >= 0 the level set of a larger lambda it has already read,
+and compares the whole table once.  `minimize` is the one enumeration of a
+built oracle's table; `membership` and `minimize_mnp` read their answers from it.  The
 minimum-norm-point solver `minimize_mnp` is a library call kept as an
 independent cross-check of the minimum value.  Wolfe's loop runs in floats
 but never decides alone: the two level sets of its point are re-evaluated
@@ -188,19 +188,6 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
     return keep if masks is None else masks[keep]
 
 
-def minimize_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
-                           within: np.ndarray | None = None
-                           ) -> tuple[int, int, int, np.ndarray | None]:
-    """min over S of h(S) = q*f(S) - p*d(S), for integers q >= 1 and p, as
-    (min value, minimal minimizer, maximal minimizer, level set), the two
-    minimizers as bit masks: the values of `minimizers_minus_modular` but
-    its minimizer array, from the same pass and with the same `within`.
-    """
-    value, minimal, maximal, _, level = minimizers_minus_modular(
-        f, q, p, d, within)
-    return value, minimal, maximal, level
-
-
 def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
                              within: np.ndarray | None = None
                              ) -> tuple[int, int, int, np.ndarray,
@@ -317,7 +304,7 @@ def minimize(f: SubmodularOracle) -> SfmResult:
     OR of every minimizer are the minimal and maximal minimizers; both are
     checked against the table, and a table where they are not minimizers
     (f is not submodular) raises InvariantViolation.  No solver calls it:
-    every solver minimizes through `minimize_minus_modular`.  `membership`
+    every solver minimizes through `minimizers_minus_modular`.  `membership`
     and `minimize_mnp` read their answers from it.
     """
     before = f.calls

@@ -15,7 +15,7 @@ from polyls.dualcut import _box_min, float_resolution, perturb
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
 from polyls.instances import random_instance
 from polyls.newton import (_singleton_bound, discrete_newton, ladder_spacing,
-                           minimize_minus_modular, upper_bound)
+                           minimizers_minus_modular, upper_bound)
 from polyls.oracles import (ConcaveCardinalityPlusModular, ExplicitTable,
                             IntervalGeometric, infinity_norm)
 from polyls.subsets import SubsetMask
@@ -26,7 +26,6 @@ def test_reduced_problem_formulas(two_elem, d34):
     prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     assert prob.pivot == 1 and prob.d_pivot == 4
     assert prob.omega_dim == 1 and prob.d_rest == (3,)
-    assert prob.eps == Fraction(1, 49)
     assert prob.m_bound == 3
     # kappa = 4 n M^3 ||d||_1^5 with n = 2, M = 3, ||d||_1 = 7
     assert prob.cut_cap == int(8 * math.log(4 * 2 * 3**3 * 7**5)) + 100 == 220
@@ -147,62 +146,38 @@ def test_phi_chain_rule_against_finite_differences():
         checked += 1
 
 
-def test_engine_converges_on_two_element_example(two_elem, d34):
-    prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
+def _half_ladder(monkeypatch):
+    """Fix the engine's target at eps/2, half the ladder spacing: the
+    smallest target the rule sets, that of a best set with d(B) = D+ =
+    ||d||_1."""
+    monkeypatch.setattr(ReducedProblem, "tight_gap",
+                        lambda self: float(ladder_spacing(self.direction) / 2))
+
+
+def _engine_input(f, d) -> bool:
+    """Whether solve_dual hands (f, d) to the engine: the engine's
+    precondition n >= 2, u > 0 and a float resolution below eps/2, and no
+    ratio 0 on z_init's chain either."""
+    return (f.n >= 2 and dualcut._chain_bound(f, d, upper_bound(f, d)) > 0
+            and float_resolution(f.n, f.m_bound) < float(ladder_spacing(d) / 2))
+
+
+def _run_engine(f, d):
+    """(problem, state) of the engine on a problem solve_dual would build."""
+    assert _engine_input(f, d)
+    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+    return prob, cutting_plane_minimize(prob)
+
+
+def test_engine_converges_on_two_element_example(two_elem, d34, monkeypatch):
+    monkeypatch.setattr(ReducedProblem, "tight_gap", lambda self: 1e-7)
     # the minimum 3/7 sits at the vertex 1_{0,1}/7, z = 1/7
-    state = cutting_plane_minimize(prob, 1e-7)
+    prob, state = _run_engine(two_elem, d34)
     assert state.converged
     assert prob.best_mask == 0b11
     assert math.isclose(state.best_value, 3.0 / 7.0, rel_tol=1e-12)
     assert state.certified_gap <= 1e-7
     assert state.lower_bound <= 3.0 / 7.0 + 1e-12
-
-
-def test_engine_zero_dimensional():
-    # Z is the vertex of the one singleton, where phi reads the seed: the
-    # bracket is closed before any query
-    f = make_family(ExplicitTable((0, 5)))
-    d = Direction((2,))
-    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
-    before = f.calls
-    state = cutting_plane_minimize(prob, 0.1)
-    assert state.converged and state.iterations == 0
-    assert f.calls == before
-    assert prob.best_mask == 0b1
-    assert state.best_value == state.lower_bound == 2.5
-
-
-def test_engine_closes_on_the_zero_floor():
-    # f({0}) = 0: the seed u = 0 meets the floor lambda* >= 0, so the
-    # bracket is closed before the first query
-    f = make_family(ExplicitTable((0, 0, 2, 2)))
-    d = Direction((1, 1))
-    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
-    before = f.calls
-    state = cutting_plane_minimize(prob, float(prob.eps / 2))
-    assert state.converged and state.iterations == 0
-    assert f.calls == before
-    assert state.best_value == state.lower_bound == 0.0
-    assert prob.best_mask == 0b01
-    res = solve_dual(f, d)
-    assert res.lambda_star == 0 and res.newton_iterations == 0
-    # a 2-cycle cut: every singleton reads 1 and lambda* = 0 sits on E, the
-    # last set of z_init's chain, which closes the bracket after one query
-    f = make_family(ExplicitTable((0, 1, 1, 0)))
-    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
-    before = f.calls
-    state = cutting_plane_minimize(prob, float(prob.eps / 2))
-    assert state.converged and state.iterations == 0
-    assert f.calls == before + f.n
-    assert state.best_value == state.lower_bound == 0.0
-    assert prob.best_mask == 0b11
-
-
-def _run_engine(f, d):
-    """(problem, state) of the engine at the fixed target eps/2, half the
-    ladder spacing: the smallest target solve_dual's rule can set."""
-    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
-    return prob, cutting_plane_minimize(prob, float(prob.eps) / 2)
 
 
 class _MaskTrail(ReducedProblem):
@@ -218,11 +193,12 @@ class _MaskTrail(ReducedProblem):
         return out
 
 
-def _trailed_engine(f, d, target_gap=None):
+def _trailed_engine(f, d):
     """(problem, state) of one engine run, the state also when capped."""
+    assert _engine_input(f, d)
     prob = _MaskTrail(f, d, *_singleton_bound(f, d))
     try:
-        return prob, cutting_plane_minimize(prob, target_gap)
+        return prob, cutting_plane_minimize(prob)
     except IterationCapExceeded as exc:
         return prob, exc.state
 
@@ -239,7 +215,7 @@ def test_tight_gap_is_half_the_best_sets_gap(two_elem, d34):
         f, d = inst.build()
         prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         want = Fraction(1, 2 * d.positive_sum * d.of(prob.best_mask))
-        assert prob.tight_gap() == float(want) >= float(prob.eps / 2)
+        assert prob.tight_gap() == float(want) >= float(ladder_spacing(d) / 2)
 
 
 def _gap_lemma_holds(f, d):
@@ -261,12 +237,15 @@ def _gap_lemma_holds(f, d):
 
 def test_rule_converges_only_on_a_tight_best_set():
     # soundness of the rule: a converged run hands Newton a best set whose
-    # exact ratio is lambda*, on every family at n 1-10
+    # exact ratio is lambda*, on every family at n 1-10; the gap lemma is
+    # checked on every instance, the engine on those solve_dual cuts
     converged = 0
-    for inst in iter_instances(20, seed=2600, n_max=10):
+    for inst in iter_instances(34, seed=2600, n_max=10):
         f, d = inst.build()
         star = bruteforce_linesearch(f, d).lambda_star
         assert _gap_lemma_holds(f, d) == star
+        if not _engine_input(f, d):
+            continue
         prob, state = _trailed_engine(f, d)
         if state.converged:
             converged += 1
@@ -275,15 +254,19 @@ def test_rule_converges_only_on_a_tight_best_set():
     assert converged >= 80
 
 
-def test_rule_never_cuts_more_than_the_fixed_target():
+def test_rule_never_cuts_more_than_the_fixed_target(monkeypatch):
     # the iterates do not depend on the target and the rule's target is at
     # least eps/2, so the rule stops at the fixed run's cut or sooner, on
     # the same best sets; solve_dual's engine is the rule's
     fewer = 0
     for inst in iter_instances(16, seed=3900, n_max=10, n_min=2):
         f, d = inst.build()
+        if not _engine_input(f, d):
+            continue
         rule, s_rule = _trailed_engine(f, d)
-        fixed, s_fixed = _trailed_engine(f, d, float(ladder_spacing(d)) / 2)
+        with monkeypatch.context() as mp:
+            _half_ladder(mp)
+            fixed, s_fixed = _trailed_engine(f, d)
         assert s_rule.iterations <= s_fixed.iterations
         assert rule.masks == fixed.masks[:len(rule.masks)]
         fewer += s_rule.iterations < s_fixed.iterations
@@ -292,10 +275,12 @@ def test_rule_never_cuts_more_than_the_fixed_target():
 
 
 def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
+    assert _engine_input(two_elem, d34)
     prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
+    monkeypatch.setattr(ReducedProblem, "tight_gap", lambda self: 1e-12)
     with pytest.raises(IterationCapExceeded) as exc:
-        cutting_plane_minimize(prob, 1e-12)
+        cutting_plane_minimize(prob)
     state = exc.value.state
     assert state.iterations == state.objective_cuts == 3
     assert not state.converged and not state.stalled
@@ -307,10 +292,13 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
 
 
 def test_engine_certifies_against_bruteforce_dual(monkeypatch):
+    _half_ladder(monkeypatch)
     for inst in iter_instances(3, seed=233, n_max=8, n_min=2):
         f, d = inst.build()
+        if not _engine_input(f, d):
+            continue
         prob, state = _run_engine(f, d)
-        target = float(prob.eps) / 2
+        target = float(ladder_spacing(d) / 2)
         assert state.converged and state.certified_gap <= target
         # engine brackets lambda*, the minimum over the domain
         star = float(bruteforce_linesearch(f, d).lambda_star)
@@ -329,12 +317,12 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
         # state after cut j: the lower bound never falls, best never rises
         trail = []
         for cap in range(state.iterations):
-            monkeypatch.setattr(ReducedProblem, "cut_cap",
-                                property(lambda self, cap=cap: cap))
-            with pytest.raises(IterationCapExceeded) as exc:
-                _run_engine(f, d)
+            with monkeypatch.context() as mp:
+                mp.setattr(ReducedProblem, "cut_cap",
+                           property(lambda self, cap=cap: cap))
+                with pytest.raises(IterationCapExceeded) as exc:
+                    _run_engine(f, d)
             trail.append(exc.value.state)
-        monkeypatch.undo()
         trail.append(state)
         assert [s.iterations for s in trail] == list(range(len(trail)))
         for s0, s1 in zip(trail, trail[1:]):
@@ -342,15 +330,20 @@ def test_engine_certifies_against_bruteforce_dual(monkeypatch):
             assert s1.best_value <= s0.best_value
 
 
-def test_converged_engine_brackets_lambda_star():
-    # an engine that evaluates phi outside z >= 0 reports converged with a
-    # wrong bracket on these two
-    cases = [(make_family(IntervalGeometric(6)), Direction((8, -9, -5, 0, 0, 0))),
-             (make_family(IntervalGeometric(6)), Direction((-7, -5, 9, 7, 2, 3)))]
-    cases += [inst.build() for inst in iter_instances(7, seed=4321, n_max=8, n_min=2)]
+def test_converged_engine_brackets_lambda_star(monkeypatch):
+    # geometric tables at n = 4 and 5, whose M still lets the half-ladder
+    # target pass solve_dual's resolution check, with mixed-sign d: the
+    # engine cuts before it converges on both
+    _half_ladder(monkeypatch)
+    named = [(make_family(IntervalGeometric(4)), Direction((-9, 8, -4, 9))),
+             (make_family(IntervalGeometric(5)), Direction((-7, -5, 9, 7, 3)))]
+    cases = [inst.build() for inst in iter_instances(12, seed=4321, n_max=8, n_min=2)]
+    cases = named + [(f, d) for f, d in cases if _engine_input(f, d)]
     converged = 0
-    for f, d in cases:
+    for k, (f, d) in enumerate(cases):
         prob, state = _run_engine(f, d)
+        if k < len(named):
+            assert state.converged and state.iterations > 0
         if not state.converged:
             continue
         converged += 1
@@ -364,15 +357,21 @@ def test_converged_engine_brackets_lambda_star():
     assert converged >= 30
 
 
-def test_resolution_exit_stalls_without_cuts():
+def test_resolution_exit_stalls_without_cuts(monkeypatch):
+    # exit 3: the half-ladder target is at or below the float resolution,
+    # so solve_dual calls no engine and reports a stalled 0-cut trace
+    built = _dense_lovasz_spy(monkeypatch)
+    fed = _engine_spy(monkeypatch)
     f = make_family(IntervalGeometric(14))  # M around 10^63
     d = Direction((3, -2, 5, 1, -4, 2, 2, 7, -1, 6, 1, -3, 4, 2))
-    prob, state = _run_engine(f, d)
-    assert float_resolution(f.n, f.m_bound) >= float(prob.eps) / 2
+    assert float_resolution(f.n, f.m_bound) >= float(ladder_spacing(d) / 2)
+    res = solve_dual(f, d)
+    state = res.trace
     assert state.stalled and not state.converged
     assert state.iterations == state.objective_cuts == 0
     assert state.newton_steps == 0
-    assert solve_dual(f, d).lambda_star == bruteforce_linesearch(f, d).lambda_star
+    assert built == [] and fed == []
+    assert res.lambda_star == bruteforce_linesearch(f, d).lambda_star
 
 
 def _dense_lovasz_spy(monkeypatch) -> list:
@@ -386,6 +385,19 @@ def _dense_lovasz_spy(monkeypatch) -> list:
 
     monkeypatch.setattr(DenseLovasz, "__init__", init_spy)
     return built
+
+
+def _engine_spy(monkeypatch) -> list:
+    """Record every problem solve_dual hands to the engine from now on."""
+    fed = []
+    engine = dualcut.cutting_plane_minimize
+
+    def engine_spy(prob):
+        fed.append(prob)
+        return engine(prob)
+
+    monkeypatch.setattr(dualcut, "cutting_plane_minimize", engine_spy)
+    return fed
 
 
 def _start_chain(d):
@@ -499,7 +511,7 @@ def test_start_chain_is_pivot_first_ascending(monkeypatch):
 
 
 def test_first_cut_exit_never_centers(monkeypatch):
-    # exit 4: when z_init's own cut closes the bracket the engine returns
+    # exit 5: when z_init's own cut closes the bracket the engine returns
     # converged with 0 cuts, before it reads its cut budget or allocates
     # its cut matrix; no 0-cut solve centers
     class Centered(Exception):
@@ -617,11 +629,61 @@ def test_solve_dual_worked_examples(two_elem, d34, d_mixed):
     assert evaluate(two_elem, res.dual_optimum) == 2
 
 
-def test_solve_dual_single_element():
+def test_solve_dual_single_element(monkeypatch):
+    # exit 4: at n = 1 the reduced domain is the one singleton's vertex, so
+    # solve_dual decides lambda* = u with no float state and no engine call
+    built = _dense_lovasz_spy(monkeypatch)
+    fed = _engine_spy(monkeypatch)
     f = make_family(ExplicitTable((0, 7)))
     res = solve_dual(f, Direction((3,)))
     assert res.lambda_star == Fraction(7, 3)
     assert res.engine_iterations == 0
+    f = make_family(ExplicitTable((0, 5)))
+    res = solve_dual(f, Direction((2,)))
+    assert res.lambda_star == Fraction(5, 2)
+    assert res.tight_set == SubsetMask.full(1)
+    assert res.trace == dualcut.CutEngineState(2.5, 2.5, 0.0, 0, True)
+    assert res.newton_iterations == 0 and res.sfm_calls == 1
+    # the singleton and E, the same set, then Newton's confirm read and its
+    # result check: the best set is not read a third time
+    assert res.oracle_calls == 4
+    # an entry past float64 range takes exit 3 before n = 1 is asked, so
+    # Newton's exact start 2^1100 is never turned into a float: the trace
+    # is a stalled 0-cut state holding inf
+    big = 2 ** 1100
+    f = make_family(ExplicitTable((0, big)))
+    res = solve_dual(f, Direction((1,)))
+    assert res.lambda_star == big and res.tight_set == SubsetMask.full(1)
+    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, math.inf, 0,
+                                               False, stalled=True)
+    assert res.oracle_calls == 4
+    assert built == [] and fed == []
+
+
+def test_solve_dual_closes_on_the_zero_floor(monkeypatch):
+    # f({0}) = 0: the seed u = 0 meets the floor lambda* >= 0, so solve_dual
+    # closes the bracket before it reads any chain set or calls the engine
+    built = _dense_lovasz_spy(monkeypatch)
+    fed = _engine_spy(monkeypatch)
+    closed = dualcut.CutEngineState(0.0, 0.0, 0.0, 0, True)
+    f = make_family(ExplicitTable((0, 0, 2, 2)))
+    d = Direction((1, 1))
+    res = solve_dual(f, d)
+    assert res.trace == closed
+    assert res.lambda_star == 0 and res.newton_iterations == 0
+    assert res.tight_set == SubsetMask(0b01, 2)
+    # the two singletons, then Newton's confirm read and its result check
+    assert res.oracle_calls == 2 + 2
+    # a 2-cycle cut: every singleton reads 1 and lambda* = 0 sits on E, the
+    # first set of z_init's chain that solve_dual reads, which closes the
+    # bracket with one more read
+    f = make_family(ExplicitTable((0, 1, 1, 0)))
+    res = solve_dual(f, d)
+    assert res.trace == closed
+    assert res.lambda_star == 0 and res.newton_iterations == 0
+    assert res.tight_set == SubsetMask.full(2)
+    assert res.oracle_calls == 2 + 1 + 2
+    assert built == [] and fed == []
 
 
 def test_solve_dual_cross_method_exact():
@@ -780,9 +842,12 @@ def test_closed_bracket_skips_the_engine(monkeypatch):
     assert seen["u"] >= 40 and seen["full"] >= 15
 
 
-def test_engine_best_never_exceeds_the_singleton_bound():
+def test_engine_best_never_exceeds_the_singleton_bound(monkeypatch):
+    _half_ladder(monkeypatch)
     for inst in iter_instances(12, seed=6700, n_max=10, n_min=1):
         f, d = inst.build()
+        if not _engine_input(f, d):
+            continue
         prob, state = _run_engine(f, d)
         assert state.best_value <= float(upper_bound(f, d))
         assert prob.best_mask is not None
@@ -882,9 +947,9 @@ def test_solve_dual_base_counts_its_kernel_call(monkeypatch):
 
     def kernel_spy(*args):
         calls.append(args)
-        return minimize_minus_modular(*args)
+        return minimizers_minus_modular(*args)
 
-    monkeypatch.setattr("polyls.newton.minimize_minus_modular", kernel_spy)
+    monkeypatch.setattr("polyls.newton.minimizers_minus_modular", kernel_spy)
     solved = 0
     for inst in iter_instances(4, seed=5100, n_max=8):
         f, d = inst.build()

@@ -303,14 +303,14 @@ def _both_dtypes(seed):
 
 def test_bisection_decisions_match_membership(monkeypatch):
     decisions = []
-    kernel = newton.minimize_minus_modular
+    kernel = newton.minimizers_minus_modular
 
     def spy(f, q, p, d, within=None):
         out = kernel(f, q, p, d, within)
         decisions.append((Fraction(p, q), out[0] >= 0))
         return out
 
-    monkeypatch.setattr(newton, "minimize_minus_modular", spy)
+    monkeypatch.setattr(newton, "minimizers_minus_modular", spy)
     dtypes = set()
     below = outside_below = 0
     for f, d in _both_dtypes(7300):
@@ -359,12 +359,7 @@ def test_carried_level_set_changes_nothing(monkeypatch):
         carried.append(within is not None)
         return out
 
-    def check_value(f, q, p, d, within=None):
-        value, minimal, maximal, _, level = check(f, q, p, d, within)
-        return value, minimal, maximal, level
-
     monkeypatch.setattr(newton, "minimizers_minus_modular", check)
-    monkeypatch.setattr(newton, "minimize_minus_modular", check_value)
     dtypes = set()
     for f, d in [*_both_dtypes(7600), *_wide_level_sets()]:
         dtypes.add(f.dense_table().dtype)

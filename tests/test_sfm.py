@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from polyls import (DenseLovasz, Direction, ExplicitTable, IntervalGeometric,
                     binary_search, bruteforce_linesearch, discrete_newton,
                     ladder_spacing, make_family, membership, minimize,
-                    minimize_minus_modular, minimize_mnp, newton_scale,
-                    solve_dual, subset_sums, translate, upper_bound)
+                    minimize_mnp, newton_scale, solve_dual, subset_sums,
+                    translate, upper_bound)
 from polyls.errors import GroundSetTooLarge, InvariantViolation
 from polyls.instances import FAMILIES, random_instance
 from polyls.oracles import SubmodularOracle, scale_minus_modular
 from polyls import newton, sfm
 from polyls.sfm import _float_candidates, minimizers_minus_modular
 from polyls.subsets import SubsetMask
-from conftest import iter_instances, same_sets
+from conftest import iter_instances
 
 
 def test_bruteforce_on_nonnegative_function(two_elem):
@@ -314,9 +314,6 @@ def test_kernel_matches_rescaled_bruteforce(kind, data):
     assert value == ref.min_value
     assert minimal == ref.minimal_minimizer.bits
     assert maximal == ref.maximal_minimizer.bits
-    same = minimize_minus_modular(f, q, p, d)
-    assert same[:3] == (value, minimal, maximal)
-    assert same_sets(same[3], used)
     table = f.dense_table().tolist()
     assert every.tolist() == [m for m in range(1 << f.n)
                               if q * table[m] - p * d.of(m) == value]
@@ -354,14 +351,14 @@ def test_kernel_checks_the_minimizer_lattice(shift):
     # not submodular: {0} and {1} are minimizers, their union is not
     f = _oracle(2, [0, 0, 0, 1 << shift])
     with pytest.raises(InvariantViolation):
-        minimize_minus_modular(f, 1, 0, Direction((1, 1)))
+        minimizers_minus_modular(f, 1, 0, Direction((1, 1)))
 
 
 def test_float_image_is_lazy_and_shared():
     f = make_family(IntervalGeometric(9))
     d = Direction((3, -1, 4, 1, -5, 9, 2, 6, 5))
     assert "float_table" not in vars(f) and "float_sums" not in vars(d)
-    minimize_minus_modular(f, 7, 2**80 + 1, d)
+    minimizers_minus_modular(f, 7, 2**80 + 1, d)
     image = vars(f)["float_table"]
     assert not image.flags.writeable
     assert DenseLovasz(f).table is image
@@ -381,11 +378,11 @@ def test_float_image_is_lazy_and_shared():
     f, d = random_instance("coverage", 12, 1).build()
     q, p = 1, 3 * f.m_bound
     assert sfm.level_set(f, q, p, d) is None
-    minimize_minus_modular(f, q, p, d)
+    minimizers_minus_modular(f, q, p, d)
     bufs = sfm._scratch.bufs
     for p in (p, p + 1):
         want = q * f.dense_table() - p * d.sums
-        value = minimize_minus_modular(f, q, p, d)[0]
+        value = minimizers_minus_modular(f, q, p, d)[0]
         assert value == want.min()
         assert sfm._scratch.bufs is bufs
         assert np.array_equal(sfm._scratch.views[f.n, np.int64][0], want)
@@ -460,15 +457,15 @@ def test_kernel_scratch_is_reused_and_per_thread():
             f, d = random_instance(fam, 12, seed).build()
             lam = upper_bound(f, d)
             cases.append((f, lam.denominator, lam.numerator, d))
-    want = [minimize_minus_modular(*c)[:3] for c in cases] * 20
+    want = [minimizers_minus_modular(*c)[:3] for c in cases] * 20
     bufs = sfm._scratch.bufs
     # a smaller ground set writes into a prefix of the same buffers
     small = _oracle(2, [0, 1, 1, 1])
-    assert minimize_minus_modular(small, 1, 1, Direction((1, 1)))[:3] == \
+    assert minimizers_minus_modular(small, 1, 1, Direction((1, 1)))[:3] == \
         (-1, 3, 3)
     assert sfm._scratch.bufs is bufs
     # two threads at once: each writes only into its own scratch
     with ThreadPoolExecutor(2) as pool:
-        for got in pool.map(lambda _: [minimize_minus_modular(*c)[:3]
+        for got in pool.map(lambda _: [minimizers_minus_modular(*c)[:3]
                                        for c in cases * 20], range(2)):
             assert got == want
