@@ -629,6 +629,24 @@ def test_solve_dual_worked_examples(two_elem, d34, d_mixed):
     assert evaluate(two_elem, res.dual_optimum) == 2
 
 
+def test_engine_zero_dimensional(monkeypatch):
+    # Z is the vertex of the one singleton, where phi reads the seed: the
+    # bracket is closed before any query, and the engine is never called
+    built = _dense_lovasz_spy(monkeypatch)
+    fed = _engine_spy(monkeypatch)
+    f = make_family(ExplicitTable((0, 5)))
+    res = solve_dual(f, Direction((2,)))
+    assert res.lambda_star == Fraction(5, 2)
+    assert res.tight_set == SubsetMask.full(1)
+    assert res.trace == dualcut.CutEngineState(2.5, 2.5, 0.0, 0, True)
+    assert res.trace.best_value == res.trace.lower_bound == 2.5
+    assert res.newton_iterations == 0 and res.sfm_calls == 1
+    # the singleton and E, the same set, then Newton's confirm read and its
+    # result check: the best set is not read a third time
+    assert res.oracle_calls == 4
+    assert built == [] and fed == []
+
+
 def test_solve_dual_single_element(monkeypatch):
     # exit 4: at n = 1 the reduced domain is the one singleton's vertex, so
     # solve_dual decides lambda* = u with no float state and no engine call
@@ -638,15 +656,6 @@ def test_solve_dual_single_element(monkeypatch):
     res = solve_dual(f, Direction((3,)))
     assert res.lambda_star == Fraction(7, 3)
     assert res.engine_iterations == 0
-    f = make_family(ExplicitTable((0, 5)))
-    res = solve_dual(f, Direction((2,)))
-    assert res.lambda_star == Fraction(5, 2)
-    assert res.tight_set == SubsetMask.full(1)
-    assert res.trace == dualcut.CutEngineState(2.5, 2.5, 0.0, 0, True)
-    assert res.newton_iterations == 0 and res.sfm_calls == 1
-    # the singleton and E, the same set, then Newton's confirm read and its
-    # result check: the best set is not read a third time
-    assert res.oracle_calls == 4
     # an entry past float64 range takes exit 3 before n = 1 is asked, so
     # Newton's exact start 2^1100 is never turned into a float: the trace
     # is a stalled 0-cut state holding inf
