@@ -9,9 +9,12 @@ program for a solve: the exact slice, its float geometry, the float
 extension and the best vertex seen so far.  The box and the hyperplane are
 log-barrier rows, so every query is an objective cut, and each query is the
 analytic center of the localizer in epigraph form, found by a few Newton
-steps from the previous center.  A convex combination of the cuts,
-weighted by the centering duals and minimized exactly over the domain,
-certifies a lower bound on lambda*.
+steps.  Each centering restarts from the previous center moved along
+-H^-1 a of the new cut a (H the previous center's Newton matrix), as in
+Goffin and Vial's ACCPM: far enough that the cut clears it by half a Dikin
+width, but at most 4/5 of the way to any other row (`_RESTART`).  A convex
+combination of the cuts, weighted by the centering duals and minimized
+exactly over the domain, certifies a lower bound on lambda*.
 
 Every query sorts its point into a greedy chain S_1 < ... < S_n, and each
 S_k with d(S_k) > 0 gives an exact ratio f(S_k)/d(S_k) >= lambda*: the
@@ -200,6 +203,15 @@ class CutEngineState:
     extension reads it is that set's vertex 1_S/d(S).  The problem's seed is
     the singleton bound u, so best_value never exceeds float(u).
 
+    lower_bound is the engine's float bound on lambda*, capped at
+    best_value.  The float bound can overshoot lambda* by its rounding: the
+    first cut of IntervalGeometric(5) with d = (8, -9, -5, 0, 0) bounds
+    0.5000000000034 against lambda* = best_value = 0.5.  So the cap keeps
+    the bracket [lower_bound, best_value] nonempty, and where best_value
+    reads lambda* the bracket holds it; elsewhere lower_bound may still sit
+    above lambda* by that rounding.  certified_gap is best_value minus the
+    uncapped bound, clamped at 0.
+
     Every `solve_dual` trace is one of these, also where the engine never
     runs.  A ratio 0 among the singletons, E or z_init's chain is a
     converged 0-cut state with best_value = lower_bound = 0; at n = 1 it is
@@ -272,6 +284,7 @@ def _box_min(c: np.ndarray, hi: np.ndarray, a) -> float:
 _NEWTON_CAP = 100
 _CENTER_TOL = 0.25  # Newton decrement lambda^2 at which a center is accepted
 _SHIFT = 0.5        # a shifted row clears the center by this many Dikin widths
+_RESTART = 0.8      # a restart goes at most this share of the way to a row
 
 
 def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
@@ -369,17 +382,29 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
     Epigraph form over y = (z, t): the box and the hyperplane are barrier
     rows, one row t <= best holds the best value found, and every query z_j
     adds the cut g_j.z - t <= g_j.z_j - phi_j.  The next query is the z part
-    of the localizer's analytic center.  The lower bound weights the cuts by
+    of the localizer's analytic center, inside Z, since `_center` returns a
+    center only with every slack positive, the box and hyperplane rows
+    included (those are never shifted).  The lower bound weights the cuts by
     their centering duals, a convex combination of minorants of phi, and
     minimizes it over Z exactly (`_cut_bound`); any nonnegative weights
     give a valid bound, so inexact centering can only weaken it.
 
-    Each centering starts from the previous center.  A row that center
-    violates or nearly touches (the new cut, the t row after best improved)
-    enters shifted outward to clear it by half a Dikin width: a shifted row
-    is a weaker but still valid row, so every Newton start is strictly
-    feasible and close to the new center, and the row returns toward its
-    true place at later centers.
+    Each centering restarts from the previous center y, with H its Newton
+    matrix.  A new cut a cuts y off by a median of about ten Dikin widths
+    sqrt(a H^-1 a), so y first moves along u = -H^-1 a / sqrt(a H^-1 a),
+    the direction that lowers a.y fastest within the Dikin ellipsoid of y,
+    by alpha = min(violation / width + _SHIFT, _RESTART t_max): until the
+    cut clears it by half a width, or 4/5 of t_max, the largest step that
+    keeps every other row's slack positive, if that comes first.  So every
+    other row keeps at least a fifth of its slack, and its barrier term
+    rises by at most ln 5 per unit weight: the start stays well inside the
+    old rows, since a start against one makes the first Newton steps short.
+    Then a row the start violates or nearly touches (the new cut, the t row
+    after best improved) enters shifted outward to clear it by half a Dikin
+    width: a shifted row is a weaker but still valid row, so every Newton
+    start is strictly feasible, up to rounding, and close to the new center,
+    and the row returns toward its true place at later centers.  One solve
+    with H gives both u and the shifted rows' widths.
 
     phi is divided by max(1, |phi(z_init)|) inside.  The exits, in order:
     - converged with 0 cuts when the bound of z_init's own cut closes the
@@ -406,7 +431,7 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
     lb = max(0.0, _cut_bound(row0, rhs0, hi, a))
 
     def state() -> CutEngineState:
-        return CutEngineState(best * scale, lb * scale,
+        return CutEngineState(best * scale, min(lb, best) * scale,
                               max(0.0, best - lb) * scale, it, converged,
                               stalled, newton)
 
@@ -439,25 +464,40 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
         A[k], b_true[k], b[k] = row, rhs, math.inf
         k += 1
 
-    def shift(y, H):
-        # a row the center y does not clear by _SHIFT Dikin widths
-        # sqrt(a H^-1 a) (widths 1 before the first center) moves out to do
-        # so, never inside its true place and never further out than before,
-        # so y stays strictly feasible and Newton starts near the new center
+    def shift(rows, y, width):
+        # a row y does not clear by _SHIFT Dikin widths moves out to do so,
+        # never inside its true place and never further out than before, so
+        # y stays strictly feasible and Newton starts near the new center
+        b[rows] = np.minimum(b[rows], np.maximum(b_true[rows],
+                                                 A[rows] @ y + _SHIFT * width))
+
+    def restart(y, s, H):
+        # the rows off their true place, the new cut a last (its b is inf),
+        # and their Dikin widths at the center y with slacks s, from one
+        # solve; y then moves along u = -H^-1 a / width (see the docstring)
         rows = np.flatnonzero(b[:k] > b_true[:k])
         Ar = A[rows]
-        width = 1.0 if H is None else np.sqrt(
-            np.einsum("ij,ji->i", Ar, np.linalg.solve(H, Ar.T)))
-        b[rows] = np.minimum(b[rows],
-                             np.maximum(b_true[rows], Ar @ y + _SHIFT * width))
+        hinv = np.linalg.solve(H, Ar.T)
+        width = np.sqrt(np.einsum("ij,ji->i", Ar, hinv))
+        u = hinv[:, -1] / -width[-1]
+        Au = A[:k - 1] @ u
+        ahead = Au > 0.0
+        reach = float((s[ahead] / Au[ahead]).min()) if ahead.any() else math.inf
+        violation = float(Ar[-1] @ y) - b_true[k - 1]
+        step = min(violation / width[-1] + _SHIFT, _RESTART * reach)
+        if step > 0.0:
+            y = y + step * u
+        shift(rows, y, width)
+        return y
 
     add_cut(row0, rhs0)
-    # z_init is strictly inside Z; the first cut and the t row start
-    # shifted to clear (z_init, best)
+    # z_init is strictly inside Z; the t row and the first cut start
+    # shifted to clear (z_init, best), by _SHIFT of a width 1 before any
+    # center has a Newton matrix
     y = np.append(z0, best)
     b[t_row] = math.inf
     omega = np.ones(len(b))
-    shift(y, None)
+    shift(np.array([t_row, k - 1]), y, 1.0)
     window = 4 * (m + 1) + 20
     mark_best, mark_lb, mark_it = best, lb, 0
     while best - lb > tgt:
@@ -479,7 +519,7 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
                                 hi, a))
         if best - lb <= tgt:
             break
-        z = np.clip(y[:m], 0.0, hi)
+        z = y[:m]
         v, g = prob(z)
         v = float(v)
         it += 1
@@ -488,7 +528,7 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
             b_true[t_row] = best
         tgt = prob.tight_gap() / scale
         add_cut(*_cut_row(z, v, g, scale))
-        shift(y, H)
+        y = restart(y, s, H)
         prog = 1e-13 * max(1.0, abs(best))
         if best < mark_best - prog or lb > mark_lb + prog:
             mark_best, mark_lb, mark_it = best, lb, it

@@ -357,6 +357,54 @@ def test_converged_engine_brackets_lambda_star(monkeypatch):
     assert converged >= 30
 
 
+def test_reported_bracket_is_never_empty():
+    # the float bound of the first cut reads 0.5000000000034 against
+    # lambda* = best_value = 0.5 here; the state caps it at best_value
+    f = make_family(IntervalGeometric(5))
+    res = solve_dual(f, Direction((8, -9, -5, 0, 0)))
+    state = res.trace
+    assert res.lambda_star == Fraction(1, 2)
+    assert state.converged and state.iterations == 0
+    assert state.lower_bound <= state.best_value == 0.5
+    for inst in iter_instances(10, seed=6060, n_max=10, n_min=2):
+        state = solve_dual(*inst.build()).trace
+        assert state.lower_bound <= state.best_value
+
+
+def test_restart_starts_inside_and_never_deepens_the_cut(monkeypatch):
+    # after each cut the engine moves the last center along -H^-1 a of the
+    # new cut a before it centers again: every start _center is given is
+    # strictly inside its rows, and a.y at the start is no larger than at
+    # the last center, so the new cut is violated there no more than at
+    # the center
+    calls = []
+    center = dualcut._center
+
+    def center_spy(A, b, omega, y):
+        out = center(A, b, omega, y)
+        calls.append((A.copy(), b.copy(), y.copy(),
+                      None if out is None else out[0]))
+        return out
+
+    monkeypatch.setattr(dualcut, "_center", center_spy)
+    restarts = moved = 0
+    for inst in iter_instances(40, seed=5500, n_max=10, n_min=2):
+        f, d = inst.build()
+        if not _engine_input(f, d):
+            continue
+        calls.clear()
+        _trailed_engine(f, d)
+        for A, b, y, _ in calls:
+            assert (b - A @ y).min() > 0.0
+        for (_, _, _, last), (A, _, y, _) in zip(calls, calls[1:]):
+            a = A[-1]
+            before, after = float(a @ last), float(a @ y)
+            assert after <= before + 1e-12 * max(1.0, abs(before))
+            restarts += 1
+            moved += after < before
+    assert restarts >= 100 and moved >= restarts // 2
+
+
 def test_resolution_exit_stalls_without_cuts(monkeypatch):
     # exit 3: the half-ladder target is at or below the float resolution,
     # so solve_dual calls no engine and reports a stalled 0-cut trace
