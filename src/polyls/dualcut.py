@@ -3,7 +3,7 @@
 The line search over the polymatroid is dual to minimizing the Lovász
 extension over the slice {x >= 0, d.x = 1}.  Eliminating one positive pivot
 coordinate gives an (n-1)-dimensional convex program over
-{0 <= z <= hi, d_rest.z <= 1}, which an analytic-center cutting-plane method
+{0 <= z <= 1, d_rest.z <= 1}, which an analytic-center cutting-plane method
 (ACCPM) solves approximately in floats.  One `ReducedProblem` holds that
 program for a solve: the exact slice, its float geometry, the float
 extension and the best vertex seen so far.  The box and the hyperplane are
@@ -71,14 +71,12 @@ class ReducedProblem:
     Exact data: the pivot (the first largest d_e, so d_pivot > 0), d_rest
     and m_bound the oracle's bound M on every |f(S)|.  Float data, each
     array built once: rest_idx (the kept coordinates), d_row (d_rest as
-    floats, the hyperplane row d_rest.z <= 1), d_ratio = d_row/d_pivot, and
-    hi, the upper corner of the search box 0 <= z <= hi.
+    floats, the hyperplane row d_rest.z <= 1, the zero row when d_rest = 0)
+    and d_ratio = d_row/d_pivot.
 
-    hi_i = 1, or hi_i = 1/d_i when no entry of d is negative (hi_i = 1 where
-    d_i = 0).  The box holds every vertex 1_S/d(S) of the slice
-    {x >= 0, d.x = 1}: d(S) is a positive integer, so each coordinate
-    1/d(S) is <= 1, and 1/d(S) <= 1/d_i when no entry of d is negative,
-    since then d(S) >= d_i for every i in S.  The extension reads
+    The search box is the unit box 0 <= z <= 1.  It holds every vertex
+    1_S/d(S) of the slice {x >= 0, d.x = 1}: d(S) is a positive integer, so
+    each coordinate 1/d(S) is <= 1.  The extension reads
     f(S)/d(S) at such a vertex, and it reads at least the best ratio of its
     greedy chain anywhere on the slice (f >= 0), so its minimum over the
     domain is exactly lambda*.
@@ -119,9 +117,6 @@ class ReducedProblem:
         self.d_row = np.array(self.d_rest, dtype=np.float64)
         self.dp = float(self.d_pivot)
         self.d_ratio = self.d_row / self.dp
-        all_nonneg = all(v >= 0 for v in self.d_rest)
-        self.hi = np.array([1.0 / di if all_nonneg and di > 0 else 1.0
-                            for di in self.d_rest])
         self.dsums = d.float_sums
         self.best = float(best)
         self.best_mask = best_mask
@@ -209,8 +204,8 @@ class CutEngineState:
     0.5000000000034 against lambda* = best_value = 0.5.  So the cap keeps
     the bracket [lower_bound, best_value] nonempty, and where best_value
     reads lambda* the bracket holds it; elsewhere lower_bound may still sit
-    above lambda* by that rounding.  certified_gap is best_value minus the
-    uncapped bound, clamped at 0.
+    above lambda* by that rounding.  certified_gap is the bracket's width,
+    best_value - lower_bound.
 
     Every `solve_dual` trace is one of these, also where the engine never
     runs.  A ratio 0 among the singletons, E or z_init's chain is a
@@ -227,11 +222,14 @@ class CutEngineState:
 
     best_value: float
     lower_bound: float
-    certified_gap: float
     iterations: int
     converged: bool
     stalled: bool = False
     newton_steps: int = 0
+
+    @property
+    def certified_gap(self) -> float:
+        return self.best_value - self.lower_bound
 
     @property
     def feasibility_cuts(self) -> int:
@@ -260,25 +258,24 @@ def float_resolution(n: int, m_bound) -> float:
         return math.inf
 
 
-def _box_min(c: np.ndarray, hi: np.ndarray, a) -> float:
-    """min c.z over {0 <= z <= hi, a.z <= 1}; a is None for the box alone.
+def _box_min(c: np.ndarray, a: np.ndarray) -> float:
+    """min c.z over {0 <= z <= 1, a.z <= 1}.
 
     The Lagrangian dual in the hyperplane's multiplier mu >= 0 is
-    q(mu) = -mu + sum_i min(0, c_i + mu a_i) hi_i: concave, piecewise
-    linear, with kinks at mu = -c_i/a_i.  Its maximum over mu >= 0 lies at
-    0 or at a positive kink and equals the LP minimum.  Each q(mu) is a
-    lower bound by weak duality, so a rounded kink only loosens the bound.
-    O(m^2): every kink is evaluated in one array expression.
+    q(mu) = -mu + sum_i min(0, c_i + mu a_i): concave, piecewise linear,
+    with kinks at mu = -c_i/a_i.  Its maximum over mu >= 0 lies at 0 or at
+    a positive kink and equals the LP minimum; a zero row a has no kink and
+    leaves the box alone.  Each q(mu) is a lower bound by weak duality, so
+    a rounded kink only loosens the bound.  O(m^2): every kink is evaluated
+    in one array expression.
     """
-    if a is None:
-        return float((np.minimum(c, 0.0) * hi).sum())
     # mu = 0 and one entry per a_i: its kink, or 0 again where a_i = 0 or
     # the kink is negative
     mu = np.zeros(len(c) + 1)
     np.divide(-c, a, out=mu[1:], where=a != 0)
     np.maximum(mu, 0.0, out=mu)
     coef = c + mu[:, None] * a
-    return float(((np.minimum(coef, 0.0) * hi).sum(axis=1) - mu).max())
+    return float((np.minimum(coef, 0.0).sum(axis=1) - mu).max())
 
 
 _NEWTON_CAP = 100
@@ -338,22 +335,20 @@ def _center(A: np.ndarray, b: np.ndarray, omega: np.ndarray, y: np.ndarray):
 
 def _cut_row(z: np.ndarray, v: float, g: np.ndarray, scale: float):
     """The cut g.z' - t <= g.z - v of a query at z, with phi divided by
-    scale, as a unit row over y = (z', t): (row, right-hand side)."""
+    scale, as a row over y = (z', t): (row, right-hand side).  The row is
+    not normalized: a positive row scale moves no analytic center, Newton
+    decrement, Dikin-width shift or bound."""
     g = g / scale
-    nrm = math.sqrt(float(g @ g) + 1.0)
-    row = np.empty(len(g) + 1)
-    row[:-1] = g / nrm
-    row[-1] = -1.0 / nrm
-    return row, (float(g @ z) - v / scale) / nrm
+    return np.append(g, -1.0), float(g @ z) - v / scale
 
 
-def _cut_bound(wA: np.ndarray, wb: float, hi: np.ndarray, a) -> float:
+def _cut_bound(wA: np.ndarray, wb: float, a: np.ndarray) -> float:
     """Lower bound on phi from cut rows weighted by w >= 0, given as their
     sums wA = w.A and wb = w.b: with W = -wA_t > 0 they say
     t >= (wA_z.z - wb) / W, a convex combination of the cuts' minorants of
     phi, minimized over Z exactly by `_box_min`."""
     W = -float(wA[-1])
-    return _box_min(wA[:-1] / W, hi, a) - wb / W
+    return _box_min(wA[:-1] / W, a) - wb / W
 
 
 def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
@@ -371,7 +366,7 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
     (`float_resolution`) below eps/2, so every target the rule sets can be
     certified.  The engine makes no decision before its first query.
 
-    The domain is Z = {0 <= z <= prob.hi, d_rest.z <= 1}; its minimum is
+    The domain is Z = {0 <= z <= 1, d_rest.z <= 1}; its minimum is
     lambda*, so the engine brackets lambda* between its lower bound lb,
     which starts at 0 (f >= 0), and best, the best vertex ratio
     `prob.best` (`prob.best_mask` names its set): the problem's seed, the
@@ -411,47 +406,42 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
       bracket.  The cut budget is read, and the cut matrix (cap + 2m + 3
       rows at most, of m + 1 entries) and the barrier rows are allocated,
       only past this exit;
-    - converged once best - lb is at most the target; stalled when neither
-      best nor lb moves for a window of cuts or a centering fails (callers
-      restore exactness by rounding); past `prob.cut_cap` cuts, of order
-      m ln(kappa), it raises IterationCapExceeded carrying the state.
+    - converged once best - lb is at most the target; stalled when a
+      centering fails (callers restore exactness by rounding); past
+      `prob.cut_cap` cuts, of order m ln(kappa), it raises
+      IterationCapExceeded carrying the state.
     """
     m = prob.omega_dim
     it = newton = 0
     converged = stalled = False
-    hi = prob.hi
-    # the hyperplane row d_rest.z <= 1 binds only where d_rest is nonzero
-    a = prob.d_row if any(prob.d_rest) else None
+    a = prob.d_row
     z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
     v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
     best = prob.best / scale
     tgt = prob.tight_gap() / scale  # the best set's half gap, in units of phi
     row0, rhs0 = _cut_row(z0, float(v0), g0, scale)
-    lb = max(0.0, _cut_bound(row0, rhs0, hi, a))
+    lb = max(0.0, _cut_bound(row0, rhs0, a))
 
     def state() -> CutEngineState:
-        return CutEngineState(best * scale, min(lb, best) * scale,
-                              max(0.0, best - lb) * scale, it, converged,
-                              stalled, newton)
+        return CutEngineState(best * scale, min(lb, best) * scale, it,
+                              converged, stalled, newton)
 
     if best - lb <= tgt:
         converged = True
         return state()
 
-    # rows of A y <= b over y = (z, t), each scaled to unit norm: -z_i <= 0,
-    # z_i <= u_i, then a.z <= 1, then t <= best, then one row per cut
+    # rows of A y <= b over y = (z, t): -z_i <= 0, z_i <= 1, then a.z <= 1
+    # (0.z <= 1 when d_rest = 0), then t <= best, then one row per cut
     cap = prob.cut_cap
-    n_fixed = 2 * m + (a is not None) + 1
+    n_fixed = 2 * m + 2
     A = np.zeros((n_fixed + cap + 1, m + 1))
     b = np.zeros(n_fixed + cap + 1)
     A[0:m, :m] = -np.eye(m)
     A[m:2 * m, :m] = np.eye(m)
-    b[m:2 * m] = hi
-    if a is not None:
-        na = float(np.linalg.norm(a))
-        A[2 * m, :m] = a / na
-        b[2 * m] = 1.0 / na
+    b[m:2 * m] = 1.0
+    A[2 * m, :m] = a
+    b[2 * m] = 1.0
     t_row = n_fixed - 1
     A[t_row, m] = 1.0
     b[t_row] = best
@@ -492,14 +482,13 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
 
     add_cut(row0, rhs0)
     # z_init is strictly inside Z; the t row and the first cut start
-    # shifted to clear (z_init, best), by _SHIFT of a width 1 before any
-    # center has a Newton matrix
+    # shifted to clear (z_init, best) by _SHIFT of their row length, before
+    # any center has a Newton matrix to measure a width
     y = np.append(z0, best)
     b[t_row] = math.inf
     omega = np.ones(len(b))
-    shift(np.array([t_row, k - 1]), y, 1.0)
-    window = 4 * (m + 1) + 20
-    mark_best, mark_lb, mark_it = best, lb, 0
+    first = np.array([t_row, k - 1])
+    shift(first, y, np.linalg.norm(A[first], axis=1))
     while best - lb > tgt:
         if it >= cap:
             raise IterationCapExceeded(f"cutting-plane cap {cap} hit", state())
@@ -516,7 +505,7 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
         newton += steps
         w = 1.0 / s[n_fixed:]
         lb = max(lb, _cut_bound(w @ A[n_fixed:k], float(w @ b_true[n_fixed:k]),
-                                hi, a))
+                                a))
         if best - lb <= tgt:
             break
         z = y[:m]
@@ -529,12 +518,6 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
         tgt = prob.tight_gap() / scale
         add_cut(*_cut_row(z, v, g, scale))
         y = restart(y, s, H)
-        prog = 1e-13 * max(1.0, abs(best))
-        if best < mark_best - prog or lb > mark_lb + prog:
-            mark_best, mark_lb, mark_it = best, lb, it
-        elif it - mark_it > window:
-            stalled = True
-            break
     converged = best - lb <= tgt
     return state()
 
@@ -634,17 +617,17 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     lam0, cuts = _chain_bound(f, d, u), 0
     if lam0 == 0:
         # f >= 0, so lambda* >= 0: a ratio 0 is lambda*
-        state = CutEngineState(0.0, 0.0, 0.0, 0, True)
+        state = CutEngineState(0.0, 0.0, 0, True)
     elif float_resolution(d.n, f.m_bound) >= float(ladder_spacing(d) / 2):
         try:
             top = float(lam0)
         except OverflowError:  # a start past float64 range
             top = math.inf
-        state = CutEngineState(top, 0.0, top, 0, False, stalled=True)
+        state = CutEngineState(top, 0.0, 0, False, stalled=True)
     elif d.n == 1:
         # the reduced domain is the one singleton's vertex: lam0 = u is
         # lambda*, in float range past exit 3
-        state = CutEngineState(float(lam0), float(lam0), 0.0, 0, True)
+        state = CutEngineState(float(lam0), float(lam0), 0, True)
     else:
         prob = ReducedProblem(f, d, u, u_mask)
         try:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyls import cli
+from polyls import cli, errors
 from polyls.cli import CSV_HEADER, main
 from polyls.instances import (FAMILIES, Instance, format_fraction,
                               instance_to_json, random_instance)
@@ -252,6 +253,46 @@ def test_coverage_shape_is_input_error(tmp_path, capsys, sets, weights):
     assert "lambda_star" not in out
 
 
+FAMILY_REJECTIONS = {
+    "coverage-negative-weight": (
+        {"family": "coverage", "n": 2, "universe": 2, "sets": [[0], [1]],
+         "weights": [1, -1]}, [1, 1],
+        "NegativeValue: coverage weights must be nonnegative"),
+    "coverage-element-out-of-range": (
+        {"family": "coverage", "n": 2, "universe": 2, "sets": [[0], [2]],
+         "weights": [1, 1]}, [1, 1],
+        "ValueError: universe element 2 out of range"),
+    "digraph-negative-capacity": (
+        {"family": "digraph-cut", "n": 2, "arcs": [[0, 1, -1]]}, [1, 1],
+        "NegativeValue: arc capacity -1 < 0"),
+    "digraph-self-loop": (
+        {"family": "digraph-cut", "n": 2, "arcs": [[1, 1, 1]]}, [1, 1],
+        "ValueError: bad arc (1, 1)"),
+    "digraph-arc-out-of-range": (
+        {"family": "digraph-cut", "n": 2, "arcs": [[0, 2, 1]]}, [1, 1],
+        "ValueError: bad arc (0, 2)"),
+    "concave-modular-short-sequence": (
+        {"family": "concave-modular", "concave": [0, 2], "modular": [0, 0]},
+        [1, 1], "ValueError: concave sequence needs n+1 = 3 entries"),
+    "interval-geometric-empty": (
+        {"family": "interval-geometric", "n": 0}, [],
+        "ValueError: interval family needs n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_REJECTIONS))
+def test_family_rejection_is_input_error(tmp_path, capsys, case):
+    function, direction, message = FAMILY_REJECTIONS[case]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": function.get("n", 2),
+                                "function": function,
+                                "direction": direction}))
+    code, out, err = run(capsys, "solve", "--instance", str(path))
+    assert code == 1
+    assert err == f"input error: {message}\n"
+    assert "lambda_star" not in out
+
+
 X0_OUTSIDE = {
     "outside-full-set": {"direction": [3, 4], "x0": [5, 5]},
     "outside-singleton": {"direction": [3, -4], "x0": [0, 5]},
@@ -403,6 +444,43 @@ def test_verify_instance(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--instance", path)
     assert code == 0
     assert "1/1 agree" in out
+
+
+def test_verify_reports_a_mismatch(capsys, monkeypatch):
+    # the second instance's dual answer is off by one: verify names it,
+    # prints it back as a reproduction instance and exits 3
+    solve_dual = cli.solve_dual
+    calls = []
+
+    def wrong_second(f, d):
+        res = solve_dual(f, d)
+        calls.append(res)
+        if len(calls) == 2:
+            res = dataclasses.replace(res, lambda_star=res.lambda_star + 1)
+        return res
+
+    monkeypatch.setattr(cli, "solve_dual", wrong_second)
+    code, out, _ = run(capsys, "verify", "--random", "coverage", "4", "3", "5")
+    assert code == 3 and len(calls) == 3
+    right = format_fraction(calls[1].lambda_star)
+    wrong = format_fraction(calls[1].lambda_star + 1)
+    want = {"newton": right, "dualcut": wrong, "bruteforce": right}
+    assert out == (f"MISMATCH coverage-n4-s6: {want}\n"
+                   "reproduction instance:\n"
+                   + instance_to_json(random_instance("coverage", 4, 6))
+                   + "2/3 agree\n")
+
+
+def test_verify_reports_a_solver_error(tmp_path, capsys, monkeypatch):
+    def fail(f, d):
+        raise errors.InvariantViolation("no tight set")
+
+    monkeypatch.setattr(cli, "solve_dual", fail)
+    path = write_two_elem(tmp_path, [3, 4])
+    code, out, err = run(capsys, "verify", "--instance", path)
+    assert code == 2
+    assert err == "solver error: InvariantViolation: no tight set\n"
+    assert out == ""
 
 
 def test_verify_needs_exactly_one_source(capsys):

@@ -13,7 +13,7 @@ from polyls import (DenseLovasz, Direction, ReducedProblem,
                     solve_dual_base, verify_lifting)
 from polyls.dualcut import _box_min, float_resolution, perturb
 from polyls.errors import InfeasibleBaseLineSearch, IterationCapExceeded
-from polyls.instances import random_instance
+from polyls.instances import Instance, generate, random_instance
 from polyls.newton import (_singleton_bound, discrete_newton, ladder_spacing,
                            minimizers_minus_modular, upper_bound)
 from polyls.oracles import (ConcaveCardinalityPlusModular, ExplicitTable,
@@ -87,9 +87,8 @@ def test_chain_candidates_are_vertices_below_their_query():
         f, d = inst.build()
         prob = ReducedProblem(f, d, *_singleton_bound(f, d))
         star = bruteforce_linesearch(f, d).lambda_star
-        hi = prob.hi
         for _ in range(6):
-            z = rng.uniform(0.0, 1.0, size=prob.omega_dim) * hi
+            z = rng.uniform(0.0, 1.0, size=prob.omega_dim)
             scale = float(np.dot(prob.d_rest, z))
             if scale > 1:
                 z /= scale * 1.01
@@ -113,7 +112,7 @@ def test_chain_candidates_are_vertices_below_their_query():
             assert evaluate(f, x) == exact
             want = x[:prob.pivot] + x[prob.pivot + 1:]
             vertex = np.array([float(v) for v in want])
-            assert ((0 <= vertex) & (vertex <= hi)).all()
+            assert ((0 <= vertex) & (vertex <= 1)).all()
             assert sum(di * vi for di, vi in zip(prob.d_rest, want)) <= 1
     assert offered >= 20
 
@@ -289,6 +288,42 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
     mask = prob.best_mask
     assert math.isclose(state.best_value,
                         two_elem.eval(mask) / d34.of(mask), rel_tol=1e-12)
+
+
+def test_solve_dual_rounds_a_capped_engine(monkeypatch):
+    # solve_dual catches IterationCapExceeded and rounds on the capped
+    # state's best set: the answer stays exact, only the trace shows the cap
+    f, d = generate("concave-modular", 8, 2).build()
+    assert solve_dual(f, d).engine_iterations > 2
+    monkeypatch.setattr(ReducedProblem, "cut_cap", 2)
+    res = solve_dual(f, d)
+    cold = discrete_newton(f, d)
+    assert res.lambda_star == bruteforce_linesearch(f, d).lambda_star
+    assert res.tight_set == cold.tight_set
+    assert res.dual_optimum == cold.dual_optimum
+    assert sum(di * xi for di, xi in zip(d.d, res.dual_optimum)) == 1
+    assert evaluate(f, res.dual_optimum) == res.lambda_star
+    assert res.engine_iterations == res.trace.iterations == 2
+    assert not res.trace.converged and not res.trace.stalled
+
+
+def test_engine_on_zero_and_nonnegative_rest():
+    # d_rest = 0, where the hyperplane row is the zero row 0.z <= 1, and a
+    # nonnegative d_rest with entries above 1, whose vertices 1_S/d(S) all
+    # lie well inside the unit box: both cut, converge and solve exactly
+    for seed, direction, star in (
+            (4, (0, 0, 0, 0, 5, 0, 0, 0), Fraction(3)),
+            (5, (5, 6, 9, 1, 8, 4, 1, 3), Fraction(27, 29))):
+        spec = generate("concave-modular", 8, seed).spec
+        f, d = Instance(n=8, spec=spec, direction=direction).build()
+        prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+        assert min(prob.d_rest) >= 0
+        assert max(prob.d_rest) == 0 or max(prob.d_rest) > 1
+        assert bruteforce_linesearch(f, d).lambda_star == star
+        res = solve_dual(f, d)
+        assert res.lambda_star == star
+        assert res.engine_iterations > 0 and res.trace.converged
+        assert evaluate(f, res.dual_optimum) == star
 
 
 def test_engine_certifies_against_bruteforce_dual(monkeypatch):
@@ -473,8 +508,9 @@ def test_entries_past_float_range_skip_the_engine(monkeypatch):
     assert res.lambda_star == Fraction(big, 3)
     assert res.tight_set == SubsetMask.full(2)
     assert res.engine_iterations == 0 and res.newton_iterations == 0
-    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, math.inf, 0,
-                                               False, stalled=True)
+    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, 0, False,
+                                               stalled=True)
+    assert res.trace.certified_gap == math.inf
     base = solve_dual_base(f, d)
     assert base.lambda_star == Fraction(big, 3) and base.engine_iterations == 0
     # a direction past float range has no float subset sums either: its
@@ -593,34 +629,31 @@ def test_unit_box_holds_every_vertex():
     for inst in iter_instances(6, seed=808, n_max=8, n_min=2):
         f, d = inst.build()
         prob = ReducedProblem(f, d, *_singleton_bound(f, d))
-        hi = prob.hi
         for mask in range(1, 1 << f.n):
             if d.of(mask) <= 0:
                 continue
             x = [Fraction(1, d.of(mask)) if mask >> i & 1 else Fraction(0)
                  for i in range(f.n)]
             z = x[:prob.pivot] + x[prob.pivot + 1:]
-            assert all(0 <= zi <= ui * (1 + 1e-12) for zi, ui in zip(z, hi))
+            assert all(0 <= zi <= 1 for zi in z)
             assert sum(di * zi for di, zi in zip(prob.d_rest, z)) <= 1
 
 
-def _lp_min_by_vertices(c, hi, a):
-    """min c.z over {0 <= z <= hi, a.z <= 1} by enumerating its vertices:
+def _lp_min_by_vertices(c, a):
+    """min c.z over {0 <= z <= 1, a.z <= 1} by enumerating its vertices:
     every coordinate at a bound, or all but one at a bound and a.z = 1."""
     m = len(c)
     best = math.inf
     for corner in itertools.product((0, 1), repeat=m):
-        z = np.where(np.array(corner) == 1, hi, 0.0)
-        if a is None or a @ z <= 1 + 1e-12:
+        z = np.array(corner, dtype=float)
+        if a @ z <= 1 + 1e-12:
             best = min(best, float(c @ z))
-        if a is None:
-            continue
         for i in range(m):
             if a[i] == 0:
                 continue
             rest = a @ z - a[i] * z[i]
             zi = (1 - rest) / a[i]
-            if -1e-12 <= zi <= hi[i] + 1e-12:
+            if -1e-12 <= zi <= 1 + 1e-12:
                 w = z.copy()
                 w[i] = zi
                 best = min(best, float(c @ w))
@@ -629,6 +662,7 @@ def _lp_min_by_vertices(c, hi, a):
 
 def test_box_bound_matches_vertex_enumeration():
     rng = np.random.default_rng(404)
+    zero_rows = 0
     for trial in range(300):
         m = 1 + trial % 6
         c = rng.normal(size=m) * rng.choice([1.0, 1e-3, 1e3])
@@ -636,14 +670,12 @@ def test_box_bound_matches_vertex_enumeration():
             c = rng.integers(-2, 3, size=m).astype(float)  # ties and zeros
         a = rng.integers(-9, 10, size=m).astype(float)
         if trial % 5 == 0:
-            hi, a = np.ones(m) * 1.5, None
-        else:
-            hi = np.where(a > 0, 1 / np.maximum(a, 1), 1.0) if trial % 2 else np.ones(m)
-            if not a.any():
-                a = None
-        want = _lp_min_by_vertices(c, hi, a)
-        got = _box_min(c, hi, a)
+            a = np.zeros(m)  # d_rest = 0: the hyperplane row 0.z <= 1
+        zero_rows += not a.any()
+        want = _lp_min_by_vertices(c, a)
+        got = _box_min(c, a)
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+    assert zero_rows >= 60
 
 
 def test_perturb(two_elem):
@@ -686,7 +718,8 @@ def test_engine_zero_dimensional(monkeypatch):
     res = solve_dual(f, Direction((2,)))
     assert res.lambda_star == Fraction(5, 2)
     assert res.tight_set == SubsetMask.full(1)
-    assert res.trace == dualcut.CutEngineState(2.5, 2.5, 0.0, 0, True)
+    assert res.trace == dualcut.CutEngineState(2.5, 2.5, 0, True)
+    assert res.trace.certified_gap == 0.0
     assert res.trace.best_value == res.trace.lower_bound == 2.5
     assert res.newton_iterations == 0 and res.sfm_calls == 1
     # the singleton and E, the same set, then Newton's confirm read and its
@@ -711,8 +744,9 @@ def test_solve_dual_single_element(monkeypatch):
     f = make_family(ExplicitTable((0, big)))
     res = solve_dual(f, Direction((1,)))
     assert res.lambda_star == big and res.tight_set == SubsetMask.full(1)
-    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, math.inf, 0,
-                                               False, stalled=True)
+    assert res.trace == dualcut.CutEngineState(math.inf, 0.0, 0, False,
+                                               stalled=True)
+    assert res.trace.certified_gap == math.inf
     assert res.oracle_calls == 4
     assert built == [] and fed == []
 
@@ -722,7 +756,8 @@ def test_solve_dual_closes_on_the_zero_floor(monkeypatch):
     # closes the bracket before it reads any chain set or calls the engine
     built = _dense_lovasz_spy(monkeypatch)
     fed = _engine_spy(monkeypatch)
-    closed = dualcut.CutEngineState(0.0, 0.0, 0.0, 0, True)
+    closed = dualcut.CutEngineState(0.0, 0.0, 0, True)
+    assert closed.certified_gap == 0.0
     f = make_family(ExplicitTable((0, 0, 2, 2)))
     d = Direction((1, 1))
     res = solve_dual(f, d)

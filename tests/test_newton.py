@@ -243,6 +243,17 @@ def test_binary_search_worked(two_elem, d34, d_mixed):
     assert res.value <= Fraction(3, 7) < res.value + Fraction(1, 98)
 
 
+@pytest.mark.parametrize("lo,hi,eps,message", [
+    (0, Fraction(1, 2), 0, "eps must be positive"),
+    (0, Fraction(1, 2), Fraction(-1, 98), "eps must be positive"),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 98), "empty bracket"),
+], ids=["eps-zero", "eps-negative", "hi-below-lo"])
+def test_binary_search_rejects_bad_arguments(two_elem, d34, lo, hi, eps,
+                                             message):
+    with pytest.raises(ValueError, match=message):
+        binary_search(two_elem, d34, Fraction(lo), hi, eps)
+
+
 def test_binary_search_sandwich_random():
     rng = random.Random(9)
     for inst in iter_instances(4, seed=7001, n_max=9):
