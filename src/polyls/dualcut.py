@@ -31,10 +31,15 @@ lambda* itself.  The engine stops once the bracket is below half the best
 set's gap 1/(D+ d(S)), D+ = max_S d(S): integrality keeps every smaller
 ratio at least that far below f(S)/d(S), so the best ratio is then lambda*.
 That gap is never below the ladder spacing 1/||d||_1^2, so the engine stops
-at the cut a half-ladder target would stop at, or sooner.  Newton starts
-from the best ratio, computed in integers, and exact envelope steps confirm
-it.  Correctness never depends on the float phase - it only buys a warm
-start.
+at the cut a half-ladder target would stop at, or sooner.  It stops sooner
+still when an exact check holds: each time a query, z_init's included,
+improves the best set, one kernel pass at its ratio decides whether it is
+lambda* (`ReducedProblem.check`), at most _CHECK_CAP times per solve.  The
+check only adds an earlier stop to the same iterates, so no solve cuts
+more, and a held check is Newton's confirm.  The seed u itself is not
+checked.  Otherwise Newton starts from the best ratio, computed in
+integers, and exact envelope steps confirm it.  Correctness never depends
+on the float phase - it only buys a warm start.
 """
 
 from __future__ import annotations
@@ -50,13 +55,20 @@ from .errors import (GroundSetTooLarge, InfeasibleBaseLineSearch,
 from .lovasz import DenseLovasz
 from .newton import (LineSearchResult, _result, bruteforce_linesearch,
                      _singleton_bound, discrete_newton, envelope,
-                     ladder_spacing)
+                     ladder_spacing, tight_zero_set)
 from .oracles import Direction, SubmodularOracle, lift, translate
+from .sfm import minimizers_minus_modular
 from .subsets import SubsetMask
 
 # perfbench/tracer.py wraps `evaluate` and `perturb` in this module, so they
 # stay bound here although no solver calls them
 from .lovasz import evaluate  # noqa: F401
+
+
+# exact checks per solve, so SFM calls stay O(1) by construction: the most
+# any solve of the seed-31 `perfbench` item sets makes uncapped (on the
+# held-out seed-1 sets, two `reuse-directions` solves make 5)
+_CHECK_CAP = 4
 
 
 def _pivot(d: Direction) -> int:
@@ -101,6 +113,11 @@ class ReducedProblem:
     the seed singleton or a chain set with d(S) > 0.  Since
     d(B) <= D+ <= ||d||_1 the gap is never below the ladder spacing
     1/||d||_1^2.
+
+    The exact check (`check`) proves best = lambda* without a bound: one
+    kernel pass at f(B)/d(B), of which a solve makes at most _CHECK_CAP
+    (`checks` counts them).  f is kept for it; `tight` holds
+    (lambda*, tight set) once a check holds, and None before.
     """
 
     def __init__(self, f: SubmodularOracle, d: Direction, best: Fraction,
@@ -110,6 +127,7 @@ class ReducedProblem:
         self.d_rest = tuple(v for i, v in enumerate(d.d) if i != pivot)
         self.d_pivot = d.d[pivot]
         self.m_bound = f.m_bound
+        self.f = f
         self.direction = d
         self.lov = DenseLovasz(f)
         self.rest_idx = np.array([i for i in range(d.n) if i != pivot],
@@ -120,6 +138,32 @@ class ReducedProblem:
         self.dsums = d.float_sums
         self.best = float(best)
         self.best_mask = best_mask
+        self.checks = 0
+        self.tight = None
+
+    def check(self) -> bool:
+        """Whether the best ratio f(B)/d(B), B = best_mask, is lambda*: one
+        exact kernel pass (`minimizers_minus_modular`) at lambda = f(B)/d(B).
+        B reads 0 there, so the minimum is at most 0, and it is 0 exactly
+        when lambda d lies in P(f), that is lambda <= lambda*; every vertex
+        ratio is >= lambda*, so then lambda = lambda*.  A held check stores
+        (lambda*, tight set) in `tight`, the tight set `tight_zero_set`
+        picks, so it is Newton's confirm: `solve_dual` makes no second pass
+        at lambda*.  A failed check changes nothing.  Past _CHECK_CAP passes
+        it answers False without one, so a solve makes at most _CHECK_CAP
+        checks; `checks` counts the passes made.
+        """
+        if self.checks == _CHECK_CAP:
+            return False
+        self.checks += 1
+        f, d, mask = self.f, self.direction, self.best_mask
+        lam = Fraction(f.eval(mask), d.of(mask))
+        p, q = lam.numerator, lam.denominator
+        value, _, _, zeros, _ = minimizers_minus_modular(f, q, p, d)
+        if value != 0:
+            return False
+        self.tight = lam, tight_zero_set(f, d, p, q, zeros)
+        return True
 
     def tight_gap(self) -> float:
         """Half the gap 1/(D+ d(B)) of the best set B, as one float.
@@ -188,10 +232,19 @@ def perturb(f: SubmodularOracle, eps) -> DenseLovasz:
 class CutEngineState:
     """Where the engine stopped, with its bracket best_value - lower_bound.
 
-    converged means the bracket closed on the engine's target, half the gap
-    1/(D+ d(B)) of the best set B (`ReducedProblem.tight_gap`), so f(B)/d(B)
-    is lambda*, the other half being slack for the floats, and Newton's
-    exact pass confirms it.
+    The engine's exits, and what each certifies:
+    - converged: the bracket closed on the engine's target, half the gap
+      1/(D+ d(B)) of the best set B (`ReducedProblem.tight_gap`), so
+      f(B)/d(B) is lambda*, the other half being slack for the floats, and
+      Newton's exact pass confirms it.
+    - checked: an exact check (`ReducedProblem.check`) held when a query
+      improved the best set, so f(B)/d(B) is lambda*, proven in integers;
+      that pass is Newton's confirm.  The bracket need not be closed:
+      lower_bound is the float bound the engine had reached.
+    - stalled: a centering failed; nothing is certified beyond the bracket.
+    - capped (neither of the three, carried by IterationCapExceeded): the
+      cut budget ran out; nothing is certified beyond the bracket.
+    checks counts the exact checks made, held or not, at most _CHECK_CAP.
 
     best_value is the best vertex ratio the engine took from its
     `ReducedProblem`, whose `best_mask` names the set; the point where the
@@ -226,6 +279,8 @@ class CutEngineState:
     converged: bool
     stalled: bool = False
     newton_steps: int = 0
+    checked: bool = False
+    checks: int = 0
 
     @property
     def certified_gap(self) -> float:
@@ -401,21 +456,32 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
     and the row returns toward its true place at later centers.  One solve
     with H gives both u and the shifted rows' widths.
 
+    The exact check.  Each time a query improves the best set, z_init's
+    included, the engine asks `prob.check()`: one kernel pass at the new
+    best ratio, at most _CHECK_CAP per solve.  A held check stops the
+    engine; a failed one changes nothing in it (best, the t row and the
+    rows are what they would be without it).  So the check only adds an
+    earlier stop to the same iterates, and no solve cuts more.  The seed
+    is not checked: only a query's improvement is.
+
     phi is divided by max(1, |phi(z_init)|) inside.  The exits, in order:
     - converged with 0 cuts when the bound of z_init's own cut closes the
-      bracket.  The cut budget is read, and the cut matrix (cap + 2m + 3
-      rows at most, of m + 1 entries) and the barrier rows are allocated,
-      only past this exit;
-    - converged once best - lb is at most the target; stalled when a
-      centering fails (callers restore exactness by rounding); past
-      `prob.cut_cap` cuts, of order m ln(kappa), it raises
-      IterationCapExceeded carrying the state.
+      bracket; then checked with 0 cuts when z_init's chain beat the seed
+      and its check holds.  The cut budget is read, and the cut matrix
+      (cap + 2m + 3 rows at most, of m + 1 entries) and the barrier rows
+      are allocated, only past these exits;
+    - converged once best - lb is at most the target; checked when a
+      query improves best and its check holds; stalled when a centering
+      fails (callers restore exactness by rounding); past `prob.cut_cap`
+      cuts, of order m ln(kappa), it raises IterationCapExceeded carrying
+      the state.
     """
     m = prob.omega_dim
     it = newton = 0
-    converged = stalled = False
+    converged = stalled = checked = False
     a = prob.d_row
     z0 = np.full(m, 1.0 / (2.0 * prob.direction.norm1))
+    seed = prob.best
     v0, g0 = prob(z0)
     scale = max(1.0, abs(float(v0)))
     best = prob.best / scale
@@ -425,10 +491,13 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
 
     def state() -> CutEngineState:
         return CutEngineState(best * scale, min(lb, best) * scale, it,
-                              converged, stalled, newton)
+                              converged, stalled, newton, checked, prob.checks)
 
     if best - lb <= tgt:
         converged = True
+        return state()
+    if prob.best < seed and prob.check():
+        checked = True
         return state()
 
     # rows of A y <= b over y = (z, t): -z_i <= 0, z_i <= 1, then a.z <= 1
@@ -514,11 +583,14 @@ def cutting_plane_minimize(prob: ReducedProblem) -> CutEngineState:
         it += 1
         if prob.best / scale < best:
             best = prob.best / scale
+            if prob.check():
+                checked = True
+                break
             b_true[t_row] = best
         tgt = prob.tight_gap() / scale
         add_cut(*_cut_row(z, v, g, scale))
         y = restart(y, s, H)
-    converged = best - lb <= tgt
+    converged = not checked and best - lb <= tgt
     return state()
 
 
@@ -577,9 +649,10 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     1/(D+ d(B)) of its lower bound on lambda*, D+ = max_S d(S): every ratio
     below f(B)/d(B) is at least 1/(D+ d(B)) below it, so the best ratio is
     then lambda* and Newton confirms it in zero steps
-    (`ReducedProblem.tight_gap`).  Float state is built only for a solve
-    that will cut: this is the one gate in front of the engine, whose
-    precondition it establishes.  The exits, in order, the first four
+    (`ReducedProblem.tight_gap`), or sooner, once an exact check of an
+    improved best set holds (`ReducedProblem.check`).  Float state is built
+    only for a solve that will cut: this is the one gate in front of the
+    engine, whose precondition it establishes.  The exits, in order, the first four
     without float state:
 
     1. The seed: the singleton scan gives the upper bound u and its
@@ -603,9 +676,13 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
        holds the whole dual problem, and `cutting_plane_minimize` runs on
        it: it returns converged with 0 cuts when its first cut's bound
        closes the bracket, before it allocates its cut matrix, and cuts
-       otherwise.  Newton starts from the exact ratio of the problem's
-       best set: the seed singleton's u, unless a chain set beat it in
-       floats.
+       otherwise.  When the engine stops checked, its held check is
+       Newton's confirm, with the tight set Newton would pick
+       (`tight_zero_set`): no second pass at lambda*, and 0 Newton steps.
+       Otherwise Newton starts from the exact ratio of the problem's best
+       set: the seed singleton's u, unless a chain set beat it in floats.
+       `sfm_calls` counts the engine's checks, held or not, besides
+       Newton's passes.
 
     No `ReducedProblem` (so no `DenseLovasz`) is built before exit 5.
     Returns the exact intersection; the engine phase only warms up
@@ -614,7 +691,7 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
     """
     before = f.calls
     u, u_mask = _singleton_bound(f, d)
-    lam0, cuts = _chain_bound(f, d, u), 0
+    lam0, cuts, res = _chain_bound(f, d, u), 0, None
     if lam0 == 0:
         # f >= 0, so lambda* >= 0: a ratio 0 is lambda*
         state = CutEngineState(0.0, 0.0, 0, True)
@@ -635,15 +712,20 @@ def solve_dual(f: SubmodularOracle, d: Direction) -> LineSearchResult:
         except IterationCapExceeded as exc:
             state = exc.state  # rounding below restores exactness regardless
         cuts = state.iterations
-        mask = prob.best_mask
-        lam0 = Fraction(f.eval(mask), d.of(mask))
-    res = discrete_newton(f, d, lam0)
+        if state.checked:
+            lam0, tight = prob.tight
+            res = _result(f, d, lam0, SubsetMask(tight, f.n), "dualcut")
+        else:
+            mask = prob.best_mask
+            lam0 = Fraction(f.eval(mask), d.of(mask))
+    if res is None:
+        res = discrete_newton(f, d, lam0)
     return LineSearchResult(res.lambda_star, res.tight_set, res.dual_optimum,
                             "dualcut",
                             newton_iterations=res.newton_iterations,
                             engine_iterations=cuts,
                             oracle_calls=f.calls - before,
-                            sfm_calls=res.sfm_calls,
+                            sfm_calls=res.sfm_calls + state.checks,
                             trace=state)
 
 

@@ -120,6 +120,29 @@ def bruteforce_linesearch(f: SubmodularOracle, d: Direction) -> LineSearchResult
                    oracle_calls=f.calls - before)
 
 
+def tight_zero_set(f: SubmodularOracle, d: Direction, p: int, q: int,
+                   zeros: np.ndarray) -> int:
+    """The tight set at a feasible lambda = p/q, given the zero sets of its
+    kernel pass (`minimizers_minus_modular` returned minimum 0): the minimal
+    one among the zero sets of largest d(S).  Just right of a breakpoint the
+    minimizers are the breakpoint's minimizers with the largest d(S)
+    (Radzik 1992), so that set is the minimal minimizer at
+    lambda + 1/||d||_1^2, the set a Newton step from above lands on too.
+    When no zero set has d(S) > 0, every set with d(S) > 0 reads
+    f(S) > lambda d(S), so lambda < lambda*: BadStart.
+    """
+    dz = d.sums[zeros]
+    top = dz.max()
+    if not top > 0:
+        raise BadStart(f"lambda0={Fraction(p, q)} is feasible but no set with "
+                       "d(S) > 0 is tight there: started below lambda*")
+    tight = int(np.bitwise_and.reduce(zeros[dz == top]))
+    # the Newton ratio of the tight set stays at lambda
+    if f.eval(tight) * q != p * d.of(tight):
+        raise InvariantViolation("minimal zero set of largest d(S) is not tight")
+    return tight
+
+
 def discrete_newton(f: SubmodularOracle, d: Direction,
                     lambda0: Fraction | None = None) -> LineSearchResult:
     """Exact intersection by Newton steps lambda <- f(S)/d(S) on the envelope.
@@ -136,13 +159,9 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
     lambda >= 0.
 
     A start already on lambda* is confirmed by its own pass, with no second
-    call at lambda + 1/||d||_1^2.  When the minimum at lambda0 is 0, the
-    tight set is the minimal one among the zero sets of largest d(S): just
-    right of a breakpoint the minimizers are the breakpoint's minimizers
-    with the largest d(S) (Radzik 1992), so that set is the minimal
-    minimizer at lambda0 + 1/||d||_1^2, the set a step from above lands on
-    too.  When no zero set has d(S) > 0, every set with d(S) > 0 reads
-    f(S) > lambda0 d(S), so lambda0 < lambda*: BadStart.
+    call at lambda + 1/||d||_1^2: when the minimum at lambda0 is 0, the
+    tight set is `tight_zero_set`'s, and a feasible start with no zero set
+    of d(S) > 0 lies below lambda*: BadStart.
     """
     before = f.calls
     if lambda0 is None:
@@ -174,16 +193,7 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
             raise InvariantViolation("Newton exceeded the ladder size: oracle broken")
 
     if steps == 0:
-        # lambda0 is feasible: the zero sets are the sets tight at lambda0
-        dz = d.sums[zeros]
-        top = dz.max()
-        if not top > 0:
-            raise BadStart(f"lambda0={lam} is feasible but no set with d(S) > 0 "
-                           "is tight there: started below lambda*")
-        tight = int(np.bitwise_and.reduce(zeros[dz == top]))
-        # the Newton ratio of the tight set stays at lambda0
-        if f.eval(tight) * q != p * d.of(tight):
-            raise InvariantViolation("minimal zero set of largest d(S) is not tight")
+        tight = tight_zero_set(f, d, p, q, zeros)
     return _result(f, d, Fraction(p, q), SubsetMask(tight, f.n), "newton",
                    newton_iterations=steps,
                    oracle_calls=f.calls - before,

@@ -161,10 +161,18 @@ def _engine_input(f, d) -> bool:
             and float_resolution(f.n, f.m_bound) < float(ladder_spacing(d) / 2))
 
 
+def _never_tight(prob):
+    """The problem with its exact check patched to "not tight", so the
+    engine stops by its float rule alone."""
+    prob.check = lambda: False
+    return prob
+
+
 def _run_engine(f, d):
-    """(problem, state) of the engine on a problem solve_dual would build."""
+    """(problem, state) of the engine, by its float rule alone, on a problem
+    solve_dual would build."""
     assert _engine_input(f, d)
-    prob = ReducedProblem(f, d, *_singleton_bound(f, d))
+    prob = _never_tight(ReducedProblem(f, d, *_singleton_bound(f, d)))
     return prob, cutting_plane_minimize(prob)
 
 
@@ -193,9 +201,10 @@ class _MaskTrail(ReducedProblem):
 
 
 def _trailed_engine(f, d):
-    """(problem, state) of one engine run, the state also when capped."""
+    """(problem, state) of one engine run by its float rule alone, the state
+    also when capped."""
     assert _engine_input(f, d)
-    prob = _MaskTrail(f, d, *_singleton_bound(f, d))
+    prob = _never_tight(_MaskTrail(f, d, *_singleton_bound(f, d)))
     try:
         return prob, cutting_plane_minimize(prob)
     except IterationCapExceeded as exc:
@@ -256,7 +265,8 @@ def test_rule_converges_only_on_a_tight_best_set():
 def test_rule_never_cuts_more_than_the_fixed_target(monkeypatch):
     # the iterates do not depend on the target and the rule's target is at
     # least eps/2, so the rule stops at the fixed run's cut or sooner, on
-    # the same best sets; solve_dual's engine is the rule's
+    # the same best sets; solve_dual's engine, its exact check patched to
+    # "not tight", is the rule's
     fewer = 0
     for inst in iter_instances(16, seed=3900, n_max=10, n_min=2):
         f, d = inst.build()
@@ -269,7 +279,9 @@ def test_rule_never_cuts_more_than_the_fixed_target(monkeypatch):
         assert s_rule.iterations <= s_fixed.iterations
         assert rule.masks == fixed.masks[:len(rule.masks)]
         fewer += s_rule.iterations < s_fixed.iterations
-        assert solve_dual(f, d).engine_iterations == s_rule.iterations
+        with monkeypatch.context() as mp:
+            mp.setattr(ReducedProblem, "check", lambda self: False)
+            assert solve_dual(f, d).engine_iterations == s_rule.iterations
     assert fewer >= 15
 
 
@@ -278,6 +290,7 @@ def test_engine_cap_carries_state(two_elem, d34, monkeypatch):
     prob = ReducedProblem(two_elem, d34, *_singleton_bound(two_elem, d34))
     monkeypatch.setattr(ReducedProblem, "cut_cap", property(lambda self: 3))
     monkeypatch.setattr(ReducedProblem, "tight_gap", lambda self: 1e-12)
+    monkeypatch.setattr(ReducedProblem, "check", lambda self: False)
     with pytest.raises(IterationCapExceeded) as exc:
         cutting_plane_minimize(prob)
     state = exc.value.state
@@ -307,10 +320,12 @@ def test_solve_dual_rounds_a_capped_engine(monkeypatch):
     assert not res.trace.converged and not res.trace.stalled
 
 
-def test_engine_on_zero_and_nonnegative_rest():
+def test_engine_on_zero_and_nonnegative_rest(monkeypatch):
     # d_rest = 0, where the hyperplane row is the zero row 0.z <= 1, and a
     # nonnegative d_rest with entries above 1, whose vertices 1_S/d(S) all
-    # lie well inside the unit box: both cut, converge and solve exactly
+    # lie well inside the unit box: both cut, converge by the float rule
+    # (the exact check patched to "not tight") and solve exactly, with and
+    # without the check
     for seed, direction, star in (
             (4, (0, 0, 0, 0, 5, 0, 0, 0), Fraction(3)),
             (5, (5, 6, 9, 1, 8, 4, 1, 3), Fraction(27, 29))):
@@ -320,7 +335,10 @@ def test_engine_on_zero_and_nonnegative_rest():
         assert min(prob.d_rest) >= 0
         assert max(prob.d_rest) == 0 or max(prob.d_rest) > 1
         assert bruteforce_linesearch(f, d).lambda_star == star
-        res = solve_dual(f, d)
+        assert solve_dual(f, d).lambda_star == star
+        with monkeypatch.context() as mp:
+            mp.setattr(ReducedProblem, "check", lambda self: False)
+            res = solve_dual(f, d)
         assert res.lambda_star == star
         assert res.engine_iterations > 0 and res.trace.converged
         assert evaluate(f, res.dual_optimum) == star
@@ -438,6 +456,125 @@ def test_restart_starts_inside_and_never_deepens_the_cut(monkeypatch):
             restarts += 1
             moved += after < before
     assert restarts >= 100 and moved >= restarts // 2
+
+
+def _check_corpus():
+    """(f, d, lambda*) of brute-forced instances of all five families at
+    n 2-10 that solve_dual hands to the engine."""
+    for inst in iter_instances(80, seed=7300, n_max=10, n_min=2):
+        f, d = inst.build()
+        if _engine_input(f, d):
+            yield f, d, bruteforce_linesearch(f, d).lambda_star
+
+
+def _kernel_spy(monkeypatch) -> list:
+    """Record every envelope kernel pass from now on by the module that
+    made it: the engine's checks ("dualcut") and Newton's passes
+    ("newton")."""
+    passes = []
+    for module in ("dualcut", "newton"):
+        def spy(*args, module=module):
+            passes.append(module)
+            return minimizers_minus_modular(*args)
+
+        monkeypatch.setattr(f"polyls.{module}.minimizers_minus_modular", spy)
+    return passes
+
+
+def test_check_stops_the_same_iterates_sooner(monkeypatch):
+    # against the same solve with the check patched to "not tight": the
+    # same lambda*, tight set, witness and Newton count, never more cuts,
+    # and the queries and best sets a prefix of that run's, bit for bit, so
+    # a failed check changed nothing; a solve the check stopped has lambda*
+    # as its best ratio and needs no Newton step
+    made = []
+
+    class Trail(_MaskTrail):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.queries = []
+            made.append(self)
+
+        def __call__(self, z):
+            self.queries.append(z.tobytes())
+            return super().__call__(z)
+
+    monkeypatch.setattr(dualcut, "ReducedProblem", Trail)
+    stopped = fewer = 0
+    for f, d, star in _check_corpus():
+        res = solve_dual(f, d)
+        prob = made[-1]
+        with monkeypatch.context() as mp:
+            mp.setattr(Trail, "check", lambda self: False)
+            base = solve_dual(f, d)
+        assert made[-1] is not prob
+        assert res.lambda_star == star
+        assert (res.lambda_star, res.tight_set, res.dual_optimum,
+                res.newton_iterations) == (base.lambda_star, base.tight_set,
+                                           base.dual_optimum,
+                                           base.newton_iterations)
+        assert res.engine_iterations <= base.engine_iterations
+        assert prob.masks == made[-1].masks[:len(prob.masks)]
+        assert prob.queries == made[-1].queries[:len(prob.queries)]
+        fewer += res.engine_iterations < base.engine_iterations
+        if res.trace.checked:
+            stopped += 1
+            mask = prob.best_mask
+            assert Fraction(f.eval(mask), d.of(mask)) == star
+            assert math.isclose(res.trace.best_value, float(star),
+                                rel_tol=1e-12)
+            assert res.newton_iterations == 0
+            assert not res.trace.converged and not res.trace.stalled
+    assert stopped >= 40 and fewer >= 35
+
+
+def test_checks_are_capped_and_counted(monkeypatch):
+    # at most _CHECK_CAP checks per solve, each one kernel pass counted in
+    # sfm_calls; a solve the check stopped makes no pass besides its
+    # checks, the held one being Newton's confirm; a solve whose seed u is
+    # lambda* makes no check, since only a query's improvement is checked
+    passes = _kernel_spy(monkeypatch)
+    stopped = tight_seed = several = 0
+    for f, d, star in _check_corpus():
+        passes.clear()
+        res = solve_dual(f, d)
+        state = res.trace
+        assert state.checks == passes.count("dualcut") <= dualcut._CHECK_CAP
+        assert res.sfm_calls == len(passes)
+        several += state.checks > 1
+        if state.checked:
+            stopped += 1
+            assert res.sfm_calls == state.checks == len(passes)
+        if upper_bound(f, d) == star:
+            tight_seed += 1
+            assert state.checks == 0 and not state.checked
+    assert stopped >= 40 and tight_seed >= 150 and several >= 8
+    # a cap of 1 binds on the solves above that checked more than once,
+    # and their answers stay exact
+    monkeypatch.setattr(dualcut, "_CHECK_CAP", 1)
+    for f, d, star in _check_corpus():
+        passes.clear()
+        res = solve_dual(f, d)
+        assert res.trace.checks == passes.count("dualcut") <= 1
+        assert res.sfm_calls == len(passes)
+        assert res.lambda_star == star
+
+
+def test_check_ends_two_zero_slack_stalls():
+    # two interval-geometric n = 5 solves whose engine stalled after 24 and
+    # 25 cuts, where `shift` handed `_center` a start with a zero slack:
+    # the check of the first improved best set holds, so they stop exact
+    # and unstalled before that start is reached
+    f = make_family(IntervalGeometric(5))
+    for direction, star in (((-2, -4, -3, -4, 6), Fraction(134217728)),
+                            ((-2, -8, -2, 7, -6), Fraction(262144, 5))):
+        d = Direction(direction)
+        assert _engine_input(f, d)
+        assert bruteforce_linesearch(f, d).lambda_star == star
+        res = solve_dual(f, d)
+        assert res.lambda_star == star and res.newton_iterations == 0
+        assert res.trace.checked and not res.trace.stalled
+        assert res.engine_iterations < 24
 
 
 def test_resolution_exit_stalls_without_cuts(monkeypatch):
@@ -850,7 +987,13 @@ def test_newton_start_is_an_exact_chain_ratio(monkeypatch):
         record["chains"].clear()
         record["starts"].clear()
         res = solve_dual(f, d)
-        (lam0,) = record["starts"]
+        if res.trace.checked:
+            # a held check is Newton's confirm: no Newton call, and the
+            # start it stands for is the checked best ratio
+            assert record["starts"] == [] and res.newton_iterations == 0
+            lam0 = res.lambda_star
+        else:
+            (lam0,) = record["starts"]
         assert type(lam0) is Fraction
         star = bruteforce_linesearch(f, d).lambda_star
         u = upper_bound(f, d)
