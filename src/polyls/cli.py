@@ -70,7 +70,7 @@ def _solve_one(f, d, method: str):
         bs = binary_search(f, d, Fraction(0), upper_bound(f, d), eps)
         res = discrete_newton(f, d, bs.value + eps)
         res.method = "binary"
-        res.sfm_calls += bs.membership_calls
+        res.sfm_calls += bs.sfm_calls
         res.oracle_calls = f.calls - before
     else:
         raise ValueError(f"unknown method {method!r}")

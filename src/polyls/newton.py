@@ -1,11 +1,12 @@
 """Exact parametric line search: discrete Newton, bisection, ladder utilities.
 
 The intersection lambda* = min{f(S)/d(S) : d(S) > 0} is found exactly in
-rational arithmetic.  Every Newton step, envelope evaluation and bisection
-decision at lambda = p/q is one exact pass of the kernel
-(`sfm.minimizers_minus_modular`), the exact minimum of the integral function
-q*f - p*d, so the decision stays in integers no matter how ugly the rational
-iterate is.
+rational arithmetic.  Every Newton step and envelope evaluation at
+lambda = p/q is one exact pass of the kernel (`sfm.minimizers_minus_modular`),
+the exact minimum of the integral function q*f - p*d, so the decision stays
+in integers no matter how ugly the rational iterate is.  A bisection
+decision is such a pass too, or an exact certificate from earlier passes
+(`binary_search`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BadStart, InvariantViolation
 from .oracles import Direction, SubmodularOracle
-from .sfm import level_set, minimizers_minus_modular
+from .sfm import minimizers_minus_modular
 from .subsets import SubsetMask
 
 if TYPE_CHECKING:
@@ -48,7 +49,11 @@ class LineSearchResult:
 @dataclass
 class BinarySearchResult:
     value: Fraction
+    # membership decisions, each made by its own kernel pass or by an exact
+    # certificate (`binary_search`); always ceil(log2((hi - lo)/eps))
     membership_calls: int
+    # kernel passes made, the one at the upper end included
+    sfm_calls: int
 
 
 def dual_point(tight_set: SubsetMask, d: Direction) -> tuple[Fraction, ...]:
@@ -200,23 +205,60 @@ def discrete_newton(f: SubmodularOracle, d: Direction,
                    sfm_calls=steps + 1)
 
 
+def _violator(d: Direction, q: int, p: int, value: int,
+              where: np.ndarray) -> tuple[int, int] | None:
+    """(num, den) of the least ratio f(S)/d(S) over the minimizers S with
+    d(S) > 0 of a failed pass at p/q (minimum `value` < 0, minimizers
+    `where`), or None when the pass held or no minimizer has d(S) > 0.
+    Every minimizer reads q f(S) - p d(S) = value, so its ratio is
+    (value + p d(S)) / (q d(S)), least at the least d(S) > 0; f is not
+    read."""
+    if value >= 0:
+        return None
+    ds = d.sums[where]
+    ds = ds[ds > 0]
+    if not ds.size:
+        return None
+    least = int(ds.min())
+    return value + p * least, q * least
+
+
 def binary_search(f: SubmodularOracle, d: Direction,
                   lo: Fraction | None = None, hi: Fraction | None = None,
                   eps: Fraction = Fraction(1, 100)) -> BinarySearchResult:
     """Feasibility bisection: returns lam with lam <= lambda* <= lam + eps.
 
-    Runs exactly ceil(log2((hi - lo)/eps)) membership tests: mid d lies in
-    P(f) iff min_S q f(S) - p d(S) >= 0 for mid = p/q.  The right end is
-    closed: when lambda* sits exactly on the initial upper bound and the
-    range is a power-of-two multiple of eps, lambda* = lam + eps is attained.
+    Makes exactly ceil(log2((hi - lo)/eps)) membership decisions: mid d
+    lies in P(f) iff min_S q f(S) - p d(S) >= 0 for mid = p/q.  The right
+    end is closed: when lambda* sits exactly on the initial upper bound and
+    the range is a power-of-two multiple of eps, lambda* = lam + eps is
+    attained.
+
+    A decision costs a kernel pass only when no exact fact in hand already
+    decides it.  Each set S gives one half-line lambda d(S) <= f(S), so the
+    feasible lambda form an interval.  Two certificates decide tests without
+    a pass:
+
+    - The upper end.  One pass runs at hi first.  When it holds and 0 is
+      feasible too (`f.min_value == 0`), every test at 0 <= mid <= hi is
+      feasible.  A test at mid < 0 still makes its pass.
+    - The best violator.  Over the minimizers of every failed pass, the one
+      at hi included, the smallest ratio f(S)/d(S) with d(S) > 0 is kept;
+      every test above it is infeasible, witnessed by that S.
+
+    No pass runs anywhere but at hi and at the dyadic midpoints, so a
+    bisection makes at most decisions + 1 passes (`sfm_calls`), and every
+    decision is the one its own pass would make.
 
     The bracket is a pair of integer numerators a, b over one denominator D
-    that doubles at each step, so mid = (a + b)/(2D); each test reduces mid
+    that doubles at each step, so mid = (a + b)/(2D); each pass reduces mid
     by one gcd, and a Fraction is built only for the result.  Every test
     lies below the current upper end, so at mid >= 0 the kernel reads only
-    the level set of hi (`minimizers_minus_modular`): C(hi) is found once on
-    entry and replaced by C(mid) each time hi moves down to mid.  A test at
-    mid < 0 reads every set, since there C(mid) need not lie inside C(hi).
+    the level set of hi (`minimizers_minus_modular`): the pass at hi hands
+    back C(hi), which is replaced by C(mid) each time a pass moves hi down
+    to mid; a certificate that moves hi down keeps it, a superset.  A test
+    at mid < 0 reads every set, since there C(mid) need not lie inside
+    C(hi).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -232,16 +274,32 @@ def binary_search(f: SubmodularOracle, d: Direction,
     # the fewest halvings with (b - a) / (2^steps den) <= eps
     ratio = -(-(b - a) * eps.denominator // (den * eps.numerator))
     steps = max(ratio - 1, 0).bit_length()
+    if not steps:
+        return BinarySearchResult(lo, 0, 0)
 
-    level = level_set(f, hi.denominator, hi.numerator, d) if steps else None
+    q, p = hi.denominator, hi.numerator
+    value, _, _, where, level = minimizers_minus_modular(f, q, p, d)
+    top_holds = value >= 0 and f.min_value == 0
+    # a pass runs only at or below the best violator's ratio, so the
+    # violator of a failed pass is always a better one
+    best = _violator(d, q, p, value, where)
+    passes = 1
     for _ in range(steps):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        g = math.gcd(mid, den)
-        value, _, _, _, mid_level = minimizers_minus_modular(
-            f, den // g, mid // g, d, level if mid >= 0 else None)
-        if value >= 0:
+        if top_holds and mid >= 0:
             a = mid
+        elif best and mid * best[1] > best[0] * den:
+            b = mid
         else:
-            b, level = mid, mid_level
-    return BinarySearchResult(Fraction(a, den), steps)
+            g = math.gcd(mid, den)
+            q, p = den // g, mid // g
+            value, _, _, where, mid_level = minimizers_minus_modular(
+                f, q, p, d, level if mid >= 0 else None)
+            passes += 1
+            if value >= 0:
+                a = mid
+            else:
+                b, level = mid, mid_level
+                best = _violator(d, q, p, value, where) or best
+    return BinarySearchResult(Fraction(a, den), steps, passes)

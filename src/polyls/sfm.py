@@ -8,10 +8,11 @@ compare first cuts the table to its level set {S : f(S) <= P // q},
 P = max_S p*d(S), which holds every minimizer.  The pass over it is int64
 wherever a bound on the values it reads fits, on a big-int table too; only
 where it does not does a float filter stand in front of a big-integer
-pass.  The level set shrinks as lambda falls to 0, so a solve hands each
-pass at lambda >= 0 the level set of a larger lambda it has already read,
-and compares the whole table once.  `minimize` is the one enumeration of a
-built oracle's table; `membership` and `minimize_mnp` read their answers from it.  The
+pass.  The level set shrinks as lambda falls to 0, so only a solve's first
+pass compares the whole table: it hands its level set on, and each later
+pass at lambda >= 0 reads the level set of a larger lambda that a pass
+before it handed back.  `minimize` is the one enumeration of a built
+oracle's table; `membership` and `minimize_mnp` read their answers from it.  The
 minimum-norm-point solver `minimize_mnp` is a library call kept as an
 independent cross-check of the minimum value.  Wolfe's loop runs in floats
 but never decides alone: the two level sets of its point are re-evaluated
@@ -125,9 +126,13 @@ def _work(n: int, dtype) -> list[np.ndarray]:
 
 def _level(f: SubmodularOracle, q: int, p: int, d: Direction,
            within: np.ndarray | None) -> tuple[np.ndarray | None, int]:
-    """(`level_set`'s masks, top): top is a proven upper bound on f over
-    those masks, M = f.m_bound where the compare cannot cut (see
-    `minimizers_minus_modular`)."""
+    """(masks, top) of the level set: the sets S among `within` (every set
+    when None) with f(S) <= P // q, P = max_T p*d(T), as ascending masks (on
+    a big-int table, a superset of them read off the float image), or
+    `within` itself where the compare cannot cut; top is a proven upper
+    bound on f over those masks, M = f.m_bound where the compare cannot cut
+    (see `minimizers_minus_modular`).  No value is read through the oracle,
+    so f.calls is not charged."""
     t = (p * d.positive_sum if p >= 0 else -p * d.negative_sum) // q
     if t >= f.m_bound:
         return within, f.m_bound
@@ -144,16 +149,6 @@ def _level(f: SubmodularOracle, q: int, p: int, d: Direction,
     if within is None:
         return (table <= t).nonzero()[0], top
     return within[table[within] <= t], top
-
-
-def level_set(f: SubmodularOracle, q: int, p: int, d: Direction,
-              within: np.ndarray | None = None) -> np.ndarray | None:
-    """The sets S among `within` (every set when None) with f(S) <= P // q,
-    P = max_T p*d(T), as ascending masks (on a big-int table, a superset of
-    them read off the float image), or `within` itself where the compare
-    cannot cut (see `minimizers_minus_modular`).  No value is read through
-    the oracle, so f.calls is not charged."""
-    return _level(f, q, p, d, within)[0]
 
 
 def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
@@ -238,7 +233,7 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
     of h's.
 
     The carried level set.  `within`, when given, must be ascending masks
-    that hold C; the compare then reads only those sets (`level_set`), and
+    that hold C; the compare then reads only those sets (`_level`), and
     where it cannot cut it keeps `within` as it is.  A solve has such a
     superset at hand: for 0 <= p'/q' <= p/q, P' // q' = floor(p' D+ / q')
     <= P // q, so C(p'/q') lies inside C(p/q), and so does its float-image

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polyls import cli, errors
+from polyls import cli, errors, newton
 from polyls.cli import CSV_HEADER, main
 from polyls.instances import (FAMILIES, Instance, format_fraction,
                               instance_to_json, random_instance)
@@ -372,6 +372,27 @@ def test_binary_route_counts_every_read(tmp_path, capsys, monkeypatch, family):
     assert f"oracle_calls = {f.calls - calls}\n" in out
     singletons = sum(di > 0 for di in d.d)
     assert f.calls - calls > singletons
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_binary_route_counts_every_pass(tmp_path, capsys, monkeypatch, family):
+    # sfm_calls counts the kernel passes the route made: the bisection's,
+    # the one at the upper end included, then its Newton step's
+    passes = []
+    kernel = newton.minimizers_minus_modular
+
+    def spy(*args, **kwargs):
+        passes.append(args[1:3])
+        return kernel(*args, **kwargs)
+
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--family", family, "--n", "8", "--seed", "7",
+                 "--out", str(path)]) == 0
+    monkeypatch.setattr(newton, "minimizers_minus_modular", spy)
+    code, out, _ = run(capsys, "solve", "--instance", str(path),
+                       "--method", "binary")
+    assert code == 0
+    assert passes and f"sfm_calls = {len(passes)}\n" in out
 
 
 def test_unknown_flag_is_input_error(capsys):

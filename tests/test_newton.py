@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -312,34 +313,101 @@ def _both_dtypes(seed):
         yield random_instance("interval-geometric", n, seed + n).build()
 
 
-def test_bisection_decisions_match_membership(monkeypatch):
-    decisions = []
+def _reference_bisection(f, d, lo, hi, eps):
+    """(value, decisions) of plain bisection: one membership test at every
+    dyadic midpoint, with no certificate."""
+    steps = max(math.ceil((hi - lo) / eps) - 1, 0).bit_length()
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if membership(f, [mid * di for di in d.d]).inside:
+            lo = mid
+        else:
+            hi = mid
+    return lo, steps
+
+
+def _spy_passes(monkeypatch):
+    """The list to which every kernel pass `newton` makes from here on
+    appends (lambda, whether the pass held)."""
+    passes = []
     kernel = newton.minimizers_minus_modular
 
     def spy(f, q, p, d, within=None):
         out = kernel(f, q, p, d, within)
-        decisions.append((Fraction(p, q), out[0] >= 0))
+        passes.append((Fraction(p, q), out[0] >= 0))
         return out
 
     monkeypatch.setattr(newton, "minimizers_minus_modular", spy)
+    return passes
+
+
+def test_bisection_decisions_match_membership(monkeypatch):
+    passes = _spy_passes(monkeypatch)
     dtypes = set()
     below = outside_below = 0
     for f, d in _both_dtypes(7300):
         dtypes.add(f.dense_table().dtype)
-        u = upper_bound(f, d)
+        u, eps = upper_bound(f, d), ladder_spacing(d)
         # lo < 0 too: a test at mid < 0 reads every set, since there
         # P = |p| D- and the level set of a larger hi need not hold C(mid)
         for lo in (Fraction(0), -4 * u - 1):
-            decisions.clear()
-            res = binary_search(f, d, lo, u, ladder_spacing(d))
-            assert len(decisions) == res.membership_calls
-            for mid, inside in decisions:
+            passes.clear()
+            res = binary_search(f, d, lo, u, eps)
+            # the pass at hi, then only tests no certificate decided
+            assert len(passes) == res.sfm_calls <= res.membership_calls + 1
+            for mid, inside in passes:
                 assert membership(f, [mid * di for di in d.d]).inside == inside
                 below += mid < 0
                 outside_below += mid < 0 and not inside
+            assert (res.value, res.membership_calls) == \
+                _reference_bisection(f, d, lo, u, eps)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     # hi moves below 0 on some solves: the case a carried set would break
     assert below > 1000 and outside_below > 1000
+
+
+def test_upper_end_certificate_needs_zero_feasible(monkeypatch):
+    # f({0}) = -2 with d_0 = -1 reads lambda >= 2, and f({1}) = 6 with
+    # d_1 = 2 reads lambda <= 3: the feasible lambda are [2, 3], so the
+    # pass at hi = 3 holds while 0 is infeasible, and the tests below 2
+    # must each make their pass
+    f = SubmodularOracle(2, [0, -2, 6, 4], m_bound=6)
+    d = Direction((-1, 2))
+    hi = upper_bound(f, d)
+    assert hi == 3 and f.min_value < 0
+    passes = _spy_passes(monkeypatch)
+    for lo in (Fraction(0), Fraction(-5)):
+        for eps in (Fraction(1, 8), Fraction(1, 100)):
+            passes.clear()
+            res = binary_search(f, d, lo, hi, eps)
+            assert passes[0] == (hi, True)
+            assert res.value < 2
+            assert (res.value, res.membership_calls) == \
+                _reference_bisection(f, d, lo, hi, eps)
+            assert len(passes) == res.sfm_calls <= res.membership_calls + 1
+    # the same shape on random functions: d_0 = -1 and f({0}) lowered by a
+    # modular term to -c, so the feasible lambda start at c or above, and
+    # c in (u/2, u] puts the first midpoint u/2 below them
+    held = 0
+    for inst in iter_instances(30, seed=7700, n_min=2, n_max=9):
+        g, d = inst.build()
+        if max(d.d[1:]) <= 0:
+            continue
+        d = Direction((-1,) + d.d[1:])
+        u = upper_bound(g, d)
+        c = math.ceil(3 * u / 4)
+        if not 0 < c <= u:
+            continue
+        w = Direction((g.eval(1) + c,) + (0,) * (g.n - 1))
+        table = g.dense_table().astype(object) - w.sums.astype(object)
+        f = SubmodularOracle(g.n, table, m_bound=g.m_bound + w.norm1)
+        for lo in (Fraction(0), -4 * u - 1):
+            passes.clear()
+            res = binary_search(f, d, lo, u, Fraction(1, 16))
+            held += passes[0][1]
+            assert (res.value, res.membership_calls) == \
+                _reference_bisection(f, d, lo, u, Fraction(1, 16))
+    assert held > 20
 
 
 def _wide_level_sets():
@@ -379,6 +447,10 @@ def test_carried_level_set_changes_nothing(monkeypatch):
         bs = binary_search(f, d, Fraction(0), u, eps)
         assert discrete_newton(f, d, bs.value + eps).lambda_star == star
         binary_search(f, d, -4 * u - 1, u, eps)
+        # brackets that start above lambda*, whose first passes fail and
+        # hand their level sets on
+        for hi in (2 * u + 1, 8 * u + 3):
+            binary_search(f, d, Fraction(0), hi, eps)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     assert sum(carried) > 2000 and not all(carried)
 

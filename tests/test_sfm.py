@@ -377,7 +377,7 @@ def test_float_image_is_lazy_and_shared():
     # the whole table, in this thread's scratch buffers
     f, d = random_instance("coverage", 12, 1).build()
     q, p = 1, 3 * f.m_bound
-    assert sfm.level_set(f, q, p, d) is None
+    assert minimizers_minus_modular(f, q, p, d)[4] is None
     minimizers_minus_modular(f, q, p, d)
     bufs = sfm._scratch.bufs
     for p in (p, p + 1):
