@@ -34,12 +34,15 @@ class SubmodularOracle:
 
     The ground set has 1 to TABLE_N_CAP elements; larger sizes raise
     GroundSetTooLarge here.  The table is stored once, as one array in the
-    dtype `table_dtype(m_bound)` picks; an `m_bound` below the table's max
-    |f| is a ValueError, and f(empty) != 0 raises EmptyNotZero, so every
-    oracle is normalized.  The exact minimum that check reads is kept as
-    `min_value` (an int, at most f(empty) = 0): with the level-set ceiling
-    it bounds every value the envelope kernel reads, which picks the
-    kernel's exact dtype (`sfm.minimizers_minus_modular`).
+    dtype `table_dtype(m_bound)` picks, and flagged read-only.  An array
+    handed in that dtype is not copied: the oracle takes ownership of it,
+    so a caller hands over a fresh array, as every construction here does.
+    An `m_bound` below the table's max |f| is a ValueError, and
+    f(empty) != 0 raises EmptyNotZero, so every oracle is normalized.  The
+    exact minimum that check reads is kept as `min_value` (an int, at most
+    f(empty) = 0): with the level-set ceiling it bounds every value the
+    envelope kernel reads, which picks the kernel's exact dtype
+    (`sfm.minimizers_minus_modular`).
 
     `calls` counts value-oracle reads.  Vectorized code paths that read the
     table account their reads in blocks via `charge`.  CPython's GIL makes
@@ -64,6 +67,7 @@ class SubmodularOracle:
         self.min_value = low
         if self._table[0] != 0:
             raise EmptyNotZero(f"f(empty) = {self._table[0]}")
+        self._table.flags.writeable = False
 
     def eval(self, s):
         """f(S) for S given as a SubsetMask or a raw bit mask."""
@@ -75,7 +79,7 @@ class SubmodularOracle:
         self.calls += k
 
     def dense_table(self) -> np.ndarray:
-        """All 2^n values as one array; read-only by contract."""
+        """All 2^n values as one read-only array."""
         return self._table
 
     @cached_property
@@ -90,7 +94,10 @@ class SubmodularOracle:
 
 @dataclass(frozen=True)
 class Direction:
-    """Integral direction vector with at least one positive entry."""
+    """Integral direction vector with at least one positive entry.
+
+    Its subset sums `sums` and their float image `float_sums` are built on
+    first use, cached, and read-only, like the oracle's tables."""
 
     d: tuple[int, ...]
 
@@ -124,8 +131,10 @@ class Direction:
 
     @cached_property
     def sums(self) -> np.ndarray:
-        """d(S) for every bit mask S, as one table."""
-        return subset_sums(self.d)
+        """d(S) for every bit mask S, as one read-only table."""
+        out = subset_sums(self.d)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def float_sums(self) -> np.ndarray | None:

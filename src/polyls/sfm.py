@@ -11,16 +11,19 @@ where it does not does a float filter stand in front of a big-integer
 pass.  The level set shrinks as lambda falls to 0, so only a solve's first
 pass compares the whole table: it hands its level set on, and each later
 pass at lambda >= 0 reads the level set of a larger lambda that a pass
-before it handed back.  `minimize` is the one enumeration of a built
-oracle's table; `membership` and `minimize_mnp` read their answers from it.  The
-minimum-norm-point solver `minimize_mnp` is a library call kept as an
-independent cross-check of the minimum value.  Wolfe's loop runs in floats
-but never decides alone: the two level sets of its point are re-evaluated
-through the integer oracle and a rational convex combination of exact greedy
-vertices provides a lower bound, so a duality gap below 1 certifies the
-value by integrality.  A float point does not pin the minimal and maximal
-minimizers down, so those always come from `minimize`, and so does the
-value when certification fails.
+before it handed back.  The kernel keeps no state: a pass computes on
+arrays it allocates itself, writes into none it reads (the oracle's table
+and the direction's sums are read-only), and holds no memory once it
+returns, so concurrent passes need no lock.  `minimize` is the one
+enumeration of a built oracle's table; `membership` and `minimize_mnp`
+read their answers from it.  The minimum-norm-point solver `minimize_mnp`
+is a library call kept as an independent cross-check of the minimum value.
+Wolfe's loop runs in floats but never decides alone: the two level sets of
+its point are re-evaluated through the integer oracle and a rational convex
+combination of exact greedy vertices provides a lower bound, so a duality
+gap below 1 certifies the value by integrality.  A float point does not pin
+the minimal and maximal minimizers down, so those always come from
+`minimize`, and so does the value when certification fails.
 
 References: Wolfe, Math. Prog. 1976; Fujishige, Math. Oper. Res. 1980;
 Fujishige-Hayashi-Isotani, RIMS 1571; Chakrabarty-Jain-Kothari,
@@ -30,7 +33,6 @@ arXiv:1411.0095.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -90,40 +92,6 @@ def _table_min(table, masks=None):
 _FILTER_SCALE = 2.0 ** -50  # 8u with u = 2^-53, the float64 unit roundoff
 
 
-class _Scratch(threading.local):
-    """One thread's three work buffers, grown to the largest n asked for,
-    and the typed views of them handed out so far."""
-
-    def __init__(self):
-        self.size = 0
-        self.views = {}
-
-
-_scratch = _Scratch()
-
-
-def _work(n: int, dtype) -> list[np.ndarray]:
-    """Three arrays of 2^n entries of the 8-byte `dtype`, views of this
-    thread's scratch buffers.
-
-    The kernel's 2^n passes write into these instead of fresh arrays.  At
-    n = 14 a fresh array is 128 KiB, which malloc maps, or grows the heap
-    for, anew on each call; its pages then fault on first write (about 15
-    faults per kernel call in a Newton solve), so the call's time would
-    follow the host's page-fault cost.
-    """
-    views = _scratch.views.get((n, dtype))
-    if views is None:
-        size = 8 << n
-        if _scratch.size < size:
-            _scratch.bufs = [np.empty(size, np.uint8) for _ in range(3)]
-            _scratch.size = size
-            _scratch.views.clear()
-        views = [b[:size].view(dtype) for b in _scratch.bufs]
-        _scratch.views[n, dtype] = views
-    return views
-
-
 def _level(f: SubmodularOracle, q: int, p: int, d: Direction,
            within: np.ndarray | None) -> tuple[np.ndarray | None, int]:
     """(masks, top) of the level set: the sets S among `within` (every set
@@ -157,7 +125,9 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
     q*f - p*d, by one float64 pass, or `masks` itself when the floats cannot
     bound the error (see `minimizers_minus_modular`).  The kernel calls it
     only where its int64 bound fails, so it runs in front of a big-integer
-    pass and never in front of an int64 one."""
+    pass and never in front of an int64 one.  It gathers the sets it reads
+    from the read-only float images and computes in three fresh arrays of
+    their size."""
     table, sums = f.float_table, d.float_sums
     if table is None or sums is None:
         return masks
@@ -167,7 +137,7 @@ def _float_candidates(f: SubmodularOracle, q: int, p: int, d: Direction,
         return masks
     if masks is not None:
         table, sums = table[masks], sums[masks]
-    hf, err, b = (w[:table.size] for w in _work(f.n, np.float64))
+    hf, err, b = np.empty((3, table.size))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(table, qf, out=hf)
         np.abs(hf, out=err)
@@ -212,8 +182,11 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
     hf(S) - e(S) <= min_T (hf(T) + e(T)), and exact Python ints decide
     among them.  So the dtype follows from (q, p, t, min f, ||d||_1) alone:
     there is no size threshold, and at worst every set is a candidate,
-    which costs one exact pass.  A pass over all 2^n sets writes into this
-    thread's scratch buffers (`_work`), not into fresh 2^n arrays.
+    which costs one exact pass.  The pass gathers the sets it decides on
+    once (C on the int64 pass, the filter's candidates on the exact one)
+    and writes only into arrays it allocates: f's table and `d.sums` are
+    read-only, and a pass over every set reads them whole and computes h
+    in fresh 2^n arrays.
 
     The level-set bound.  h(empty) = 0, since f(empty) = 0 for every oracle,
     so every minimizer S has q*f(S) <= p*d(S) <= P = max_T p*d(T), which is
@@ -271,18 +244,15 @@ def minimizers_minus_modular(f: SubmodularOracle, q: int, p: int, d: Direction,
     level, top = _level(f, q, p, d, within)
     masks = level
     bound = q * max(top, -f.min_value) + abs(p) * d.norm1 + q
-    if table_dtype(bound) is np.int64 and sums.dtype == np.int64:
-        if masks is None:  # top = M < 2^60, so the table is int64 too
-            h, tmp, _ = _work(f.n, np.int64)
-        else:  # gathered copies, so the products can go in place
-            h, tmp = table[masks].astype(np.int64, copy=False), sums[masks]
-            table, sums = h, tmp
-        np.multiply(table, q, out=h)
-        h -= np.multiply(sums, p, out=tmp)
-    else:
+    fits = table_dtype(bound) is np.int64 and sums.dtype == np.int64
+    if not fits:
         masks = _float_candidates(f, q, p, d, masks)
-        if masks is not None:
-            table, sums = table[masks], sums[masks]
+    if masks is not None:
+        table, sums = table[masks], sums[masks]
+    if fits:
+        h = table.astype(np.int64, copy=False) * q
+        h -= sums * p
+    else:
         h = q * table.astype(object) - p * sums.astype(object)
     best, and_mask, or_mask, where = _table_min(h, masks)
     for m in {and_mask, or_mask}:

@@ -374,18 +374,14 @@ def test_float_image_is_lazy_and_shared():
         discrete_newton(f, d, bs.value + eps)
         assert "float_table" not in vars(f) and "float_sums" not in vars(d)
     # P // q >= M: the level set is every set, so the int64 pass runs over
-    # the whole table, in this thread's scratch buffers
+    # the whole table
     f, d = random_instance("coverage", 12, 1).build()
+    table = f.dense_table().copy()
     q, p = 1, 3 * f.m_bound
     assert minimizers_minus_modular(f, q, p, d)[4] is None
-    minimizers_minus_modular(f, q, p, d)
-    bufs = sfm._scratch.bufs
     for p in (p, p + 1):
-        want = q * f.dense_table() - p * d.sums
-        value = minimizers_minus_modular(f, q, p, d)[0]
-        assert value == want.min()
-        assert sfm._scratch.bufs is bufs
-        assert np.array_equal(sfm._scratch.views[f.n, np.int64][0], want)
+        want = q * table - p * d.sums
+        assert minimizers_minus_modular(f, q, p, d)[0] == want.min()
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])
@@ -449,22 +445,36 @@ def test_newton_solve_runs_passes_on_both_sides_of_the_int64_bound(
     assert paths == sorted(paths)  # float passes, then int64 ones
 
 
-def test_kernel_scratch_is_reused_and_per_thread():
-    # the int64 pass (coverage) and the float pass (big-int tables)
-    cases = []
+def test_kernel_pass_is_pure_and_thread_safe():
+    # the kernel keeps no state and writes into no array it reads: after a
+    # whole-table int64 pass (coverage at P // q >= M) and a float-filter
+    # pass (interval-geometric with d positive only on its last element)
+    # the oracle's table and the direction's sums hold the same values in
+    # the same dtype, and are still read-only
+    f, d = random_instance("coverage", 12, 1).build()
+    g, e = make_family(IntervalGeometric(12)), Direction((-1,) * 11 + (5,))
+    lam = upper_bound(g, e)
+    cases = [(f, 1, 3 * f.m_bound, d),
+             (g, lam.denominator, lam.numerator, e)]
+    for (f, q, p, d), whole in zip(cases, (True, False)):
+        before = f.dense_table().copy(), d.sums.copy()
+        with mock.patch.object(sfm, "_float_candidates",
+                               wraps=sfm._float_candidates) as spy:
+            out = minimizers_minus_modular(f, q, p, d)
+        assert spy.called != whole
+        if whole:
+            assert f.dense_table().dtype == np.int64 and out[4] is None
+        for now, then in zip((f.dense_table(), d.sums), before):
+            assert now.dtype == then.dtype and np.array_equal(now, then)
+            assert not now.flags.writeable
+    # two threads at once, on these and on the int64 pass (coverage) and
+    # the float pass (big-int tables) of random items, get the serial answers
     for fam in ("coverage", "interval-geometric"):
         for seed in range(4):
             f, d = random_instance(fam, 12, seed).build()
             lam = upper_bound(f, d)
             cases.append((f, lam.denominator, lam.numerator, d))
     want = [minimizers_minus_modular(*c)[:3] for c in cases] * 20
-    bufs = sfm._scratch.bufs
-    # a smaller ground set writes into a prefix of the same buffers
-    small = _oracle(2, [0, 1, 1, 1])
-    assert minimizers_minus_modular(small, 1, 1, Direction((1, 1)))[:3] == \
-        (-1, 3, 3)
-    assert sfm._scratch.bufs is bufs
-    # two threads at once: each writes only into its own scratch
     with ThreadPoolExecutor(2) as pool:
         for got in pool.map(lambda _: [minimizers_minus_modular(*c)[:3]
                                        for c in cases * 20], range(2)):
